@@ -5,8 +5,8 @@ Resolving t*y = z_1...z_n by a fan subdivision
 The affine model t*y = z_1...z_n is the toric variety of model_cone(n).
 Slicing the cone into n slabs sigma_1, ..., sigma_n produces a fan whose
 cones are all unimodular, i.e. a resolution.  This demo certifies the
-subdivision: smoothness of every cone, the exact-cover property over a
-bounded lattice grid, and simple normal crossings of the central fiber.
+subdivision: smoothness of every cone, the exact cover of the whole model
+cone, and simple normal crossings of the central fiber.
 
 Run with:  python3 demos/03_resolution_fan.py
 """
@@ -40,12 +40,15 @@ for k in range(1, n + 1):
 ############################################################################
 # Exact cover of the model cone
 # -----------------------------
-# verify_partition checks three things: every subdivision cone sits
-# inside the parent, the cones meet pairwise along common faces, and a
-# bounded-exhaustive sweep finds every lattice point of the parent in at
-# least one subdivision cone (and no point of the complement).
+# verify_partition checks that every subdivision cone sits inside the
+# parent and that the cones meet pairwise along common faces.  Then every
+# wall between two slabs must be shared by exactly one cone on each side,
+# every other facet must lie on the parent's boundary, and one point on no
+# wall must lie in exactly one slab.  Together these certify the cover of
+# the whole cone, not just of a box.  bound=4 adds a sweep of the lattice
+# points of [0,4]^(n+1) as a cross-check.
 ok = verify_partition(fan, model_cone(n), bound=4)
-print(f"partition of model_cone({n}) certified over [0,4]^{n + 1}:", ok)
+print(f"partition of model_cone({n}) certified (cross-checked over [0,4]^{n + 1}):", ok)
 assert ok
 
 ############################################################################
@@ -73,8 +76,8 @@ assert fiber.evaluate(1) == n
 ############################################################################
 # Scaling in n
 # ------------
-# The double description and the numpy-backed sweep keep the exhaustive
-# certification fast well beyond the smallest cases.
-for m in (2, 4, 6):
-    assert verify_partition(resolution_fan(m), model_cone(m), bound=3)
+# The exact certificate costs time polynomial in n; a lattice sweep grows
+# as (bound+1)^(n+1) and is capped at MAX_SWEEP_POINTS.
+for m in (2, 4, 6, 10):
+    assert verify_partition(resolution_fan(m), model_cone(m))
     print(f"n={m}: subdivision certified")

@@ -12,10 +12,11 @@ the hypersurface t*y = z_1...z_n, and subdividing sigma into the slabs
 resolves it with a reduced simple normal crossing central fiber.  This
 module provides the cones, fans and chart presentations for that story,
 plus exact certification routines: cone duality by the double description
-method, unimodularity by Smith normal form, a bounded-exhaustive partition
-check, semistability of the fiber direction, and orbit-cone class counting
-in Z[L].  Everything is integer-exact; numpy is used only for the bounded
-integral-point sweep (with entries far below the int64 range).
+method, unimodularity by Smith normal form, a whole-cone partition
+certificate (wall matching plus one generic point, with an opt-in bounded
+lattice sweep as a cross-check), semistability of the fiber direction, and
+orbit-cone class counting in Z[L].  Everything is integer-exact and pure
+Python.
 """
 
 from __future__ import annotations
@@ -23,11 +24,10 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 from ._intmat import (
     Vec,
@@ -444,59 +444,113 @@ def greedy_decompose(v: Sequence[int], generators: Sequence[Sequence[int]]) -> O
 # -- certification ------------------------------------------------------
 
 
-def verify_partition(f: Fan, parent: Cone, bound: int = 4) -> bool:
+#: Largest opt-in partition sweep, in lattice points: a few seconds in pure Python.
+MAX_SWEEP_POINTS = 10**5
+
+
+def verify_partition(f: Fan, parent: Cone, bound: int = 0) -> bool:
     """Certify that the maximal cones of f partition the parent cone:
 
     (a) every maximal cone is contained in the parent,
     (b) every pairwise intersection of maximal cones is a common face,
-    (c) every integral point of the parent with coordinates of absolute
-        value <= bound lies in at least one maximal cone (bounded
-        exhaustive sweep; restricted to the nonnegative orthant when the
-        parent lies inside it).
+    (c) the cones subdivide the whole parent (De Loera-Rambau-Santos,
+        *Triangulations*, ch. 4): every facet of a maximal cone either
+        lies on a facet of the parent or is the facet of exactly one
+        other maximal cone, with the opposite normal; and one point of
+        the parent lying on no facet hyperplane is covered exactly once,
+    (d) opt-in cross-check: every lattice point of the parent in the box
+        [lo, bound]^rank lies in some maximal cone, where lo = 0 when the
+        parent lies in the nonnegative orthant and -bound otherwise.  The
+        default bound 0 sweeps the origin only; larger boxes than
+        MAX_SWEEP_POINTS raise ValueError.
 
-    All three checks are exact; the sweep is vectorized over int64, which
-    is ample for the bounds in scope.
+    All checks are exact and cover the whole parent; (d) adds nothing to
+    the verdict unless (a)-(c) are wrong.  `_partition_failure` names the
+    witness of a failure.
     """
+    return _partition_failure(f, parent, bound) is None
+
+
+def _partition_failure(f: Fan, parent: Cone, bound: int = 0) -> Optional[str]:
+    """None when f partitions the parent, else a one-line witness."""
     if parent.inequalities is None:
         raise ValueError("verify_partition requires a full-dimensional parent")
-    if bound < 1:
-        raise ValueError(f"bound must be positive, got {bound}")
+    box = _sweep_box(parent, bound)
     for c in f:
-        if any(not parent.contains(r) for r in c.rays):
-            return False
+        outside = next((r for r in c.rays if not parent.contains(r)), None)
+        if outside is not None:
+            return f"ray {list(outside)} of {c!r} lies outside the parent"
     for a, b in itertools.combinations(f.max_cones, 2):
         if not _common_face(a, b):
-            return False
-    return _sweep_covered(f, parent, bound)
+            return f"{a!r} and {b!r} do not meet in a common face"
+    wall = _unmatched_wall(f, parent)
+    if wall is not None:
+        return wall
+    point = _generic_point(f, parent)
+    count = sum(1 for c in f if c.contains(point))
+    if count != 1:
+        return f"generic point {list(point)} is covered {count} times"
+    missed = _sweep_uncovered(f, parent, box)
+    if missed is not None:
+        return f"lattice point {list(missed)} of the parent is uncovered"
+    return None
 
 
-def _sweep_covered(f: Fan, parent: Cone, bound: int) -> bool:
-    m = parent.rank
+def _unmatched_wall(f: Fan, parent: Cone) -> Optional[str]:
+    """The first facet of a maximal cone that lies inside the parent but is
+    not the facet of exactly one maximal cone on its other side."""
+    boundary = set(parent.inequalities)
+    walls = []
+    for c in f:
+        for a in c.inequalities:
+            rays = frozenset(r for r in c.rays if dot(a, r) == 0)
+            if mat_rank(list(rays)) < f.rank - 1:
+                continue  # a redundant cached inequality, not a facet
+            if a not in boundary:
+                walls.append((rays, a))
+    seen = Counter(walls)
+    for rays, a in walls:
+        across = seen[rays, vscale(-1, a)]
+        if across != 1:
+            return (f"unmatched wall with rays {sorted(map(list, rays))} and normal "
+                    f"{list(a)}: {seen[rays, a]} maximal cone(s) on its side, "
+                    f"{across} across it")
+    return None
+
+
+def _generic_point(f: Fan, parent: Cone) -> Vec:
+    """An interior point of the parent on no facet hyperplane of the parent
+    or of any maximal cone: sum_i t^i r_i over the parent's rays, for the
+    least t >= 2 that works.  Each hyperplane vanishes at finitely many t
+    (the rays span the lattice), so the search ends."""
+    normals = [a for c in (parent, *f) for a in c.inequalities]
+    for t in itertools.count(2):
+        point = functools.reduce(
+            vadd, (vscale(t**i, r) for i, r in enumerate(parent.rays)))
+        if all(dot(a, point) != 0 for a in normals):
+            return point
+
+
+def _sweep_box(parent: Cone, bound: int) -> range:
+    """The coordinate range [lo, bound] of the opt-in sweep."""
+    if bound < 0:
+        raise ValueError(f"bound must be nonnegative, got {bound}")
     lo = 0 if all(c >= 0 for r in parent.rays for c in r) else -bound
-    base = bound - lo + 1
-    total = base ** m
-    parent_rows = np.array(parent.inequalities, dtype=np.int64)
-    cone_rows = [np.array(c.inequalities, dtype=np.int64) for c in f]
-    chunk = 1 << 18
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        pts = np.empty((len(idx), m), dtype=np.int64)
-        for col in range(m - 1, -1, -1):
-            pts[:, col] = idx % base + lo
-            idx //= base
-        inside = np.all(pts @ parent_rows.T >= 0, axis=1)
-        if not inside.any():
-            continue
-        pts = pts[inside]
-        covered = np.zeros(len(pts), dtype=bool)
-        for rows in cone_rows:
-            todo = ~covered
-            if not todo.any():
-                break
-            covered[todo] = np.all(pts[todo] @ rows.T >= 0, axis=1)
-        if not covered.all():
-            return False
-    return True
+    points = (bound - lo + 1) ** parent.rank
+    if points > MAX_SWEEP_POINTS:
+        raise ValueError(
+            f"a sweep with bound={bound} in rank {parent.rank} visits {points} "
+            f"points, above the cap of {MAX_SWEEP_POINTS}")
+    return range(lo, bound + 1)
+
+
+def _sweep_uncovered(f: Fan, parent: Cone, box: range) -> Optional[Vec]:
+    """The first lattice point of the parent in box^rank that no maximal
+    cone contains, or None."""
+    for p in itertools.product(box, repeat=parent.rank):
+        if parent.contains(p) and not any(c.contains(p) for c in f):
+            return p
+    return None
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ operations.  Deliberately slow and simple.
 
 import itertools
 import random
+from fractions import Fraction
 
 from sncdegen._intmat import dot, extreme_rays_brute, mat_rank
 from sncdegen.grothring import GrothClass, L, ONE, ZERO
@@ -50,6 +51,38 @@ def orbit_class_oracle(fan, direction=None):
             continue
         total = total + (L - ONE) ** (fan.rank - mat_rank(list(face)))
     return total
+
+
+def simplicial_coordinates(rays, point):
+    """The coefficients c with sum_i c_i * rays[i] == point, for rank-many
+    linearly independent rays, by Gauss-Jordan elimination over Q."""
+    m = len(rays)
+    rows = [[Fraction(r[i]) for r in rays] + [Fraction(point[i])] for i in range(m)]
+    for col in range(m):
+        piv = next(i for i in range(col, m) if rows[i][col] != 0)
+        rows[col], rows[piv] = rows[piv], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for i in range(m):
+            if i != col and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
+    return [row[m] for row in rows]
+
+
+def partition_sweep_oracle(fan, parent, bound):
+    """Bounded lattice sweep of a fan of simplicial cones over the parent:
+    every lattice point of the parent in [0, bound]^rank lies in some cone
+    and in the interior of at most one.  Cone membership comes from the
+    point's coordinates over the cone's rays, not from facet normals."""
+    for p in itertools.product(range(bound + 1), repeat=parent.rank):
+        if not all(dot(a, p) >= 0 for a in parent.inequalities):
+            continue
+        coords = [simplicial_coordinates(c.rays, p) for c in fan]
+        if not any(all(x >= 0 for x in cs) for cs in coords):
+            return False
+        if sum(all(x > 0 for x in cs) for cs in coords) > 1:
+            return False
+    return True
 
 
 def affine_union_class_oracle(k):

@@ -89,7 +89,7 @@ def test_criterion_4_resolution_certification():
         fan = resolution_fan(n)
         if not all(is_smooth(c) for c in fan):
             failures.append((n, "smooth"))
-        if not verify_partition(fan, model_cone(n), bound=4):
+        if not verify_partition(fan, model_cone(n)):
             failures.append((n, "partition"))
         if not semistable_fiber_check(fan, unit_vector(n + 1, n)).snc:
             failures.append((n, "semistable"))

@@ -5,7 +5,9 @@ import json
 
 import pytest
 
+from sncdegen import cli
 from sncdegen.cli import EXIT_FAILED, EXIT_OK, EXIT_USAGE, main
+from sncdegen.toriclat import Fan, sigma_subcone
 
 
 def run_cli(capsys, *argv):
@@ -51,6 +53,12 @@ def test_class_usage_error(capsys):
     code, out, err = run_cli(capsys, "class", "--r", "0", "--n", "2")
     assert code == EXIT_USAGE and out == ""
     assert "error" in err
+
+
+def test_class_oversized_r_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "class", "--r", "31", "--n", "2")
+    assert code == EXIT_USAGE and out == ""
+    assert err.count("\n") == 1 and "r <= 30" in err
 
 
 # -- dual ---------------------------------------------------------------
@@ -134,6 +142,19 @@ def test_verify_toric_scope(capsys):
     assert all(row["pass"] for row in data["checks"])
 
 
+def test_verify_partition_row_names_its_witness(capsys, monkeypatch):
+    # drop sigma_n from every fan but the one-slab fan of n=1
+    monkeypatch.setattr(cli, "resolution_fan", lambda n: Fan(
+        [sigma_subcone(n, k) for k in range(1, n)] or [sigma_subcone(n, n)], rank=n + 1))
+    code, out, _ = run_cli(capsys, "verify", "--scope", "lemma-toric",
+                           "--max-n", "3", "--format", "json")
+    assert code == EXIT_FAILED
+    rows = {row["name"]: row for row in json.loads(out)["checks"]}
+    assert rows["partition n=1"]["pass"]
+    assert not rows["partition n=3"]["pass"]
+    assert rows["partition n=3"]["detail"].startswith("unmatched wall with rays")
+
+
 def test_verify_degeneration_scope(capsys):
     code, out, _ = run_cli(capsys, "verify", "--scope", "degeneration",
                            "--max-n", "4", "--format", "json")
@@ -162,8 +183,12 @@ def test_verify_deterministic(capsys):
 def test_verify_usage_error(capsys):
     code, _, _ = run_cli(capsys, "verify", "--scope", "everything")
     assert code == EXIT_USAGE
-    code, _, _ = run_cli(capsys, "verify", "--bound", "0")
+    code, _, _ = run_cli(capsys, "verify", "--bound", "-1")
     assert code == EXIT_USAGE
+    code, out, err = run_cli(capsys, "verify", "--scope", "lemma-toric",
+                             "--max-n", "3", "--bound", "20")
+    assert code == EXIT_USAGE and out == ""
+    assert err.count("\n") == 1 and "above the cap" in err
 
 
 # -- report -------------------------------------------------------------
@@ -191,6 +216,22 @@ def test_report_rejects_outside_fano_range(capsys):
     code, _, err = run_cli(capsys, "report", "--n", "2", "--d", "4")
     assert code == EXIT_USAGE
     assert "d <= n+1" in err
+
+
+def test_report_sweep_cap_is_usage_error(capsys):
+    # --bound 20 at n=8 would sweep about 8e11 points; the cap stops it
+    code, out, err = run_cli(capsys, "report", "--n", "8", "--d", "9", "--bound", "20")
+    assert code == EXIT_USAGE and out == ""
+    assert err.count("\n") == 1 and "above the cap" in err
+
+
+def test_report_opt_in_sweep(capsys):
+    code, out, _ = run_cli(capsys, "report", "--n", "3", "--d", "4", "--bound", "3",
+                           "--format", "json")
+    assert code == EXIT_OK
+    details = [c["detail"] for c in json.loads(out)["checks"]
+               if c["name"].endswith("partition of model cone")]
+    assert len(details) == 3 and all("sweep bound=3" in d for d in details)
 
 
 # -- common plumbing ----------------------------------------------------

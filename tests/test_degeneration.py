@@ -5,6 +5,7 @@ import json
 import pytest
 
 from oracles import affine_union_class_oracle
+from sncdegen import degeneration
 from sncdegen.degeneration import (
     CheckResult,
     DegenerationSpec,
@@ -16,6 +17,7 @@ from sncdegen.degeneration import (
     resolve_local_model,
 )
 from sncdegen.grothring import GrothClass, L, proj_space_class, reduce_mod_L
+from sncdegen.toriclat import Fan, sigma_subcone
 
 
 # -- specs --------------------------------------------------------------
@@ -100,7 +102,22 @@ def test_resolve_local_model_invariance_sweep():
 
 def test_resolve_local_model_bound_validation():
     with pytest.raises(ValueError):
-        resolve_local_model(LocalModelSpec(n=2, k=2), bound=0)
+        resolve_local_model(LocalModelSpec(n=2, k=2), bound=-1)
+
+
+def test_partition_check_names_its_witness(monkeypatch):
+    # resolve with sigma_1 missing from every fan; the cache of certified
+    # cores is cleared so that no other test sees the mutant
+    monkeypatch.setattr(degeneration, "resolution_fan", lambda k: Fan(
+        [sigma_subcone(k, j) for j in range(2, k + 1)], rank=k + 1))
+    degeneration._certified_local_core.cache_clear()
+    try:
+        report = resolve_local_model(LocalModelSpec(n=3, k=3))
+    finally:
+        degeneration._certified_local_core.cache_clear()
+    check = next(c for c in report.checks if c.name == "partition of model cone")
+    assert not check.passed and not report.passed
+    assert check.detail.startswith("unmatched wall with rays")
 
 
 # -- central fiber class ------------------------------------------------

@@ -1,7 +1,11 @@
 """Unit tests for the cone/fan machinery and the toric resolution."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,8 +13,11 @@ from oracles import (
     affine_union_class_oracle,
     dual_rays_brute,
     orbit_class_oracle,
+    partition_sweep_oracle,
     random_unimodular_cone,
 )
+from sncdegen import toriclat
+from sncdegen._intmat import dot
 from sncdegen.grothring import GrothClass, L, reduce_mod_L
 from sncdegen.toriclat import (
     ChartPresentation,
@@ -32,6 +39,13 @@ from sncdegen.toriclat import (
     toric_class,
     unit_vector,
     verify_partition,
+)
+from sncdegen.toriclat import (
+    MAX_SWEEP_POINTS,
+    _generic_point,
+    _partition_failure,
+    _sweep_box,
+    _sweep_uncovered,
 )
 
 E = unit_vector
@@ -335,9 +349,146 @@ def test_partition_negative_coordinates():
 
 def test_partition_validation():
     with pytest.raises(ValueError):
-        verify_partition(resolution_fan(2), model_cone(2), bound=0)
+        verify_partition(resolution_fan(2), model_cone(2), bound=-1)
     with pytest.raises(ValueError):
         verify_partition(resolution_fan(2), Cone([(1, 1, 0)]), bound=2)
+
+
+def drop_one_slab_fans(n):
+    """(k, the slab fan of rank n+1 without sigma_k) for k = 1..n, n >= 2."""
+    for k in range(1, n + 1):
+        yield k, Fan([sigma_subcone(n, j) for j in range(1, n + 1) if j != k],
+                     rank=n + 1)
+
+
+def slab_walls(n, j):
+    """Both normals of the wall x_{n+1} = x_1 + ... + x_j between sigma_j
+    and sigma_{j+1}, as they appear in a witness."""
+    normal = [1] * j + [0] * (n - j) + [-1]
+    return {str(normal), str([-x for x in normal])}
+
+
+def test_partition_rejects_every_drop_one_slab_fan():
+    for n in range(2, 9):
+        for k, fan in drop_one_slab_fans(n):
+            assert not verify_partition(fan, model_cone(n)), (n, k)
+            witness = _partition_failure(fan, model_cone(n))
+            assert witness.startswith("unmatched wall"), (n, k, witness)
+            assert witness.endswith("1 maximal cone(s) on its side, 0 across it")
+            # the open wall is one that sigma_k shared with a neighbour
+            normals = slab_walls(n, k - 1) | slab_walls(n, k)
+            assert any(f"normal {v}:" in witness for v in normals), (n, k, witness)
+
+
+def test_partition_rejects_doubled_slab():
+    # n=1: the one slab is the whole model cone, so every wall lies on the
+    # boundary and only the generic point sees the double cover
+    fan = Fan([sigma_subcone(1, 1)] * 2, rank=2)
+    assert not verify_partition(fan, model_cone(1))
+    assert "is covered 2 times" in _partition_failure(fan, model_cone(1))
+    # n>=2: a wall of the doubled slab is a facet of three maximal cones
+    for n in range(2, 6):
+        for k in range(1, n + 1):
+            fan = Fan(list(resolution_fan(n)) + [sigma_subcone(n, k)], rank=n + 1)
+            assert not verify_partition(fan, model_cone(n)), (n, k)
+            witness = _partition_failure(fan, model_cone(n))
+            assert witness.startswith("unmatched wall"), (n, k, witness)
+            assert witness.endswith("1 maximal cone(s) on its side, 2 across it")
+
+
+def test_partition_rejects_orthant_parent():
+    # the slabs lie in the orthant, but the wall x_{n+1} = x_1 + ... + x_n
+    # of sigma_n is not on the orthant's boundary
+    for n in range(1, 6):
+        witness = _partition_failure(resolution_fan(n), orthant(n + 1))
+        assert witness.startswith("unmatched wall"), (n, witness)
+        assert f"normal {[1] * n + [-1]}:" in witness
+        assert witness.endswith("0 across it")
+
+
+def test_partition_names_ray_outside_parent():
+    witness = _partition_failure(resolution_fan(2), sigma_subcone(2, 1))
+    assert witness.startswith("ray [0, 1, 1] of Cone(")
+    assert witness.endswith("lies outside the parent")
+
+
+def test_partition_skips_redundant_cached_inequality():
+    # sigma_subcone(1, 1) caches x_1 >= 0, which vanishes on none of its
+    # rays: it is not a facet, and taking it for a wall would reject n=1
+    assert (1, 0) in sigma_subcone(1, 1).inequalities
+    assert _partition_failure(resolution_fan(1), model_cone(1)) is None
+
+
+def test_generic_point_is_interior_and_off_every_wall():
+    for n in range(1, 7):
+        fan, parent = resolution_fan(n), model_cone(n)
+        p = _generic_point(fan, parent)
+        assert all(dot(a, p) > 0 for a in parent.inequalities)
+        assert all(dot(a, p) != 0 for c in fan for a in c.inequalities)
+        assert sum(c.contains(p) for c in fan) == 1
+
+
+def test_generic_point_moves_off_a_wall():
+    # with weights 1, 2 the point (2, 1) lies on the wall through (2, 1);
+    # the next weights 1, 3 give (3, 1)
+    fan = Fan([Cone([(1, 0), (2, 1)]), Cone([(2, 1), (0, 1)])], rank=2)
+    assert _generic_point(fan, orthant(2)) == (3, 1)
+    assert verify_partition(fan, orthant(2))
+
+
+def test_partition_agrees_with_sweep_oracle():
+    for n in range(1, 5):
+        parent = model_cone(n)
+        fans = [resolution_fan(n), Fan(list(resolution_fan(n)) * 2, rank=n + 1)]
+        if n > 1:  # at n=1 dropping the one slab leaves no fan
+            fans += [fan for _, fan in drop_one_slab_fans(n)]
+        for fan in fans:
+            assert verify_partition(fan, parent) == partition_sweep_oracle(fan, parent, 2)
+        assert verify_partition(resolution_fan(n), parent)
+
+
+def test_opt_in_sweep_finds_uncovered_point():
+    for n in range(2, 5):
+        parent = model_cone(n)
+        for k, fan in drop_one_slab_fans(n):
+            p = _sweep_uncovered(fan, parent, _sweep_box(parent, 2))
+            assert p is not None and parent.contains(p), (n, k)
+            assert not any(c.contains(p) for c in fan), (n, k)
+        assert _sweep_uncovered(resolution_fan(n), parent, _sweep_box(parent, 3)) is None
+
+
+def test_opt_in_sweep_catches_what_walls_miss(monkeypatch):
+    # with wall matching disabled, a dropped slab that the generic point
+    # misses passes at bound 0 and is caught by the sweep at bound 2
+    monkeypatch.setattr(toriclat, "_unmatched_wall", lambda f, parent: None)
+    parent = model_cone(3)
+    caught = 0
+    for k, fan in drop_one_slab_fans(3):
+        if _partition_failure(fan, parent) is None:
+            witness = _partition_failure(fan, parent, bound=2)
+            assert witness.startswith("lattice point") and "uncovered" in witness, k
+            caught += 1
+    assert caught
+
+
+def test_sweep_box_cap():
+    assert (9 + 1) ** 5 == MAX_SWEEP_POINTS
+    assert _sweep_box(model_cone(4), 9) == range(0, 10)
+    with pytest.raises(ValueError, match="above the cap"):
+        _sweep_box(model_cone(4), 10)
+    with pytest.raises(ValueError, match="above the cap"):
+        verify_partition(resolution_fan(8), model_cone(8), bound=4)
+    assert _sweep_box(Cone([(1, 1), (-1, 1)]), 3) == range(-3, 4)
+    assert _sweep_box(model_cone(8), 0) == range(0, 1)
+
+
+def test_import_does_not_load_numpy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    subprocess.run(
+        [sys.executable, "-c", "import sncdegen, sys; assert 'numpy' not in sys.modules"],
+        env=env, check=True)
 
 
 # -- semistability ------------------------------------------------------
