@@ -66,6 +66,8 @@ assert check.reduced and check.smooth and check.snc
 # -------------------
 # Each face of dimension d contributes (L - 1)^(rank - d) for the open
 # torus orbit it indexes; the faces meeting t = 0 carve out the fiber.
+# Only the number of faces of each dimension matters, and for the chain
+# of slabs that is a sum of binomials, so this stays cheap as n grows.
 total = toric_class(fan)
 fiber = fiber_class(fan, unit_vector(n + 1, n))
 print("class of the total space :", total.render())

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -47,7 +48,6 @@ from .toriclat import (
     blowup_chart_sequence,
     dual_cone,
     dual_generators,
-    fiber_class,
     is_smooth,
     model_cone,
     resolution_fan,
@@ -215,7 +215,10 @@ def cmd_resolve(n: int, fmt: str) -> int:
 # -- verify suites ------------------------------------------------------
 
 
-def _rows_arrangement(max_n: int) -> list[dict]:
+# Each suite returns (top, rows): the largest n it ran, and its rows.
+
+
+def _rows_arrangement(max_n: int) -> tuple[int, list[dict]]:
     rows = []
     max_r = max(1, max_n)
     for n in range(0, max_n + 1):
@@ -250,10 +253,10 @@ def _rows_arrangement(max_n: int) -> list[dict]:
             "pass": bad is None,
             "detail": ("sum is 1 for all r" if bad is None else f"fails at r={bad}"),
         })
-    return rows
+    return max_n, rows
 
 
-def _rows_toric(max_n: int, bound: int) -> list[dict]:
+def _rows_toric(max_n: int, bound: int) -> tuple[int, list[dict]]:
     rows = []
     top = min(max_n, 8)
     for n in range(1, top + 1):
@@ -286,10 +289,10 @@ def _rows_toric(max_n: int, bound: int) -> list[dict]:
             rows.append({"name": f"charts match dual cones n={n}", "pass": bad is None,
                          "detail": ("all charts" if bad is None
                                     else f"mismatch at chart {bad}")})
-    return rows
+    return top, rows
 
 
-def _rows_degeneration(max_n: int, bound: int) -> list[dict]:
+def _rows_degeneration(max_n: int, bound: int) -> tuple[int, list[dict]]:
     rows = []
     top = min(max_n, 8)
     bad = next((k for k in range(1, 11)
@@ -308,7 +311,7 @@ def _rows_degeneration(max_n: int, bound: int) -> list[dict]:
                 "detail": ("all checks pass" if report.passed
                            else "failing: " + "; ".join(failing)),
             })
-    return rows
+    return top, rows
 
 
 def cmd_verify(scope: str, max_n: int, bound: int, fmt: str) -> int:
@@ -316,21 +319,25 @@ def cmd_verify(scope: str, max_n: int, bound: int, fmt: str) -> int:
         raise _UsageError(f"need max-n >= 0, got {max_n}")
     if bound < 0:
         raise _UsageError(f"need bound >= 0, got {bound}")
+    suites = {"lemma-arrangement": lambda: _rows_arrangement(max_n),
+              "lemma-toric": lambda: _rows_toric(max_n, bound),
+              "degeneration": lambda: _rows_degeneration(max_n, bound)}
+    covered: dict[str, int] = {}
     rows: list[dict] = []
-    if scope in ("lemma-arrangement", "all"):
-        rows += _rows_arrangement(max_n)
     try:  # the partition sweep caps its box
-        if scope in ("lemma-toric", "all"):
-            rows += _rows_toric(max_n, bound)
-        if scope in ("degeneration", "all"):
-            rows += _rows_degeneration(max_n, bound)
+        for name, suite in suites.items():
+            if scope in (name, "all"):
+                covered[name], suite_rows = suite()
+                rows += suite_rows
     except ValueError as exc:
         raise _UsageError(str(exc))
     ok = all(row["pass"] for row in rows)
-    payload = {"scope": scope, "max_n": max_n, "bound": bound,
-               "checks": rows, "pass": ok}
+    payload = {"scope": scope, "max_n": max_n, "covered_max_n": covered,
+               "bound": bound, "checks": rows, "pass": ok}
     width = max((len(row["name"]) for row in rows), default=0)
-    lines = [f"verification suite: scope={scope}, max-n={max_n}, bound={bound}"]
+    ran = ", ".join(f"{name} n<={top}" for name, top in covered.items())
+    lines = [f"verification suite: scope={scope}, max-n={max_n}, bound={bound}",
+             f"covered: {ran}"]
     for row in rows:
         mark = "PASS" if row["pass"] else "FAIL"
         lines.append(f"  [{mark}] {row['name'].ljust(width)}  {row['detail']}")
@@ -350,24 +357,34 @@ def cmd_report(n: int, d: int, bound: int, fmt: str) -> int:
     return EXIT_OK if report.passed else EXIT_FAILED
 
 
+def _dispatch(args: argparse.Namespace) -> int:
+    if args.subcommand == "class":
+        return cmd_class(args.r, args.n, args.format)
+    if args.subcommand == "dual":
+        return cmd_dual(args.n, args.format)
+    if args.subcommand == "resolve":
+        return cmd_resolve(args.n, args.format)
+    if args.subcommand == "verify":
+        return cmd_verify(args.scope, args.max_n, args.bound, args.format)
+    if args.subcommand == "report":
+        return cmd_report(args.n, args.d, args.bound, args.format)
+    raise _UsageError(f"unknown subcommand {args.subcommand!r}")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.subcommand == "class":
-            return cmd_class(args.r, args.n, args.format)
-        if args.subcommand == "dual":
-            return cmd_dual(args.n, args.format)
-        if args.subcommand == "resolve":
-            return cmd_resolve(args.n, args.format)
-        if args.subcommand == "verify":
-            return cmd_verify(args.scope, args.max_n, args.bound, args.format)
-        if args.subcommand == "report":
-            return cmd_report(args.n, args.d, args.bound, args.format)
-        raise _UsageError(f"unknown subcommand {args.subcommand!r}")
+        code = _dispatch(parser.parse_args(argv))
+        sys.stdout.flush()  # a closed pipe raises here rather than at exit
+        return code
     except _UsageError as exc:
         print(f"sncdegen: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # The reader went away (``| head``).  Point stdout at devnull so
+        # the interpreter's final flush does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ operations.  Deliberately slow and simple.
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 from sncdegen._intmat import dot, extreme_rays_brute, mat_rank
 from sncdegen.grothring import GrothClass, L, ONE, ZERO
@@ -50,6 +51,33 @@ def orbit_class_oracle(fan, direction=None):
         if direction is not None and not any(dot(direction, r) >= 1 for r in face):
             continue
         total = total + (L - ONE) ** (fan.rank - mat_rank(list(face)))
+    return total
+
+
+def slab_orbit_class_closed_form(n, fiber=False):
+    """Toric (or, with `fiber`, e_{n+1}*-fiber) class of the slab fan of
+    the model cone, from binomials alone.
+
+    A face of the slab sigma_k = cone(f_1..f_k, e_k..e_n) is
+    {f_i : i in F} ∪ {e_i : i in E} with F ⊆ [1, k] and E ⊆ [k, n], so
+    the faces of the fan are the pairs with max F <= min E.  With |F| = a
+    and |E| = b both positive there are C(n, a+b) such pairs with
+    max F < min E and C(n, a+b-1) with max F = min E; with F or E empty
+    there are C(n, b) or C(n, a).  Only the f_i pair positively with
+    e_{n+1}*, so the fiber keeps the faces with F nonempty.
+    """
+    def pairs(a, b):
+        if a == 0:
+            return 0 if fiber else comb(n, b)
+        if b == 0:
+            return comb(n, a)
+        return comb(n, a + b) + comb(n, a + b - 1)
+
+    total = ZERO
+    for a in range(n + 1):
+        for b in range(n + 1):
+            if a + b <= n + 1:
+                total = total + pairs(a, b) * (L - ONE) ** (n + 1 - a - b)
     return total
 
 

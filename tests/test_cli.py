@@ -2,6 +2,10 @@
 round-trip stability and determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -180,6 +184,23 @@ def test_verify_deterministic(capsys):
     assert first == second
 
 
+def test_verify_reports_covered_range(capsys):
+    _, out, _ = run_cli(capsys, "verify", "--max-n", "12", "--format", "json")
+    data = json.loads(out)
+    assert data["max_n"] == 12
+    assert data["covered_max_n"] == {
+        "lemma-arrangement": 12, "lemma-toric": 8, "degeneration": 8}
+    names = [row["name"] for row in data["checks"]]
+    assert "partition n=8" in names and "partition n=9" not in names
+
+    _, out, _ = run_cli(capsys, "verify", "--max-n", "3", "--format", "json")
+    assert json.loads(out)["covered_max_n"] == {
+        "lemma-arrangement": 3, "lemma-toric": 3, "degeneration": 3}
+
+    _, out, _ = run_cli(capsys, "verify", "--scope", "lemma-toric", "--max-n", "12")
+    assert out.splitlines()[1] == "covered: lemma-toric n<=8"
+
+
 def test_verify_usage_error(capsys):
     code, _, _ = run_cli(capsys, "verify", "--scope", "everything")
     assert code == EXIT_USAGE
@@ -255,3 +276,29 @@ def test_missing_required_flag(capsys):
 def test_bad_integer(capsys):
     code, _, _ = run_cli(capsys, "class", "--r", "three", "--n", "2")
     assert code == EXIT_USAGE
+
+
+def test_closed_pipe_ends_without_traceback():
+    # A pipe of one page, read one line and closed, like `| head -1`: the
+    # rest of the output cannot fit, so the writer meets the closed pipe.
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("pipe capacity cannot be set on this platform")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    if fcntl.fcntl(write_end, fcntl.F_GETPIPE_SZ) >= 6000:  # the output is ~6 kB
+        pytest.skip("pipe capacity of one page holds the whole output")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sncdegen", "verify", "--scope", "lemma-arrangement",
+         "--format", "json"],
+        stdout=write_end, stderr=subprocess.PIPE, env=env)
+    os.close(write_end)
+    with os.fdopen(read_end, "rb", buffering=0) as reader:
+        first = reader.readline()
+    _, err = proc.communicate(timeout=60)
+    assert first == b"{\n"
+    assert b"Traceback" not in err and err == b""
+    assert proc.returncode == 1

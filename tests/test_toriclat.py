@@ -15,6 +15,7 @@ from oracles import (
     orbit_class_oracle,
     partition_sweep_oracle,
     random_unimodular_cone,
+    slab_orbit_class_closed_form,
 )
 from sncdegen import toriclat
 from sncdegen._intmat import dot
@@ -533,7 +534,7 @@ def test_toric_class_resolution_n2():
 
 
 def test_toric_class_against_oracle():
-    for n in (1, 2, 3, 4):
+    for n in range(1, 9):
         fan = resolution_fan(n)
         assert toric_class(fan) == orbit_class_oracle(fan), n
 
@@ -557,10 +558,81 @@ def test_fiber_class_mod_L_matches_singular_model():
 
 
 def test_fiber_class_against_oracle():
-    for n in (1, 2, 3, 4):
+    for n in range(1, 9):
         fan = resolution_fan(n)
         d = E(n + 1, n)
         assert fiber_class(fan, d) == orbit_class_oracle(fan, d), n
+
+
+def slab_fan(n, order):
+    return Fan([sigma_subcone(n, k) for k in order], rank=n + 1)
+
+
+def fiber_directions(n):
+    """e_{n+1}*, the model's fiber; e_1*; and (1, ..., 1, 0)."""
+    return [E(n + 1, n), E(n + 1, 0), tuple([1] * n + [0])]
+
+
+def face_counts_both_ways(fan, hot=None):
+    chain = toriclat._face_counts(fan, hot)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(toriclat, "_is_chain", lambda ray_sets: False)
+        enumerated = toriclat._face_counts(fan, hot)
+    return chain, enumerated
+
+
+def test_face_counts_chain_matches_enumeration():
+    for n in range(1, 11):
+        fan = resolution_fan(n)
+        assert toriclat._is_chain([frozenset(c.rays) for c in fan]), n
+        chain, enumerated = face_counts_both_ways(fan)
+        assert chain == enumerated, n
+        assert chain[0] == 1 and chain[n + 1] == n, n
+        for d in fiber_directions(n):
+            chain, enumerated = face_counts_both_ways(fan, lambda r: dot(d, r) >= 1)
+            assert chain == enumerated, (n, d)
+            assert chain[0] == 0, (n, d)
+
+
+@pytest.mark.parametrize("order, chain", [
+    ((5, 4, 3, 2, 1), True),        # reversed slabs
+    ((1, 3, 2, 4, 5), False),       # sigma_1 ∩ sigma_2 is not in sigma_3
+    ((1, 1, 2, 3, 4, 5), True),     # a slab twice, adjacent
+    ((1, 2, 1, 3, 4, 5), False),    # a slab twice, not adjacent
+])
+def test_orbit_counting_cone_orders_against_oracle(order, chain):
+    fan = slab_fan(5, order)
+    assert toriclat._is_chain([frozenset(c.rays) for c in fan]) is chain
+    assert toric_class(fan) == orbit_class_oracle(fan)
+    for d in fiber_directions(5):
+        assert fiber_class(fan, d) == orbit_class_oracle(fan, d), d
+
+
+def test_chain_guard_is_load_bearing(monkeypatch):
+    fan = slab_fan(5, (1, 3, 2, 4, 5))
+    monkeypatch.setattr(toriclat, "_is_chain", lambda ray_sets: True)
+    assert toric_class(fan) != orbit_class_oracle(fan)
+    d = E(6, 5)
+    assert fiber_class(fan, d) != orbit_class_oracle(fan, d)
+
+
+def test_orbit_classes_at_large_n_against_closed_form():
+    # enumeration would visit about n * 2^n faces here
+    for n in (16, 20):
+        fan = resolution_fan(n)
+        toric = toric_class(fan)
+        fiber = fiber_class(fan, E(n + 1, n))
+        assert toric == slab_orbit_class_closed_form(n), n
+        assert fiber == slab_orbit_class_closed_form(n, fiber=True), n
+        assert toric.evaluate(1) == fiber.evaluate(1) == n
+
+
+def test_slab_closed_form_matches_facet_oracle():
+    for n in range(1, 6):
+        fan = resolution_fan(n)
+        assert slab_orbit_class_closed_form(n) == orbit_class_oracle(fan), n
+        assert (slab_orbit_class_closed_form(n, fiber=True)
+                == orbit_class_oracle(fan, E(n + 1, n))), n
 
 
 def test_orbit_counting_rejects_singular_fan():
