@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from sncdegen import (
     Cone,
-    contains,
     dual_cone,
     dual_generators,
     greedy_decompose,
@@ -74,12 +73,12 @@ for g in gens:
     print("   ", g)
 
 for point in [(2, 1, 3, 1), (1, 1, 1, -1), (4, 2, 2, -2), unit_vector(n + 1, n)]:
-    coeffs = greedy_decompose(point, gens)
+    coeffs = greedy_decompose(point)
     assert coeffs is not None
     combo = " + ".join(f"{c}*{g}" for c, g in zip(coeffs, gens) if c)
     print(f"{point} = {combo}")
 
 outside = (1, 0, 0, -2)
-assert greedy_decompose(outside, gens) is None
-assert not contains(dual_cone(model_cone(n)), outside)
+assert greedy_decompose(outside) is None
+assert not dual_cone(model_cone(n)).contains(outside)
 print(f"{outside} is outside the dual cone: decomposition correctly refused")

@@ -42,9 +42,7 @@ from .toriclat import (
     Coordinate,
     Fan,
     FiberCheck,
-    LatticeVector,
     blowup_chart_sequence,
-    contains,
     dual_cone,
     dual_generators,
     fiber_class,
@@ -66,8 +64,8 @@ __all__ = [
     "GrothClass", "L", "ONE", "ZERO", "proj_space_class", "reduce_mod_L",
     "arrangement_class_closed", "arrangement_class_recursive",
     "arrangement_class_inclusion_exclusion", "binomial_congruence_check",
-    "LatticeVector", "Cone", "Fan", "Coordinate", "ChartPresentation",
-    "FiberCheck", "unit_vector", "dual_cone", "contains", "greedy_decompose",
+    "Cone", "Fan", "Coordinate", "ChartPresentation",
+    "FiberCheck", "unit_vector", "dual_cone", "greedy_decompose",
     "is_smooth", "model_cone", "sigma_subcone", "resolution_fan",
     "dual_generators", "verify_partition", "semistable_fiber_check",
     "toric_class", "fiber_class", "blowup_chart_sequence",

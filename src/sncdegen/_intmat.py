@@ -1,14 +1,21 @@
 """Exact integer vector/matrix helpers shared by the cone machinery.
 
 Everything here works on plain Python ints (arbitrary precision) and tuples;
-no floating point is used anywhere.  Vectors are tuples of ints, matrices are
-sequences of row tuples.
+no floating point and no fractions are used anywhere.  Vectors are tuples
+of ints, matrices are sequences of row tuples.
+
+All linear algebra over Q goes through one routine, `rref`: a
+fraction-free Gauss-Jordan elimination whose rows stay primitive integer
+vectors.  Rank (`mat_rank`), the greedy choice of independent rows, the
+inverse of a square matrix (the simplicial start of `extreme_rays`) and
+membership in a lower-dimensional cone (`toriclat.Cone.contains`) are all
+read off its output.  The Smith normal form in `invariant_factors` is a
+different algorithm (it works over Z, not Q) and keeps its own loop.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 Vec = tuple[int, ...]
@@ -47,68 +54,43 @@ def primitive(v: Sequence[int]) -> Vec:
     return tuple(a // g for a in v)
 
 
-def mat_rank(rows: Iterable[Sequence[int]]) -> int:
-    """Rank of an integer matrix, by fraction-free elimination."""
-    work = [list(r) for r in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        prow = work[rank]
-        for i in range(rank + 1, len(work)):
-            f = work[i][col]
-            if f:
-                p = prow[col]
-                work[i] = [p * a - f * b for a, b in zip(work[i], prow)]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+def rref(rows: Iterable[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over Z, by fraction-free Gauss-Jordan
+    elimination (Bareiss, Math. Comp. 22, 1968, without the division by the
+    previous pivot: each updated row is divided by its own gcd instead).
 
-
-def independent_rows(rows: Sequence[Sequence[int]], target: int) -> list[int]:
-    """Indices of up to `target` linearly independent rows, greedily."""
-    picked: list[int] = []
-    for i, row in enumerate(rows):
-        if mat_rank([rows[j] for j in picked] + [row]) > len(picked):
-            picked.append(i)
-            if len(picked) == target:
-                break
-    return picked
-
-
-def inverse_columns_primitive(rows: Sequence[Sequence[int]]) -> list[Vec]:
-    """Columns of the inverse of a square integer matrix, as primitive
-    integer vectors (each column rescaled by a positive rational).
-
-    Column j of the result pairs positively with row j of the input and to
-    zero with every other row.
+    Returns (rows, pivots): the nonzero rows of the reduced matrix and the
+    increasing pivot column of each.  Every returned row is primitive, its
+    pivot entry is positive, and each pivot column is zero outside its own
+    row.  The row space is that of the input over Q.
     """
-    m = len(rows)
-    aug = [[Fraction(a) for a in row] + [Fraction(int(i == j)) for j in range(m)]
-           for i, row in enumerate(rows)]
-    for col in range(m):
-        pivot = next((i for i in range(col, m) if aug[i][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [a / pv for a in aug[col]]
-        for i in range(m):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    cols = []
-    for j in range(m):
-        col = [aug[i][m + j] for i in range(m)]
-        denom = math.lcm(*(f.denominator for f in col))
-        cols.append(primitive(tuple(int(f * denom) for f in col)))
-    return cols
+    work = [list(r) for r in rows]
+    pivots: list[int] = []
+    for col in range(len(work[0]) if work else 0):
+        r = len(pivots)
+        if r == len(work):
+            break
+        k = next((k for k in range(r, len(work)) if work[k][col] != 0), None)
+        if k is None:
+            continue
+        prow = work[k]
+        g = math.gcd(*prow) if prow[col] > 0 else -math.gcd(*prow)
+        prow = [a // g for a in prow]
+        work[k], work[r] = work[r], prow
+        p = prow[col]
+        for i, row in enumerate(work):
+            f = row[col]
+            if f and i != r:
+                row = [p * a - f * b for a, b in zip(row, prow)]
+                g = math.gcd(*row)
+                work[i] = [a // g for a in row] if g > 1 else row
+        pivots.append(col)
+    return work[:len(pivots)], pivots
+
+
+def mat_rank(rows: Iterable[Sequence[int]]) -> int:
+    """Rank of an integer matrix."""
+    return len(rref(rows)[1])
 
 
 def invariant_factors(rows: Iterable[Sequence[int]]) -> list[int]:
@@ -182,11 +164,19 @@ def extreme_rays(ineqs: Sequence[Sequence[int]], rank: int) -> list[Vec]:
         if p not in seen:
             seen.add(p)
             rows.append(p)
-    base = independent_rows(rows, rank)
+    # The pivot columns of the transpose are the first rows, in order,
+    # that are independent of the rows before them.
+    base = rref(zip(*rows))[1]
     if len(base) < rank:
         raise ValueError("inequality system is not pointed (rows do not span full rank)")
 
-    rays = inverse_columns_primitive([rows[i] for i in base])
+    # Row i of rref([B | I]) is [p_i e_i | p_i (B^-1)_i], so the columns of
+    # B^-1, rescaled by lcm(p) > 0, are the rays of the simplicial cone
+    # B x >= 0: ray j pairs positively with base row j and to zero with the rest.
+    reduced = rref([list(rows[i]) + list(unit(rank, j)) for j, i in enumerate(base)])[0]
+    scale = math.lcm(*(row[i] for i, row in enumerate(reduced)))
+    rays = [primitive([row[rank + j] * (scale // row[i]) for i, row in enumerate(reduced)])
+            for j in range(rank)]
     # evals[k][i] = pairing of ray k with the i-th processed row
     processed = list(base)
     evals = [[dot(rows[i], r) for i in processed] for r in rays]
@@ -235,53 +225,3 @@ def extreme_rays(ineqs: Sequence[Sequence[int]], rank: int) -> list[Vec]:
         if not rays:
             break
     return sorted(set(rays))
-
-
-def extreme_rays_brute(ineqs: Sequence[Sequence[int]], rank: int) -> list[Vec]:
-    """Independent oracle for extreme_rays: enumerate (rank-1)-subsets of the
-    inequality rows and keep the one-dimensional kernels that satisfy the
-    full system.  Exponential; for tests only.
-    """
-    import itertools
-
-    rows = [primitive(a) for a in ineqs]
-    if mat_rank(rows) < rank:
-        raise ValueError("inequality system is not pointed")
-    found = set()
-    for subset in itertools.combinations(range(len(rows)), rank - 1):
-        sub = [rows[i] for i in subset]
-        if mat_rank(sub) != rank - 1:
-            continue
-        v = _kernel_vector(sub, rank)
-        for cand in (v, vscale(-1, v)):
-            if all(dot(a, cand) >= 0 for a in rows):
-                found.add(primitive(cand))
-    return sorted(found)
-
-
-def _kernel_vector(rows: Sequence[Sequence[int]], rank: int) -> Vec:
-    """A nonzero integer vector in the kernel of a matrix of rank rank-1."""
-    aug = [[Fraction(a) for a in row] for row in rows]
-    ncols = rank
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(aug)) if aug[i][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][col]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-    free = next(c for c in range(ncols) if c not in pivots)
-    sol = [Fraction(0)] * ncols
-    sol[free] = Fraction(1)
-    for row_i, col in enumerate(pivots):
-        sol[col] = -aug[row_i][free]
-    denom = math.lcm(*(f.denominator for f in sol))
-    return primitive(tuple(int(f * denom) for f in sol))

@@ -34,6 +34,7 @@ from .degeneration import (
     resolve_local_model,
 )
 from .grothring import (
+    MAX_ENUMERATION_SIZE,
     GrothClass,
     L,
     ONE,
@@ -319,6 +320,10 @@ def cmd_verify(scope: str, max_n: int, bound: int, fmt: str) -> int:
         raise _UsageError(f"need max-n >= 0, got {max_n}")
     if bound < 0:
         raise _UsageError(f"need bound >= 0, got {bound}")
+    if scope in ("lemma-arrangement", "all") and max_n > MAX_ENUMERATION_SIZE:
+        # the arrangement suite enumerates the subsets of r <= max-n hyperplanes
+        raise _UsageError(f"subset enumeration is limited to "
+                          f"max-n <= {MAX_ENUMERATION_SIZE}, got {max_n}")
     suites = {"lemma-arrangement": lambda: _rows_arrangement(max_n),
               "lemma-toric": lambda: _rows_toric(max_n, bound),
               "degeneration": lambda: _rows_degeneration(max_n, bound)}

@@ -19,7 +19,14 @@ import functools
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
-from .grothring import GrothClass, L, ONE, arrangement_class_closed, reduce_mod_L
+from .grothring import (
+    MAX_ENUMERATION_SIZE,
+    GrothClass,
+    L,
+    ONE,
+    arrangement_class_closed,
+    reduce_mod_L,
+)
 from .toriclat import (
     _partition_failure,
     fiber_class,
@@ -159,18 +166,23 @@ def affine_coordinate_arrangement_class(k: int) -> GrothClass:
 
     This is the scissor-relation oracle for the singular central fiber;
     it equals L^k - (L-1)^k but is derived by subset enumeration, so the
-    two expressions check each other.  Capped at k <= 30.
+    two expressions check each other.  Capped at k <= MAX_ENUMERATION_SIZE.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    if k > 30:
-        raise ValueError(f"subset enumeration is limited to k <= 30, got {k}")
+    _check_enumeration_size(k)
     total = GrothClass()
     for mask in range(1, 1 << k):
         s = mask.bit_count()
         term = L ** (k - s)
         total = total + (term if s % 2 == 1 else -term)
     return total
+
+
+def _check_enumeration_size(k: int) -> None:
+    if k > MAX_ENUMERATION_SIZE:
+        raise ValueError(f"subset enumeration is limited to "
+                         f"k <= {MAX_ENUMERATION_SIZE}, got {k}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -264,10 +276,13 @@ def full_degeneration_report(spec: DegenerationSpec, bound: int = 0) -> Verifica
     a "stratum k=..." prefix.  The report's own before/after classes both
     record the central fiber's arrangement class: the local resolutions
     leave it untouched modulo L, which is the invariant being certified.
+    A deepest stratum above MAX_ENUMERATION_SIZE raises ValueError before
+    any stratum is resolved.
     """
     n, d = spec.n, spec.d
     if n < 2:
         raise ValueError(f"the degeneration model needs n >= 2, got n={n}")
+    _check_enumeration_size(min(d - 1, n))
     cls = central_fiber_arrangement_class(spec)
     residue = reduce_mod_L(cls)
     checks = [CheckResult(

@@ -184,6 +184,11 @@ ZERO = GrothClass()
 ONE = GrothClass([1])
 L = GrothClass([0, 1])
 
+#: Largest set whose 2^size subsets a literal inclusion-exclusion may
+#: enumerate (here and in `degeneration`): a resource limit, not a bound
+#: of the mathematics.
+MAX_ENUMERATION_SIZE = 30
+
 
 def proj_space_class(n: int) -> GrothClass:
     """Class of projective n-space: 1 + L + ... + L^n.
@@ -260,11 +265,12 @@ def arrangement_class_inclusion_exclusion(r: int, n: int) -> GrothClass:
 
     The enumeration is deliberately literal — no binomial collapse — so
     this path shares no arithmetic with the closed formula; consequently r
-    is capped at 30 (resource limit, 2^r subsets).
+    is capped at MAX_ENUMERATION_SIZE (2^r subsets).
     """
     _validate_rn(r, n)
-    if r > 30:
-        raise ValueError(f"subset enumeration is limited to r <= 30, got r={r}")
+    if r > MAX_ENUMERATION_SIZE:
+        raise ValueError(f"subset enumeration is limited to "
+                         f"r <= {MAX_ENUMERATION_SIZE}, got r={r}")
     total = ZERO
     for mask in range(1, 1 << r):
         s = mask.bit_count()

@@ -33,7 +33,6 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from ._intmat import (
@@ -43,6 +42,7 @@ from ._intmat import (
     invariant_factors,
     mat_rank,
     primitive,
+    rref,
     unit,
     vadd,
     vscale,
@@ -51,7 +51,6 @@ from ._intmat import (
 from .grothring import GrothClass, L, ONE, ZERO
 
 __all__ = [
-    "LatticeVector",
     "Cone",
     "Fan",
     "Coordinate",
@@ -59,7 +58,6 @@ __all__ = [
     "FiberCheck",
     "unit_vector",
     "dual_cone",
-    "contains",
     "greedy_decompose",
     "is_smooth",
     "model_cone",
@@ -74,11 +72,7 @@ __all__ = [
     "singular_model_chart",
 ]
 
-#: A lattice vector is a tuple of exact integers; its length is the ambient rank.
-LatticeVector = Vec
-
-
-def unit_vector(rank: int, i: int) -> LatticeVector:
+def unit_vector(rank: int, i: int) -> Vec:
     """Standard basis vector e_{i+1} (0-based index i) in Z^rank."""
     return unit(rank, i)
 
@@ -181,8 +175,12 @@ class Cone:
             raise ValueError("vector length must equal the ambient rank")
         if self._inequalities is not None:
             return all(dot(a, vec) >= 0 for a in self._inequalities)
-        coeffs = _solve_in_span(self._rays, vec)
-        return coeffs is not None and all(c >= 0 for c in coeffs)
+        # The rays are independent, so v is in their span iff the last
+        # column gets no pivot; then v = sum_i c_i * ray_i and row i ends
+        # in p_i * c_i, with pivot p_i > 0.
+        rows, pivots = rref(zip(*self._rays, vec))
+        return (pivots == list(range(len(self._rays)))
+                and all(row[-1] >= 0 for row in rows))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cone):
@@ -196,40 +194,6 @@ class Cone:
         return f"Cone(rank={self._rank}, rays={list(self._rays)})"
 
 
-def _solve_in_span(rays: Sequence[Vec], v: Vec) -> Optional[list[Fraction]]:
-    """Coefficients expressing v over linearly independent rays, or None
-    if v is outside their span."""
-    if not rays:
-        return [] if all(c == 0 for c in v) else None
-    cols = len(rays)
-    aug = [[Fraction(rays[j][i]) for j in range(cols)] + [Fraction(v[i])]
-           for i in range(len(v))]
-    pivots: list[int] = []
-    r = 0
-    for col in range(cols):
-        piv = next((i for i in range(r, len(aug)) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][col]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-    if len(pivots) < cols:
-        return None  # dependent columns; callers guarantee independence
-    for i in range(r, len(aug)):
-        if aug[i][cols] != 0:
-            return None
-    sol = [Fraction(0)] * cols
-    for row_i, col in enumerate(pivots):
-        sol[col] = aug[row_i][cols]
-    return sol
-
-
 def dual_cone(c: Cone) -> Cone:
     """The dual cone {m in M : <m, x> >= 0 for all x in c}, with primitive
     irredundant generators, computed by the double description method.
@@ -241,11 +205,6 @@ def dual_cone(c: Cone) -> Cone:
     if c._dual is None:
         c._dual = Cone(extreme_rays(c.rays, c.rank), rank=c.rank)
     return c._dual
-
-
-def contains(c: Cone, v: Sequence[int]) -> bool:
-    """Module-level alias for Cone.contains."""
-    return c.contains(v)
 
 
 def is_smooth(c: Cone) -> bool:
@@ -414,9 +373,10 @@ def dual_generators(n: int) -> list[Vec]:
     return [unit(rank, i) for i in range(rank)] + [last]
 
 
-def greedy_decompose(v: Sequence[int], generators: Sequence[Sequence[int]]) -> Optional[list[int]]:
+def greedy_decompose(v: Sequence[int]) -> Optional[list[int]]:
     """Express a lattice point of the dual model cone as a nonnegative
-    integer combination of the n+2 canonical dual generators.
+    integer combination of the n+2 canonical dual generators, in the
+    order of `dual_generators(n)`, where n + 1 = len(v).
 
     The decomposition follows the sign of the last coordinate a_{n+1}:
     when a_{n+1} >= 0 the point is a combination of e_1*, ..., e_{n+1}*
@@ -430,9 +390,6 @@ def greedy_decompose(v: Sequence[int], generators: Sequence[Sequence[int]]) -> O
     n = len(vec) - 1
     if n < 1:
         raise ValueError("vectors must have length at least 2")
-    expected = dual_generators(n)
-    if [_as_vec(g) for g in generators] != expected:
-        raise ValueError("generators must be the canonical dual generators, in order")
     body, last = vec[:n], vec[n]
     if any(a < 0 for a in body) or any(a + last < 0 for a in body):
         return None
@@ -441,7 +398,7 @@ def greedy_decompose(v: Sequence[int], generators: Sequence[Sequence[int]]) -> O
     else:
         coeffs = [a + last for a in body] + [0, -last]
     acc = (0,) * (n + 1)
-    for c, g in zip(coeffs, expected):
+    for c, g in zip(coeffs, dual_generators(n)):
         acc = vadd(acc, vscale(c, g))
     if acc != vec or any(c < 0 for c in coeffs):
         raise AssertionError(f"greedy expansion failed to reproduce {vec}")
@@ -460,6 +417,7 @@ def verify_partition(f: Fan, parent: Cone, bound: int = 0) -> bool:
 
     (a) every maximal cone is contained in the parent,
     (b) every pairwise intersection of maximal cones is a common face,
+        which holds by construction: `Fan` refuses any other cones,
     (c) the cones subdivide the whole parent (De Loera-Rambau-Santos,
         *Triangulations*, ch. 4): every facet of a maximal cone either
         lies on a facet of the parent or is the facet of exactly one
@@ -487,9 +445,6 @@ def _partition_failure(f: Fan, parent: Cone, bound: int = 0) -> Optional[str]:
         outside = next((r for r in c.rays if not parent.contains(r)), None)
         if outside is not None:
             return f"ray {list(outside)} of {c!r} lies outside the parent"
-    for a, b in itertools.combinations(f.max_cones, 2):
-        if not _common_face(a, b):
-            return f"{a!r} and {b!r} do not meet in a common face"
     wall = _unmatched_wall(f, parent)
     if wall is not None:
         return wall

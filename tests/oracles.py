@@ -8,13 +8,63 @@ operations.  Deliberately slow and simple.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from math import comb
+from typing import Sequence
 
-from sncdegen._intmat import dot, extreme_rays_brute, mat_rank
+from sncdegen._intmat import Vec, dot, mat_rank, primitive, vscale
 from sncdegen.grothring import GrothClass, L, ONE, ZERO
 from sncdegen.toriclat import Cone
+
+
+def extreme_rays_brute(ineqs: Sequence[Sequence[int]], rank: int) -> list[Vec]:
+    """Independent oracle for extreme_rays: enumerate (rank-1)-subsets of the
+    inequality rows and keep the one-dimensional kernels that satisfy the
+    full system.  Exponential; for tests only.
+    """
+    rows = [primitive(a) for a in ineqs]
+    if mat_rank(rows) < rank:
+        raise ValueError("inequality system is not pointed")
+    found = set()
+    for subset in itertools.combinations(range(len(rows)), rank - 1):
+        sub = [rows[i] for i in subset]
+        if mat_rank(sub) != rank - 1:
+            continue
+        v = _kernel_vector(sub, rank)
+        for cand in (v, vscale(-1, v)):
+            if all(dot(a, cand) >= 0 for a in rows):
+                found.add(primitive(cand))
+    return sorted(found)
+
+
+def _kernel_vector(rows: Sequence[Sequence[int]], rank: int) -> Vec:
+    """A nonzero integer vector in the kernel of a matrix of rank rank-1."""
+    aug = [[Fraction(a) for a in row] for row in rows]
+    ncols = rank
+    pivots: list[int] = []
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, len(aug)) if aug[i][col] != 0), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        pv = aug[r][col]
+        aug[r] = [x / pv for x in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(col)
+        r += 1
+    free = next(c for c in range(ncols) if c not in pivots)
+    sol = [Fraction(0)] * ncols
+    sol[free] = Fraction(1)
+    for row_i, col in enumerate(pivots):
+        sol[col] = -aug[row_i][free]
+    denom = math.lcm(*(f.denominator for f in sol))
+    return primitive(tuple(int(f * denom) for f in sol))
 
 
 def dual_rays_brute(cone):
@@ -82,19 +132,22 @@ def slab_orbit_class_closed_form(n, fiber=False):
 
 
 def simplicial_coordinates(rays, point):
-    """The coefficients c with sum_i c_i * rays[i] == point, for rank-many
-    linearly independent rays, by Gauss-Jordan elimination over Q."""
+    """The coefficients c with sum_i c_i * rays[i] == point, for linearly
+    independent rays, by Gauss-Jordan elimination over Q; None when the
+    point is outside their span."""
     m = len(rays)
-    rows = [[Fraction(r[i]) for r in rays] + [Fraction(point[i])] for i in range(m)]
+    rows = [[Fraction(r[i]) for r in rays] + [Fraction(x)] for i, x in enumerate(point)]
     for col in range(m):
-        piv = next(i for i in range(col, m) if rows[i][col] != 0)
+        piv = next(i for i in range(col, len(rows)) if rows[i][col] != 0)
         rows[col], rows[piv] = rows[piv], rows[col]
         rows[col] = [x / rows[col][col] for x in rows[col]]
-        for i in range(m):
+        for i in range(len(rows)):
             if i != col and rows[i][col] != 0:
                 f = rows[i][col]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
-    return [row[m] for row in rows]
+    if any(row[m] != 0 for row in rows[m:]):
+        return None
+    return [row[m] for row in rows[:m]]
 
 
 def partition_sweep_oracle(fan, parent, bound):

@@ -162,7 +162,7 @@ def test_criterion_8_greedy_decomposition():
         gens = dual_generators(n)
         dual = dual_cone(model_cone(n))
         for v in itertools.product(range(-5, 6), repeat=n + 1):
-            coeffs = greedy_decompose(v, gens)
+            coeffs = greedy_decompose(v)
             if dual.contains(v):
                 if coeffs is None:
                     failures.append((n, v, "rejected member"))

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -201,6 +202,15 @@ def test_verify_reports_covered_range(capsys):
     assert out.splitlines()[1] == "covered: lemma-toric n<=8"
 
 
+def test_verify_oversized_max_n_fails_fast(capsys):
+    # the arrangement suite would enumerate 2^30 subsets before refusing r=31
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--max-n", "31")
+    assert time.perf_counter() - start < 2.0
+    assert code == EXIT_USAGE and out == ""
+    assert err.count("\n") == 1 and "max-n <= 30" in err
+
+
 def test_verify_usage_error(capsys):
     code, _, _ = run_cli(capsys, "verify", "--scope", "everything")
     assert code == EXIT_USAGE
@@ -244,6 +254,15 @@ def test_report_sweep_cap_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "report", "--n", "8", "--d", "9", "--bound", "20")
     assert code == EXIT_USAGE and out == ""
     assert err.count("\n") == 1 and "above the cap" in err
+
+
+def test_report_oversized_stratum_fails_fast(capsys):
+    # strata k = 1..30 would enumerate 2^k subsets each before refusing k=31
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "report", "--n", "31", "--d", "32")
+    assert time.perf_counter() - start < 2.0
+    assert code == EXIT_USAGE and out == ""
+    assert err.count("\n") == 1 and "k <= 30" in err
 
 
 def test_report_opt_in_sweep(capsys):

@@ -1,0 +1,135 @@
+"""Property tests for the fraction-free elimination in `_intmat.rref` and
+the routines that read their answers off it.  Every expected value comes
+from a route that shares no code with `rref`: Smith normal form
+(`invariant_factors`), direct pairings, or a `Fraction` solve in
+`tests/oracles.py`."""
+
+import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from oracles import random_unimodular_matrix, simplicial_coordinates
+from sncdegen._intmat import dot, extreme_rays, invariant_factors, mat_rank, rref
+from sncdegen.toriclat import Cone
+
+ENTRIES = st.integers(-5, 5)
+# Fixed examples, so a run is repeatable.
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+@st.composite
+def matrices(draw, max_rows=6, max_cols=8):
+    """Integer matrices up to 6 x 8, of any shape; rows repeated or scaled
+    now and then so that rank-deficient inputs are common."""
+    nrows = draw(st.integers(1, max_rows))
+    ncols = draw(st.integers(1, max_cols))
+    rows = [draw(st.lists(ENTRIES, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    for i in range(1, nrows):
+        if draw(st.integers(0, 3)) == 0:
+            c = draw(st.integers(-2, 2))
+            rows[i] = [c * a for a in rows[draw(st.integers(0, i - 1))]]
+    return rows
+
+
+def independent(rows):
+    return len(invariant_factors(rows)) == len(rows)
+
+
+@PROPERTY
+@given(matrices())
+def test_rank_is_the_number_of_invariant_factors(rows):
+    assert mat_rank(rows) == len(rref(rows)[1]) == len(invariant_factors(rows))
+
+
+@PROPERTY
+@given(matrices())
+def test_rref_rows_are_reduced_and_span_the_input(rows):
+    reduced, pivots = rref(rows)
+    assert len(reduced) == len(pivots)
+    assert pivots == sorted(set(pivots))
+    for i, (row, col) in enumerate(zip(reduced, pivots)):
+        assert math.gcd(*row) == 1, row
+        assert row[col] > 0, row
+        assert all(a == 0 for a in row[:col]), row
+        assert all(other[col] == 0 for k, other in enumerate(reduced) if k != i)
+    # same row space: stacking the output under the input adds no rank
+    rank = len(invariant_factors(rows))
+    assert len(invariant_factors(rows + reduced)) == rank
+
+
+def assert_rays_invert(base, rays):
+    """base . ray = c e_j with c > 0, each j once."""
+    m = len(base)
+    assert len(rays) == m
+    hit = []
+    for ray in rays:
+        assert math.gcd(*ray) == 1
+        pairings = [dot(row, ray) for row in base]
+        support = [j for j, x in enumerate(pairings) if x != 0]
+        assert len(support) == 1 and pairings[support[0]] > 0, (base, ray, pairings)
+        hit.append(support[0])
+    assert sorted(hit) == list(range(m))
+
+
+@PROPERTY
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_rays_of_a_unimodular_simplicial_cone(m, seed):
+    base = random_unimodular_matrix(random.Random(seed), m)
+    assert_rays_invert(base, extreme_rays(base, m))
+
+
+@PROPERTY
+@given(st.integers(1, 6).flatmap(lambda m: st.lists(
+    st.lists(ENTRIES, min_size=m, max_size=m), min_size=m, max_size=m)))
+def test_rays_of_a_simplicial_cone(base):
+    assume(independent(base))
+    assert_rays_invert(base, extreme_rays(base, len(base)))
+
+
+@st.composite
+def lower_dimensional_membership(draw):
+    """k < m independent rays in Z^m and a vector, in their span (with
+    coefficients of either sign) or anywhere."""
+    m = draw(st.integers(1, 6))
+    k = draw(st.integers(0, m - 1))
+    rays = [tuple(draw(st.lists(ENTRIES, min_size=m, max_size=m))) for _ in range(k)]
+    assume(independent(rays))
+    if k and draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+        v = tuple(sum(c * r[i] for c, r in zip(coeffs, rays)) for i in range(m))
+    else:
+        v = tuple(draw(st.lists(ENTRIES, min_size=m, max_size=m)))
+    return m, rays, v
+
+
+@PROPERTY
+@given(lower_dimensional_membership())
+def test_contains_lower_dimensional_agrees_with_fraction_solve(case):
+    m, rays, v = case
+    cone = Cone(rays, rank=m)
+    assert cone.dim < m
+    coords = simplicial_coordinates(cone.rays, v)
+    expected = coords is not None and all(c >= 0 for c in coords)
+    assert cone.contains(v) == expected
+
+
+def test_zero_cone_contains_only_the_origin():
+    cone = Cone([], rank=3)
+    assert cone.contains((0, 0, 0))
+    assert not cone.contains((0, 1, 0))
+
+
+def test_package_import_loads_no_fractions():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = "import sys, sncdegen, sncdegen.cli; print('fractions' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
