@@ -27,15 +27,15 @@ import sys
 from typing import Optional, Sequence
 
 from .degeneration import (
+    CheckResult,
     DegenerationSpec,
-    LocalModelSpec,
+    _certified_local_core,
     affine_coordinate_arrangement_class,
     full_degeneration_report,
-    resolve_local_model,
+    render_checks,
 )
 from .grothring import (
     MAX_ENUMERATION_SIZE,
-    GrothClass,
     L,
     ONE,
     arrangement_class_closed,
@@ -45,17 +45,14 @@ from .grothring import (
     reduce_mod_L,
 )
 from .toriclat import (
-    _partition_failure,
     blowup_chart_sequence,
     dual_cone,
     dual_generators,
-    is_smooth,
     model_cone,
     resolution_fan,
     semistable_fiber_check,
     sigma_subcone,
     unit_vector,
-    verify_partition,
 )
 
 EXIT_OK = 0
@@ -216,10 +213,13 @@ def cmd_resolve(n: int, fmt: str) -> int:
 # -- verify suites ------------------------------------------------------
 
 
+#: Largest n of the toric and degeneration suites, whatever --max-n asks.
+TORIC_MAX_N = 8
+
 # Each suite returns (top, rows): the largest n it ran, and its rows.
 
 
-def _rows_arrangement(max_n: int) -> tuple[int, list[dict]]:
+def _rows_arrangement(max_n: int) -> tuple[int, list[CheckResult]]:
     rows = []
     max_r = max(1, max_n)
     for n in range(0, max_n + 1):
@@ -227,91 +227,73 @@ def _rows_arrangement(max_n: int) -> tuple[int, list[dict]]:
                     if not (arrangement_class_closed(r, n)
                             == arrangement_class_recursive(r, n)
                             == arrangement_class_inclusion_exclusion(r, n))), None)
-        rows.append({
-            "name": f"triple agreement n={n}",
-            "pass": bad is None,
-            "detail": (f"r=1..{max_r} all agree" if bad is None
-                       else f"first disagreement at r={bad}"),
-        })
+        rows.append(CheckResult(
+            f"triple agreement n={n}", bad is None,
+            f"r=1..{max_r} all agree" if bad is None
+            else f"first disagreement at r={bad}"))
     for n in range(0, max_n + 1):
         bad = next((r for r in range(1, n + 2)
                     if reduce_mod_L(arrangement_class_closed(r, n)) != 1), None)
-        rows.append({
-            "name": f"residue 1 for r <= n+1, n={n}",
-            "pass": bad is None,
-            "detail": ("congruence holds" if bad is None else f"fails at r={bad}"),
-        })
+        rows.append(CheckResult(
+            f"residue 1 for r <= n+1, n={n}", bad is None,
+            "congruence holds" if bad is None else f"fails at r={bad}"))
         residue = reduce_mod_L(arrangement_class_closed(n + 2, n))
-        rows.append({
-            "name": f"boundary residue r=n+2, n={n}",
-            "pass": residue == 1 + (-1) ** n,
-            "detail": f"residue {residue}, expected {1 + (-1) ** n}",
-        })
+        rows.append(CheckResult(
+            f"boundary residue r=n+2, n={n}", residue == 1 + (-1) ** n,
+            f"residue {residue}, expected {1 + (-1) ** n}"))
         bad = next((r for r in range(1, n + 2)
                     if binomial_congruence_check(r, n) != 1), None)
-        rows.append({
-            "name": f"alternating binomial identity n={n}",
-            "pass": bad is None,
-            "detail": ("sum is 1 for all r" if bad is None else f"fails at r={bad}"),
-        })
+        rows.append(CheckResult(
+            f"alternating binomial identity n={n}", bad is None,
+            "sum is 1 for all r" if bad is None else f"fails at r={bad}"))
     return max_n, rows
 
 
-def _rows_toric(max_n: int, bound: int) -> tuple[int, list[dict]]:
+def _rows_toric(max_n: int, bound: int) -> tuple[int, list[CheckResult]]:
     rows = []
-    top = min(max_n, 8)
+    top = min(max_n, TORIC_MAX_N)
     for n in range(1, top + 1):
         sigma = model_cone(n)
-        fan = resolution_fan(n)
-        direction = unit_vector(n + 1, n)
-
         if n >= 2:
             ok = sorted(dual_cone(sigma).rays) == sorted(dual_generators(n))
-            rows.append({"name": f"dual generators n={n}", "pass": ok,
-                         "detail": f"{n + 2} canonical generators"})
+            rows.append(CheckResult(f"dual generators n={n}", ok,
+                                    f"{n + 2} canonical generators"))
         ok = dual_cone(dual_cone(sigma)) == sigma
-        rows.append({"name": f"duality involution n={n}", "pass": ok,
-                     "detail": "dual(dual(sigma)) == sigma"})
-        ok = all(is_smooth(c) for c in fan)
-        rows.append({"name": f"cones unimodular n={n}", "pass": ok,
-                     "detail": f"{len(fan)} maximal cones"})
-        failure = (None if verify_partition(fan, sigma, bound=bound)
-                   else _partition_failure(fan, sigma, bound))
-        rows.append({"name": f"partition n={n}", "pass": failure is None,
-                     "detail": failure or f"walls matched, generic point covered "
-                                          f"once, sweep bound={bound}"})
-        check = semistable_fiber_check(fan, direction)
-        rows.append({"name": f"semistable fiber n={n}", "pass": check.snc,
-                     "detail": f"reduced={check.reduced}, smooth={check.smooth}"})
+        rows.append(CheckResult(f"duality involution n={n}", ok,
+                                "dual(dual(sigma)) == sigma"))
+        fan, smooth_ok, partition, semistable, _ = _certified_local_core(n, bound)
+        rows += [CheckResult(f"cones unimodular n={n}", smooth_ok,
+                             f"{len(fan)} maximal cones"),
+                 CheckResult(f"partition n={n}", partition.passed, partition.detail),
+                 CheckResult(f"semistable fiber n={n}", semistable.passed,
+                             semistable.detail)]
         if n >= 2:
             bad = next((k for k, chart in enumerate(blowup_chart_sequence(n), start=1)
                         if chart.monomial_cone() != dual_cone(sigma_subcone(n, k))),
                        None)
-            rows.append({"name": f"charts match dual cones n={n}", "pass": bad is None,
-                         "detail": ("all charts" if bad is None
-                                    else f"mismatch at chart {bad}")})
+            rows.append(CheckResult(
+                f"charts match dual cones n={n}", bad is None,
+                "all charts" if bad is None else f"mismatch at chart {bad}"))
     return top, rows
 
 
-def _rows_degeneration(max_n: int, bound: int) -> tuple[int, list[dict]]:
+def _rows_degeneration(max_n: int, bound: int) -> tuple[int, list[CheckResult]]:
     rows = []
-    top = min(max_n, 8)
+    top = min(max_n, TORIC_MAX_N)
     bad = next((k for k in range(1, 11)
                 if affine_coordinate_arrangement_class(k) != L**k - (L - ONE) ** k),
                None)
-    rows.append({"name": "scissor oracle k<=10", "pass": bad is None,
-                 "detail": ("matches L^k - (L-1)^k" if bad is None
-                            else f"mismatch at k={bad}")})
+    rows.append(CheckResult(
+        "scissor oracle k<=10", bad is None,
+        "matches L^k - (L-1)^k" if bad is None else f"mismatch at k={bad}"))
     for n in range(2, top + 1):
         for d in range(1, n + 2):
             report = full_degeneration_report(DegenerationSpec(n=n, d=d), bound=bound)
             failing = [c.name for c in report.checks if not c.passed]
-            rows.append({
-                "name": f"degeneration n={n} d={d}",
-                "pass": report.passed,
-                "detail": ("all checks pass" if report.passed
-                           else "failing: " + "; ".join(failing)),
-            })
+            rows.append(CheckResult(
+                f"degeneration n={n} d={d}", report.passed,
+                "all checks pass" if report.passed
+                else "failing: " + "; ".join(failing)))
     return top, rows
 
 
@@ -328,7 +310,7 @@ def cmd_verify(scope: str, max_n: int, bound: int, fmt: str) -> int:
               "lemma-toric": lambda: _rows_toric(max_n, bound),
               "degeneration": lambda: _rows_degeneration(max_n, bound)}
     covered: dict[str, int] = {}
-    rows: list[dict] = []
+    rows: list[CheckResult] = []
     try:  # the partition sweep caps its box
         for name, suite in suites.items():
             if scope in (name, "all"):
@@ -336,17 +318,13 @@ def cmd_verify(scope: str, max_n: int, bound: int, fmt: str) -> int:
                 rows += suite_rows
     except ValueError as exc:
         raise _UsageError(str(exc))
-    ok = all(row["pass"] for row in rows)
-    payload = {"scope": scope, "max_n": max_n, "covered_max_n": covered,
-               "bound": bound, "checks": rows, "pass": ok}
-    width = max((len(row["name"]) for row in rows), default=0)
+    ok = all(row.passed for row in rows)
+    payload = {"scope": scope, "max_n": max_n, "covered_max_n": covered, "bound": bound,
+               "checks": [row.to_json_dict() for row in rows], "pass": ok}
     ran = ", ".join(f"{name} n<={top}" for name, top in covered.items())
     lines = [f"verification suite: scope={scope}, max-n={max_n}, bound={bound}",
-             f"covered: {ran}"]
-    for row in rows:
-        mark = "PASS" if row["pass"] else "FAIL"
-        lines.append(f"  [{mark}] {row['name'].ljust(width)}  {row['detail']}")
-    passed = sum(1 for row in rows if row["pass"])
+             f"covered: {ran}", *render_checks(rows)]
+    passed = sum(1 for row in rows if row.passed)
     lines.append(f"  {passed}/{len(rows)} checks passed")
     _emit(payload, fmt, lines)
     return EXIT_OK if ok else EXIT_FAILED

@@ -16,7 +16,7 @@ as a table.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .grothring import (
@@ -43,6 +43,7 @@ __all__ = [
     "DegenerationSpec",
     "CheckResult",
     "VerificationReport",
+    "render_checks",
     "affine_coordinate_arrangement_class",
     "resolve_local_model",
     "central_fiber_arrangement_class",
@@ -105,6 +106,14 @@ class CheckResult:
         return {"name": self.name, "pass": self.passed, "detail": self.detail}
 
 
+def render_checks(checks: Sequence[CheckResult]) -> list[str]:
+    """One fixed-width line per check: `  [PASS] name  detail`, with the
+    names padded to the longest."""
+    width = max((len(c.name) for c in checks), default=0)
+    return [f"  [{'PASS' if c.passed else 'FAIL'}] {c.name.ljust(width)}  {c.detail}"
+            for c in checks]
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """Machine-checkable outcome of a resolution or degeneration run.
@@ -143,11 +152,7 @@ class VerificationReport:
         """Human-readable fixed-width table of the report."""
         model = self.model.to_json_dict()
         desc = ", ".join(f"{k}={v}" for k, v in model.items() if k != "type")
-        lines = [f"model: {model['type']} ({desc})"]
-        width = max((len(c.name) for c in self.checks), default=0)
-        for c in self.checks:
-            mark = "PASS" if c.passed else "FAIL"
-            lines.append(f"  [{mark}] {c.name.ljust(width)}  {c.detail}")
+        lines = [f"model: {model['type']} ({desc})", *render_checks(self.checks)]
         lines.append(f"  fiber class before: {self.fiber_class_before.render()}")
         lines.append(f"  fiber class after:  {self.fiber_class_after.render()}")
         lines.append(
@@ -187,19 +192,25 @@ def _check_enumeration_size(k: int) -> None:
 
 @functools.lru_cache(maxsize=None)
 def _certified_local_core(k: int, bound: int):
-    """Certify the depth-k local model once per (k, bound): smoothness,
-    partition (None, or the witness of its failure), semistability, and
-    the resolved fiber class of the rank k+1 fan with fiber direction
+    """Certify the resolution of the model cone of t*y = z_1*...*z_k once
+    per (k, bound), for `resolve_local_model` and `verify` alike.  Returns
+    the rank k+1 fan, whether its cones are all unimodular, the partition
+    and semistability checks (the partition detail names the witness of a
+    failure), and the resolved fiber class for the fiber direction
     e_{k+1}*."""
     fan = resolution_fan(k)
     parent = model_cone(k)
     direction = unit_vector(k + 1, k)
     smooth_ok = all(is_smooth(c) for c in fan)
-    partition_failure = (None if verify_partition(fan, parent, bound=bound)
-                         else _partition_failure(fan, parent, bound))
+    failure = (None if verify_partition(fan, parent, bound=bound)
+               else _partition_failure(fan, parent, bound))
+    partition = CheckResult(
+        "partition of model cone", failure is None,
+        failure or f"walls matched, generic point covered once, sweep bound={bound}")
     fiber = semistable_fiber_check(fan, direction)
-    after_core = fiber_class(fan, direction)
-    return smooth_ok, partition_failure, fiber, after_core
+    semistable = CheckResult("semistable fiber", fiber.snc,
+                             f"reduced={fiber.reduced}, smooth={fiber.smooth}")
+    return fan, smooth_ok, partition, semistable, fiber_class(fan, direction)
 
 
 def resolve_local_model(spec: LocalModelSpec, bound: int = 0) -> VerificationReport:
@@ -212,13 +223,13 @@ def resolve_local_model(spec: LocalModelSpec, bound: int = 0) -> VerificationRep
     cone (exact whole-cone certificate; `bound` >= 1 adds a lattice sweep
     of [0, bound]^{k+1} as a cross-check), (c) the fiber direction is
     semistable, (d) the singular fiber class L^{n-k+1}*(L^k - (L-1)^k)
-    agrees with the scissor-relation oracle, (e) the resolved fiber class
-    rescales the rank-(k+1) orbit count and matches its component count at
-    L=1, (f) the two classes agree modulo L.  A negative or oversized
+    agrees with the scissor-relation oracle, (e) the resolved fiber class,
+    the rank-(k+1) orbit count times L^{n-k}, has k components at L=1,
+    (f) the two classes agree modulo L.  A negative or oversized
     `bound` raises ValueError.
     """
     n, k = spec.n, spec.k
-    smooth_ok, partition_failure, fiber, after_core = _certified_local_core(k, bound)
+    _, smooth_ok, partition, semistable, after_core = _certified_local_core(k, bound)
 
     scissor = affine_coordinate_arrangement_class(k)
     closed_form = L**k - (L - ONE) ** k
@@ -230,20 +241,14 @@ def resolve_local_model(spec: LocalModelSpec, bound: int = 0) -> VerificationRep
         CheckResult(
             "cones unimodular", smooth_ok,
             f"{k} maximal cone(s) of the rank-{k + 1} subdivision"),
-        CheckResult(
-            "partition of model cone", partition_failure is None,
-            partition_failure or
-            f"walls matched, generic point covered once, sweep bound={bound}"),
-        CheckResult(
-            "semistable fiber", fiber.snc,
-            f"reduced={fiber.reduced}, smooth={fiber.smooth}"),
+        partition,
+        semistable,
         CheckResult(
             "singular fiber class", scissor == closed_form,
             f"scissor oracle gives {before.render()} = "
             f"L^{n - k + 1}*(L^{k} - (L-1)^{k})"),
         CheckResult(
-            "resolved fiber class",
-            after == L ** (n - k) * after_core and after.evaluate(1) == k,
+            "resolved fiber class", after.evaluate(1) == k,
             f"orbit count gives {after.render()}; {k} component(s) at L=1"),
         CheckResult(
             "mod-L invariance", invariant,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = [
     "GrothClass",

@@ -87,11 +87,11 @@ class Cone:
 
     Construction canonicalizes: generators are made primitive, duplicates
     and non-extreme generators are dropped, and the result is sorted.  For
-    full-dimensional cones the facet normals are computed (or, when the
-    caller supplies an `inequalities` cache, cross-validated against the
-    generators: the two descriptions must cut out the same cone).  Cones
-    of lower dimension are supported only when their generators are
-    linearly independent, which covers every face arising here.
+    full-dimensional cones the facet normals are computed from the
+    generators by double description, so they are primitive, sorted and
+    irredundant: every inequality is a facet.  Cones of lower dimension
+    are supported only when their generators are linearly independent,
+    which covers every face arising here.
 
     Instances are value objects: equality and hashing go through the
     canonical (rank, rays) pair, and all derived data is cached.
@@ -99,8 +99,7 @@ class Cone:
 
     __slots__ = ("_rank", "_rays", "_dim", "_inequalities", "_dual", "_smooth")
 
-    def __init__(self, rays: Iterable[Sequence[int]], rank: Optional[int] = None,
-                 inequalities: Optional[Iterable[Sequence[int]]] = None):
+    def __init__(self, rays: Iterable[Sequence[int]], rank: Optional[int] = None):
         ray_list = [_as_vec(r) for r in rays]
         if rank is None:
             if not ray_list:
@@ -121,23 +120,8 @@ class Cone:
             if mat_rank(facets) < rank:
                 raise ValueError("cone is not strongly convex (contains a line)")
             self._rays = tuple(r for r in prim if self._is_extreme(r, facets))
-            if inequalities is None:
-                self._inequalities = tuple(facets)
-            else:
-                cache = sorted({primitive(a) for a in inequalities})
-                for a in cache:
-                    for r in self._rays:
-                        if dot(a, r) < 0:
-                            raise ValueError(
-                                f"cached inequality {a} fails on generator {r}")
-                if sorted(extreme_rays(cache, rank)) != list(self._rays):
-                    raise ValueError(
-                        "cached inequalities cut out a different cone than the generators")
-                self._inequalities = tuple(cache)
+            self._inequalities = tuple(facets)
         else:
-            if inequalities is not None:
-                raise ValueError(
-                    "inequality caches are supported for full-dimensional cones only")
             if len(prim) != self._dim:
                 raise ValueError(
                     "lower-dimensional cones require linearly independent generators")
@@ -332,18 +316,16 @@ def model_cone(n: int) -> Cone:
 
 @functools.lru_cache(maxsize=None)
 def sigma_subcone(n: int, k: int) -> Cone:
-    """The k-th slab cone sigma_k = cone(f_1, ..., f_k, e_k, ..., e_n),
-    carrying its defining inequality cache
-    x_1 + ... + x_{k-1} <= x_{n+1} <= x_1 + ... + x_k alongside x_i >= 0.
+    """The k-th slab cone sigma_k = cone(f_1, ..., f_k, e_k, ..., e_n).
+    Its facets are x_i >= 0 for i != k and
+    x_1 + ... + x_{k-1} <= x_{n+1} <= x_1 + ... + x_k; x_k >= 0 follows
+    from the last two and is not a facet.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     rank = n + 1
     rays = [_f_vector(rank, i) for i in range(k)] + [unit(rank, i) for i in range(k - 1, n)]
-    lower = vsub(unit(rank, n), _ones_partial(rank, k - 1))
-    upper = vsub(_ones_partial(rank, k), unit(rank, n))
-    ineqs = [unit(rank, i) for i in range(n)] + [lower, upper]
-    return Cone(rays, rank=rank, inequalities=ineqs)
+    return Cone(rays, rank=rank)
 
 
 def _ones_partial(rank: int, count: int) -> Vec:
@@ -462,14 +444,8 @@ def _unmatched_wall(f: Fan, parent: Cone) -> Optional[str]:
     """The first facet of a maximal cone that lies inside the parent but is
     not the facet of exactly one maximal cone on its other side."""
     boundary = set(parent.inequalities)
-    walls = []
-    for c in f:
-        for a in c.inequalities:
-            rays = frozenset(r for r in c.rays if dot(a, r) == 0)
-            if mat_rank(list(rays)) < f.rank - 1:
-                continue  # a redundant cached inequality, not a facet
-            if a not in boundary:
-                walls.append((rays, a))
+    walls = [(frozenset(r for r in c.rays if dot(a, r) == 0), a)
+             for c in f for a in c.inequalities if a not in boundary]
     seen = Counter(walls)
     for rays, a in walls:
         across = seen[rays, vscale(-1, a)]

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from sncdegen._intmat import Vec, dot, mat_rank, primitive, vscale
+from sncdegen._intmat import Vec, dot, primitive, vscale
 from sncdegen.grothring import GrothClass, L, ONE, ZERO
 from sncdegen.toriclat import Cone
 
@@ -25,12 +25,12 @@ def extreme_rays_brute(ineqs: Sequence[Sequence[int]], rank: int) -> list[Vec]:
     full system.  Exponential; for tests only.
     """
     rows = [primitive(a) for a in ineqs]
-    if mat_rank(rows) < rank:
+    if _rank(rows, rank) < rank:
         raise ValueError("inequality system is not pointed")
     found = set()
     for subset in itertools.combinations(range(len(rows)), rank - 1):
         sub = [rows[i] for i in subset]
-        if mat_rank(sub) != rank - 1:
+        if _rank(sub, rank) != rank - 1:
             continue
         v = _kernel_vector(sub, rank)
         for cand in (v, vscale(-1, v)):
@@ -39,10 +39,12 @@ def extreme_rays_brute(ineqs: Sequence[Sequence[int]], rank: int) -> list[Vec]:
     return sorted(found)
 
 
-def _kernel_vector(rows: Sequence[Sequence[int]], rank: int) -> Vec:
-    """A nonzero integer vector in the kernel of a matrix of rank rank-1."""
+def _gauss_jordan(rows: Sequence[Sequence[int]], ncols: int):
+    """Reduced row echelon form over Q of the first ncols columns, by
+    Gauss-Jordan elimination in Fractions: (rows, pivot columns), each
+    pivot scaled to 1.  The oracles' own elimination, independent of the
+    library's fraction-free `rref`."""
     aug = [[Fraction(a) for a in row] for row in rows]
-    ncols = rank
     pivots: list[int] = []
     r = 0
     for col in range(ncols):
@@ -58,8 +60,19 @@ def _kernel_vector(rows: Sequence[Sequence[int]], rank: int) -> Vec:
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
         pivots.append(col)
         r += 1
-    free = next(c for c in range(ncols) if c not in pivots)
-    sol = [Fraction(0)] * ncols
+    return aug, pivots
+
+
+def _rank(rows: Sequence[Sequence[int]], ncols: int) -> int:
+    """Rank over Q of a matrix with ncols columns."""
+    return len(_gauss_jordan(rows, ncols)[1])
+
+
+def _kernel_vector(rows: Sequence[Sequence[int]], rank: int) -> Vec:
+    """A nonzero integer vector in the kernel of a matrix of rank rank-1."""
+    aug, pivots = _gauss_jordan(rows, rank)
+    free = next(c for c in range(rank) if c not in pivots)
+    sol = [Fraction(0)] * rank
     sol[free] = Fraction(1)
     for row_i, col in enumerate(pivots):
         sol[col] = -aug[row_i][free]
@@ -100,7 +113,7 @@ def orbit_class_oracle(fan, direction=None):
     for face in fan_faces_via_facets(fan):
         if direction is not None and not any(dot(direction, r) >= 1 for r in face):
             continue
-        total = total + (L - ONE) ** (fan.rank - mat_rank(list(face)))
+        total = total + (L - ONE) ** (fan.rank - _rank(list(face), fan.rank))
     return total
 
 
@@ -136,15 +149,7 @@ def simplicial_coordinates(rays, point):
     independent rays, by Gauss-Jordan elimination over Q; None when the
     point is outside their span."""
     m = len(rays)
-    rows = [[Fraction(r[i]) for r in rays] + [Fraction(x)] for i, x in enumerate(point)]
-    for col in range(m):
-        piv = next(i for i in range(col, len(rows)) if rows[i][col] != 0)
-        rows[col], rows[piv] = rows[piv], rows[col]
-        rows[col] = [x / rows[col][col] for x in rows[col]]
-        for i in range(len(rows)):
-            if i != col and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
+    rows, _ = _gauss_jordan([[r[i] for r in rays] + [x] for i, x in enumerate(point)], m)
     if any(row[m] != 0 for row in rows[m:]):
         return None
     return [row[m] for row in rows[:m]]

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from sncdegen import cli
+from sncdegen import degeneration
 from sncdegen.cli import EXIT_FAILED, EXIT_OK, EXIT_USAGE, main
 from sncdegen.toriclat import Fan, sigma_subcone
 
@@ -148,11 +148,16 @@ def test_verify_toric_scope(capsys):
 
 
 def test_verify_partition_row_names_its_witness(capsys, monkeypatch):
-    # drop sigma_n from every fan but the one-slab fan of n=1
-    monkeypatch.setattr(cli, "resolution_fan", lambda n: Fan(
+    # drop sigma_n from every fan but the one-slab fan of n=1; the cache of
+    # certified cores is cleared so that no other test sees the mutant
+    monkeypatch.setattr(degeneration, "resolution_fan", lambda n: Fan(
         [sigma_subcone(n, k) for k in range(1, n)] or [sigma_subcone(n, n)], rank=n + 1))
-    code, out, _ = run_cli(capsys, "verify", "--scope", "lemma-toric",
-                           "--max-n", "3", "--format", "json")
+    degeneration._certified_local_core.cache_clear()
+    try:
+        code, out, _ = run_cli(capsys, "verify", "--scope", "lemma-toric",
+                               "--max-n", "3", "--format", "json")
+    finally:
+        degeneration._certified_local_core.cache_clear()
     assert code == EXIT_FAILED
     rows = {row["name"]: row for row in json.loads(out)["checks"]}
     assert rows["partition n=1"]["pass"]

@@ -120,6 +120,20 @@ def test_partition_check_names_its_witness(monkeypatch):
     assert check.detail.startswith("unmatched wall with rays")
 
 
+def test_resolved_fiber_class_check_can_fail(monkeypatch):
+    # one component too many at L=1
+    fiber_class = degeneration.fiber_class
+    monkeypatch.setattr(degeneration, "fiber_class",
+                        lambda f, direction: fiber_class(f, direction) + 1)
+    degeneration._certified_local_core.cache_clear()
+    try:
+        report = resolve_local_model(LocalModelSpec(n=3, k=2))
+    finally:
+        degeneration._certified_local_core.cache_clear()
+    check = next(c for c in report.checks if c.name == "resolved fiber class")
+    assert not check.passed and not report.passed
+
+
 # -- central fiber class ------------------------------------------------
 
 

@@ -94,19 +94,6 @@ def test_empty_cone_needs_rank():
     assert c.rays == () and c.dim == 0
 
 
-def test_inequality_cache_validated():
-    c = Cone([(1, 0), (0, 1)], inequalities=[(1, 0), (0, 1), (1, 1)])
-    assert c.inequalities == ((0, 1), (1, 0), (1, 1))
-    with pytest.raises(ValueError):  # inequality violated by a generator
-        Cone([(1, 0), (0, 1)], inequalities=[(1, 0), (0, 1), (1, -5)])
-    with pytest.raises(ValueError):  # cuts out a strictly larger cone
-        Cone([(1, 0), (0, 1)], inequalities=[(1, 0)])
-    with pytest.raises(ValueError):  # cuts out a different cone
-        Cone([(1, 0), (0, 1)], inequalities=[(1, 0), (1, -1)])
-    with pytest.raises(ValueError):  # caches only for full-dimensional cones
-        Cone([(1, 1, 0)], inequalities=[(1, 0, 0)])
-
-
 def test_cone_value_semantics():
     a = Cone([(1, 0), (0, 1), (1, 1)])
     b = orthant(2)
@@ -404,11 +391,15 @@ def test_partition_names_ray_outside_parent():
     assert witness.endswith("lies outside the parent")
 
 
-def test_partition_skips_redundant_cached_inequality():
-    # sigma_subcone(1, 1) caches x_1 >= 0, which vanishes on none of its
-    # rays: it is not a facet, and taking it for a wall would reject n=1
-    assert (1, 0) in sigma_subcone(1, 1).inequalities
-    assert _partition_failure(resolution_fan(1), model_cone(1)) is None
+def test_slab_facets_are_the_slab_inequalities():
+    # x_i >= 0 for i != k, x_{n+1} >= x_1 + ... + x_{k-1} and
+    # x_{n+1} <= x_1 + ... + x_k; x_k >= 0 is implied, so it is no facet
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            expected = [E(n + 1, i) for i in range(n) if i != k - 1]
+            expected.append(tuple([-1] * (k - 1) + [0] * (n - k + 1) + [1]))
+            expected.append(tuple([1] * k + [0] * (n - k) + [-1]))
+            assert sigma_subcone(n, k).inequalities == tuple(sorted(expected)), (n, k)
 
 
 def test_generic_point_is_interior_and_off_every_wall():
