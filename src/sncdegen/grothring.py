@@ -184,9 +184,8 @@ ZERO = GrothClass()
 ONE = GrothClass([1])
 L = GrothClass([0, 1])
 
-#: Largest set whose 2^size subsets a literal inclusion-exclusion may
-#: enumerate (here and in `degeneration`): a resource limit, not a bound
-#: of the mathematics.
+#: Largest set whose 2^size subsets the literal inclusion-exclusion may
+#: enumerate: a resource limit, not a bound of the mathematics.
 MAX_ENUMERATION_SIZE = 30
 
 
@@ -263,22 +262,25 @@ def arrangement_class_inclusion_exclusion(r: int, n: int) -> GrothClass:
 
         sum_S (-1)^{|S|+1} [P^{n+1-|S|}].
 
-    The enumeration is deliberately literal — no binomial collapse — so
-    this path shares no arithmetic with the closed formula; consequently r
-    is capped at MAX_ENUMERATION_SIZE (2^r subsets).
+    The enumeration is deliberately literal — every subset is visited and
+    counted by its size in plain ints, with no binomial collapse — so this
+    path shares no arithmetic with the closed formula; the class is built
+    once from the counts.  Consequently r is capped at MAX_ENUMERATION_SIZE
+    (2^r subsets).
     """
     _validate_rn(r, n)
     if r > MAX_ENUMERATION_SIZE:
         raise ValueError(f"subset enumeration is limited to "
                          f"r <= {MAX_ENUMERATION_SIZE}, got r={r}")
-    total = ZERO
+    count = [0] * (r + 1)
     for mask in range(1, 1 << r):
-        s = mask.bit_count()
-        if n + 1 - s < 0:
-            continue
-        term = proj_space_class(n + 1 - s)
-        total = total + (term if s % 2 == 1 else -term)
-    return total
+        count[mask.bit_count()] += 1
+    coeffs = [0] * (n + 1)
+    for s in range(1, min(r, n + 1) + 1):
+        term = count[s] if s % 2 == 1 else -count[s]
+        for i in range(n + 2 - s):  # [P^{n+1-s}] = 1 + L + ... + L^{n+1-s}
+            coeffs[i] += term
+    return GrothClass(coeffs)
 
 
 def binomial_congruence_check(r: int, n: int) -> int:

@@ -1,5 +1,10 @@
 """Shared test plumbing: collects acceptance-criterion outcomes and prints
-one pass/fail line per criterion at the end of the run."""
+one pass/fail line per criterion at the end of the run, and counts Z[L]
+additions for the work-count tests."""
+
+import pytest
+
+from sncdegen.grothring import GrothClass
 
 ACCEPTANCE_RESULTS: list[tuple[int, str, bool, str]] = []
 
@@ -21,3 +26,19 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         suffix = f" ({detail})" if detail else ""
         terminalreporter.write_line(
             f"ACCEPTANCE {num}: {verdict} - {description}{suffix}")
+
+
+@pytest.fixture
+def groth_additions(monkeypatch):
+    """The list of right operands of every `GrothClass.__add__` call made
+    while the test runs (subtraction adds too): a work count that does not
+    depend on the machine."""
+    calls = []
+    add = GrothClass.__add__
+
+    def counted_add(self, other):
+        calls.append(other)
+        return add(self, other)
+
+    monkeypatch.setattr(GrothClass, "__add__", counted_add)
+    return calls

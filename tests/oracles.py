@@ -3,8 +3,10 @@
 Each function here derives its answer by a different route than the
 library code it checks: faces are enumerated through facet-normal subsets
 rather than generator subsets, extreme rays through exhaustive kernel
-enumeration, and random smooth cones through explicit unimodular row
-operations.  Deliberately slow and simple.
+enumeration, random smooth cones through explicit unimodular row
+operations, and classes in Z[L] through point counts over finite fields
+(a class is a polynomial in L, and evaluating it at L = p counts F_p
+points).  Deliberately slow and simple.
 """
 
 import itertools
@@ -180,6 +182,27 @@ def affine_union_class_oracle(k):
         term = L ** (k - s)
         total = total + (term if s % 2 == 1 else -term)
     return total
+
+
+def affine_union_point_count(k, p):
+    """Number of x in F_p^k with x_1*...*x_k = 0, by brute force over all
+    p^k points."""
+    return sum(math.prod(x) % p == 0
+               for x in itertools.product(range(p), repeat=k))
+
+
+def projective_points(m, p):
+    """The points of P^m(F_p), one representative each: the vectors whose
+    first nonzero coordinate is 1."""
+    for lead in range(m + 1):
+        for tail in itertools.product(range(p), repeat=m - lead):
+            yield (0,) * lead + (1,) + tail
+
+
+def hyperplane_union_point_count(r, n, p):
+    """Number of points of P^{n+1}(F_p) on at least one of the first r
+    coordinate hyperplanes {x_i = 0}, by brute force over P^{n+1}(F_p)."""
+    return sum(any(x[i] == 0 for i in range(r)) for x in projective_points(n + 1, p))
 
 
 def random_unimodular_matrix(rng, rank, steps=20):

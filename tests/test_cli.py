@@ -216,6 +216,20 @@ def test_verify_oversized_max_n_fails_fast(capsys):
     assert err.count("\n") == 1 and "max-n <= 30" in err
 
 
+def test_verify_arrangement_suite_is_clamped(capsys):
+    # without the clamp, n = 30 would enumerate about 31 * 2^31 subsets
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "verify", "--scope", "lemma-arrangement",
+                           "--max-n", "30", "--format", "json")
+    assert time.perf_counter() - start < 5.0
+    assert code == EXIT_OK
+    data = json.loads(out)
+    assert data["max_n"] == 30
+    assert data["covered_max_n"] == {"lemma-arrangement": 16}
+    names = [row["name"] for row in data["checks"]]
+    assert "triple agreement n=16" in names and "triple agreement n=17" not in names
+
+
 def test_verify_usage_error(capsys):
     code, _, _ = run_cli(capsys, "verify", "--scope", "everything")
     assert code == EXIT_USAGE
@@ -262,12 +276,12 @@ def test_report_sweep_cap_is_usage_error(capsys):
 
 
 def test_report_oversized_stratum_fails_fast(capsys):
-    # strata k = 1..30 would enumerate 2^k subsets each before refusing k=31
+    # strata k = 1..24 would build a slab fan each before refusing k=31
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "report", "--n", "31", "--d", "32")
     assert time.perf_counter() - start < 2.0
     assert code == EXIT_USAGE and out == ""
-    assert err.count("\n") == 1 and "k <= 30" in err
+    assert err.count("\n") == 1 and "k <= 24" in err
 
 
 def test_report_opt_in_sweep(capsys):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from oracles import affine_union_class_oracle
+from oracles import affine_union_class_oracle, affine_union_point_count
 from sncdegen import degeneration
 from sncdegen.degeneration import (
     CheckResult,
@@ -61,11 +61,32 @@ def test_scissor_oracle_values():
         assert affine_coordinate_arrangement_class(k) == affine_union_class_oracle(k), k
 
 
+def test_scissor_recursion_has_no_size_cap():
+    # far beyond any 2^k subset enumeration
+    for k in range(1, 65):
+        assert affine_coordinate_arrangement_class(k) == L**k - (L - 1) ** k, k
+
+
+def test_scissor_oracle_matches_point_counts():
+    # Evaluating a class of Z[L] at L = p counts F_p points (Katz, appendix
+    # to Hausel-Rodriguez-Villegas, Invent. Math. 174, 2008), and the five
+    # primes fix every class of degree <= 4 here.
+    for k in range(1, 5):
+        for p in (2, 3, 5, 7, 11):
+            assert (affine_coordinate_arrangement_class(k).evaluate(p)
+                    == affine_union_point_count(k, p)), (k, p)
+
+
+def test_scissor_recursion_makes_linear_work(groth_additions):
+    # one subset at a time would make 2^16 - 1 additions
+    affine_coordinate_arrangement_class(16)
+    assert 0 < len(groth_additions) <= 2 * 16
+
+
 def test_scissor_oracle_validation():
     with pytest.raises(ValueError):
         affine_coordinate_arrangement_class(0)
-    with pytest.raises(ValueError):
-        affine_coordinate_arrangement_class(31)
+    assert affine_coordinate_arrangement_class(31) == L**31 - (L - 1) ** 31
 
 
 # -- local model resolution ---------------------------------------------
@@ -166,6 +187,16 @@ def test_full_report_d1_has_no_strata():
 def test_full_report_needs_n_at_least_2():
     with pytest.raises(ValueError):
         full_degeneration_report(DegenerationSpec(n=1, d=2))
+
+
+def test_full_report_caps_the_deepest_stratum(monkeypatch):
+    # refused before any stratum is resolved
+    monkeypatch.setattr(degeneration, "resolve_local_model", None)
+    top = degeneration.MAX_CERTIFIED_STRATUM
+    with pytest.raises(ValueError, match=f"k <= {top}, got k={top + 1}"):
+        full_degeneration_report(DegenerationSpec(n=top + 1, d=top + 2))
+    with pytest.raises(ValueError, match=f"got k={top + 1}"):
+        full_degeneration_report(DegenerationSpec(n=top + 3, d=top + 2))
 
 
 def test_full_report_sweep():

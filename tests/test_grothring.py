@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from oracles import hyperplane_union_point_count
 from sncdegen.grothring import (
     GrothClass,
     L,
@@ -160,6 +161,35 @@ def test_triple_agreement():
             closed = arrangement_class_closed(r, n)
             assert arrangement_class_recursive(r, n) == closed, (r, n)
             assert arrangement_class_inclusion_exclusion(r, n) == closed, (r, n)
+
+
+def test_inclusion_exclusion_matches_closed_form_up_to_20():
+    # every n for r <= 16; above that, n = r - 2 (subsets of size r are
+    # empty intersections) and n = 20 (none are), each pass being 2^r masks
+    for r in range(1, 21):
+        for n in range(21) if r <= 16 else (r - 2, 20):
+            assert arrangement_class_inclusion_exclusion(r, n) == \
+                arrangement_class_closed(r, n), (r, n)
+
+
+def test_arrangement_classes_match_point_counts():
+    # Evaluating a class of Z[L] at L = p counts F_p points (Katz, appendix
+    # to Hausel-Rodriguez-Villegas, Invent. Math. 174, 2008): the first r
+    # coordinate hyperplanes of P^{n+1} are in general position for
+    # r <= n+2, and the five primes fix every class of degree <= 4 here.
+    for n in range(0, 4):
+        for r in range(1, n + 3):
+            for p in (2, 3, 5, 7, 11):
+                count = hyperplane_union_point_count(r, n, p)
+                for route in (arrangement_class_closed, arrangement_class_recursive,
+                              arrangement_class_inclusion_exclusion):
+                    assert route(r, n).evaluate(p) == count, (route.__name__, r, n, p)
+
+
+def test_inclusion_exclusion_makes_no_arithmetic_per_subset(groth_additions):
+    # one class per subset would make 2^16 - 1 additions
+    arrangement_class_inclusion_exclusion(16, 15)
+    assert len(groth_additions) <= 2 * 16
 
 
 def test_congruence_low_range():
