@@ -35,7 +35,6 @@ from .degeneration import (
     render_checks,
 )
 from .grothring import (
-    MAX_ENUMERATION_SIZE,
     L,
     ONE,
     arrangement_class_closed,
@@ -98,19 +97,11 @@ def build_parser() -> argparse.ArgumentParser:
                    default="all")
     p.add_argument("--max-n", type=int, default=12, dest="max_n",
                    help="largest n to sweep (default: 12)")
-    p.add_argument("--bound", type=int, default=0,
-                   help="coordinate bound of the opt-in lattice sweep that "
-                        "cross-checks the exact partition certificate "
-                        "(default: 0, the origin only)")
     add_format(p)
 
     p = sub.add_parser("report", help="end-to-end degeneration certificate")
     p.add_argument("--n", type=int, required=True, help="fiber dimension")
     p.add_argument("--d", type=int, required=True, help="degree")
-    p.add_argument("--bound", type=int, default=0,
-                   help="coordinate bound of the opt-in lattice sweep that "
-                        "cross-checks the exact partition certificate "
-                        "(default: 0, the origin only)")
     add_format(p)
 
     return parser
@@ -254,7 +245,7 @@ def _rows_arrangement(max_n: int) -> tuple[int, list[CheckResult]]:
     return top, rows
 
 
-def _rows_toric(max_n: int, bound: int) -> tuple[int, list[CheckResult]]:
+def _rows_toric(max_n: int) -> tuple[int, list[CheckResult]]:
     rows = []
     top = min(max_n, TORIC_MAX_N)
     for n in range(1, top + 1):
@@ -266,7 +257,7 @@ def _rows_toric(max_n: int, bound: int) -> tuple[int, list[CheckResult]]:
         ok = dual_cone(dual_cone(sigma)) == sigma
         rows.append(CheckResult(f"duality involution n={n}", ok,
                                 "dual(dual(sigma)) == sigma"))
-        fan, smooth_ok, partition, semistable, _ = _certified_local_core(n, bound)
+        fan, smooth_ok, partition, semistable, _ = _certified_local_core(n)
         rows += [CheckResult(f"cones unimodular n={n}", smooth_ok,
                              f"{len(fan)} maximal cones"),
                  CheckResult(f"partition n={n}", partition.passed, partition.detail),
@@ -282,7 +273,7 @@ def _rows_toric(max_n: int, bound: int) -> tuple[int, list[CheckResult]]:
     return top, rows
 
 
-def _rows_degeneration(max_n: int, bound: int) -> tuple[int, list[CheckResult]]:
+def _rows_degeneration(max_n: int) -> tuple[int, list[CheckResult]]:
     rows = []
     top = min(max_n, TORIC_MAX_N)
     bad = next((k for k in range(1, 11)
@@ -293,7 +284,7 @@ def _rows_degeneration(max_n: int, bound: int) -> tuple[int, list[CheckResult]]:
         "matches L^k - (L-1)^k" if bad is None else f"mismatch at k={bad}"))
     for n in range(2, top + 1):
         for d in range(1, n + 2):
-            report = full_degeneration_report(DegenerationSpec(n=n, d=d), bound=bound)
+            report = full_degeneration_report(DegenerationSpec(n=n, d=d))
             failing = [c.name for c in report.checks if not c.passed]
             rows.append(CheckResult(
                 f"degeneration n={n} d={d}", report.passed,
@@ -302,32 +293,23 @@ def _rows_degeneration(max_n: int, bound: int) -> tuple[int, list[CheckResult]]:
     return top, rows
 
 
-def cmd_verify(scope: str, max_n: int, bound: int, fmt: str) -> int:
+def cmd_verify(scope: str, max_n: int, fmt: str) -> int:
     if max_n < 0:
         raise _UsageError(f"need max-n >= 0, got {max_n}")
-    if bound < 0:
-        raise _UsageError(f"need bound >= 0, got {bound}")
-    if scope in ("lemma-arrangement", "all") and max_n > MAX_ENUMERATION_SIZE:
-        # refused outright, although the suite would stop at ARRANGEMENT_MAX_N
-        raise _UsageError(f"subset enumeration is limited to "
-                          f"max-n <= {MAX_ENUMERATION_SIZE}, got {max_n}")
-    suites = {"lemma-arrangement": lambda: _rows_arrangement(max_n),
-              "lemma-toric": lambda: _rows_toric(max_n, bound),
-              "degeneration": lambda: _rows_degeneration(max_n, bound)}
+    suites = {"lemma-arrangement": _rows_arrangement,
+              "lemma-toric": _rows_toric,
+              "degeneration": _rows_degeneration}
     covered: dict[str, int] = {}
     rows: list[CheckResult] = []
-    try:  # the partition sweep caps its box
-        for name, suite in suites.items():
-            if scope in (name, "all"):
-                covered[name], suite_rows = suite()
-                rows += suite_rows
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+    for name, suite in suites.items():
+        if scope in (name, "all"):
+            covered[name], suite_rows = suite(max_n)
+            rows += suite_rows
     ok = all(row.passed for row in rows)
-    payload = {"scope": scope, "max_n": max_n, "covered_max_n": covered, "bound": bound,
+    payload = {"scope": scope, "max_n": max_n, "covered_max_n": covered,
                "checks": [row.to_json_dict() for row in rows], "pass": ok}
     ran = ", ".join(f"{name} n<={top}" for name, top in covered.items())
-    lines = [f"verification suite: scope={scope}, max-n={max_n}, bound={bound}",
+    lines = [f"verification suite: scope={scope}, max-n={max_n}",
              f"covered: {ran}", *render_checks(rows)]
     passed = sum(1 for row in rows if row.passed)
     lines.append(f"  {passed}/{len(rows)} checks passed")
@@ -335,10 +317,9 @@ def cmd_verify(scope: str, max_n: int, bound: int, fmt: str) -> int:
     return EXIT_OK if ok else EXIT_FAILED
 
 
-def cmd_report(n: int, d: int, bound: int, fmt: str) -> int:
+def cmd_report(n: int, d: int, fmt: str) -> int:
     try:
-        spec = DegenerationSpec(n=n, d=d)
-        report = full_degeneration_report(spec, bound=bound)
+        report = full_degeneration_report(DegenerationSpec(n=n, d=d))
     except ValueError as exc:
         raise _UsageError(str(exc))
     _emit(report.to_json_dict(), fmt, [report.render_table()])
@@ -353,9 +334,9 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.subcommand == "resolve":
         return cmd_resolve(args.n, args.format)
     if args.subcommand == "verify":
-        return cmd_verify(args.scope, args.max_n, args.bound, args.format)
+        return cmd_verify(args.scope, args.max_n, args.format)
     if args.subcommand == "report":
-        return cmd_report(args.n, args.d, args.bound, args.format)
+        return cmd_report(args.n, args.d, args.format)
     raise _UsageError(f"unknown subcommand {args.subcommand!r}")
 
 

@@ -121,20 +121,20 @@ class VerificationReport:
 
     `fiber_class_before` and `fiber_class_after` are the central-fiber
     classes on the two sides of the resolution; `mod_L_invariant` states
-    that their residues modulo L agree (enforced on construction)."""
+    that their residues modulo L agree."""
 
     model: Union[LocalModelSpec, DegenerationSpec]
     checks: tuple[CheckResult, ...]
     fiber_class_before: GrothClass
     fiber_class_after: GrothClass
-    mod_L_invariant: bool
 
     def __post_init__(self):
         object.__setattr__(self, "checks", tuple(self.checks))
-        expected = (reduce_mod_L(self.fiber_class_before)
-                    == reduce_mod_L(self.fiber_class_after))
-        if self.mod_L_invariant != expected:
-            raise ValueError("mod_L_invariant contradicts the recorded classes")
+
+    @property
+    def mod_L_invariant(self) -> bool:
+        return (reduce_mod_L(self.fiber_class_before)
+                == reduce_mod_L(self.fiber_class_after))
 
     @property
     def passed(self) -> bool:
@@ -192,9 +192,9 @@ MAX_CERTIFIED_STRATUM = 24
 
 
 @functools.lru_cache(maxsize=None)
-def _certified_local_core(k: int, bound: int):
+def _certified_local_core(k: int):
     """Certify the resolution of the model cone of t*y = z_1*...*z_k once
-    per (k, bound), for `resolve_local_model` and `verify` alike.  Returns
+    per k, for `resolve_local_model` and `verify` alike.  Returns
     the rank k+1 fan, whether its cones are all unimodular (as decided by
     the semistability check), the partition and semistability checks (the
     partition detail names the witness of a failure), and the resolved
@@ -202,35 +202,31 @@ def _certified_local_core(k: int, bound: int):
     fan = resolution_fan(k)
     parent = model_cone(k)
     direction = unit_vector(k + 1, k)
-    failure = (None if verify_partition(fan, parent, bound=bound)
-               else _partition_failure(fan, parent, bound))
-    partition = CheckResult(
-        "partition of model cone", failure is None,
-        failure or f"walls matched, generic point covered once, sweep bound={bound}")
+    failure = None if verify_partition(fan, parent) else _partition_failure(fan, parent)
+    partition = CheckResult("partition of model cone", failure is None,
+                            failure or "walls matched, generic point covered once")
     fiber = semistable_fiber_check(fan, direction)
     semistable = CheckResult("semistable fiber", fiber.snc,
                              f"reduced={fiber.reduced}, smooth={fiber.smooth}")
     return fan, fiber.smooth, partition, semistable, fiber_class(fan, direction)
 
 
-def resolve_local_model(spec: LocalModelSpec, bound: int = 0) -> VerificationReport:
+def resolve_local_model(spec: LocalModelSpec) -> VerificationReport:
     """Resolve the local normal form t*x_{n+1} = x_1*...*x_k and account
     for the central-fiber class on both sides.
 
     The toric work happens in rank k+1 (the free A^{n-k} factor enters
     multiplicatively as L^{n-k}).  Checks: (a) all maximal cones of the
     subdivision are unimodular, (b) the subdivision partitions the model
-    cone (exact whole-cone certificate; `bound` >= 1 adds a lattice sweep
-    of [0, bound]^{k+1} as a cross-check), (c) the fiber direction is
+    cone (exact whole-cone certificate), (c) the fiber direction is
     semistable, (d) the singular fiber class, L^{n-k+1} times the
     fibration recursion of `affine_coordinate_arrangement_class`, equals
     L^{n-k+1}*(L^k - (L-1)^k), (e) the resolved fiber class,
     the rank-(k+1) orbit count times L^{n-k}, has k components at L=1,
-    (f) the two classes agree modulo L.  A negative or oversized
-    `bound` raises ValueError.
+    (f) the two classes agree modulo L.
     """
     n, k = spec.n, spec.k
-    _, smooth_ok, partition, semistable, after_core = _certified_local_core(k, bound)
+    _, smooth_ok, partition, semistable, after_core = _certified_local_core(k)
 
     scissor = affine_coordinate_arrangement_class(k)
     closed_form = L**k - (L - ONE) ** k
@@ -260,7 +256,6 @@ def resolve_local_model(spec: LocalModelSpec, bound: int = 0) -> VerificationRep
         checks=checks,
         fiber_class_before=before,
         fiber_class_after=after,
-        mod_L_invariant=invariant,
     )
 
 
@@ -271,7 +266,7 @@ def central_fiber_arrangement_class(spec: DegenerationSpec) -> GrothClass:
     return arrangement_class_closed(spec.d, spec.n)
 
 
-def full_degeneration_report(spec: DegenerationSpec, bound: int = 0) -> VerificationReport:
+def full_degeneration_report(spec: DegenerationSpec) -> VerificationReport:
     """End-to-end certificate for the degeneration: the central fiber's
     class is congruent to 1 modulo L, and every local normal form that
     occurs on a stratum of the arrangement (depth k = 1..min(d-1, n):
@@ -298,7 +293,7 @@ def full_degeneration_report(spec: DegenerationSpec, bound: int = 0) -> Verifica
         "central fiber class = 1 mod L", residue == 1,
         f"[{d} hyperplanes in P^{n + 1}] = {cls.render()}, residue {residue}")]
     for k in range(1, depth + 1):
-        sub = resolve_local_model(LocalModelSpec(n=n, k=k), bound=bound)
+        sub = resolve_local_model(LocalModelSpec(n=n, k=k))
         for c in sub.checks:
             checks.append(CheckResult(f"stratum k={k}: {c.name}", c.passed, c.detail))
     return VerificationReport(
@@ -306,5 +301,4 @@ def full_degeneration_report(spec: DegenerationSpec, bound: int = 0) -> Verifica
         checks=tuple(checks),
         fiber_class_before=cls,
         fiber_class_after=cls,
-        mod_L_invariant=True,
     )

@@ -405,11 +405,12 @@ def verify_partition(f: Fan, parent: Cone, bound: int = 0) -> bool:
         lies on a facet of the parent or is the facet of exactly one
         other maximal cone, with the opposite normal; and one point of
         the parent lying on no facet hyperplane is covered exactly once,
-    (d) opt-in cross-check: every lattice point of the parent in the box
-        [lo, bound]^rank lies in some maximal cone, where lo = 0 when the
-        parent lies in the nonnegative orthant and -bound otherwise.  The
-        default bound 0 sweeps the origin only; larger boxes than
-        MAX_SWEEP_POINTS raise ValueError.
+    (d) library-level cross-check only, opt-in through `bound` and never
+        set by `report` or `verify`: every lattice point of the parent in
+        the box [lo, bound]^rank lies in some maximal cone, where lo = 0
+        when the parent lies in the nonnegative orthant and -bound
+        otherwise.  The default bound 0 sweeps the origin only; larger
+        boxes than MAX_SWEEP_POINTS raise ValueError.
 
     All checks are exact and cover the whole parent; (d) adds nothing to
     the verdict unless (a)-(c) are wrong.  `_partition_failure` names the
@@ -497,7 +498,10 @@ class FiberCheck:
 
     reduced: bool
     smooth: bool
-    snc: bool
+
+    @property
+    def snc(self) -> bool:
+        return self.reduced and self.smooth
 
     def to_json_dict(self) -> dict:
         return {"reduced": self.reduced, "smooth": self.smooth, "snc": self.snc}
@@ -518,7 +522,7 @@ def semistable_fiber_check(f: Fan, direction: Sequence[int]) -> FiberCheck:
     pairings = [dot(d, r) for r in f.rays()]
     reduced = all(p == 1 for p in pairings if p > 0)
     smooth = all(is_smooth(c) for c in f)
-    return FiberCheck(reduced=reduced, smooth=smooth, snc=reduced and smooth)
+    return FiberCheck(reduced=reduced, smooth=smooth)
 
 
 def _is_chain(ray_sets: Sequence[frozenset[Vec]]) -> bool:

@@ -3,6 +3,7 @@ round-trip stability and determinism."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from sncdegen import degeneration
-from sncdegen.cli import EXIT_FAILED, EXIT_OK, EXIT_USAGE, main
+from sncdegen.cli import EXIT_FAILED, EXIT_OK, EXIT_USAGE, build_parser, main
 from sncdegen.toriclat import Fan, sigma_subcone
 
 
@@ -208,12 +209,13 @@ def test_verify_reports_covered_range(capsys):
 
 
 def test_verify_oversized_max_n_fails_fast(capsys):
-    # the arrangement suite would enumerate 2^30 subsets before refusing r=31
+    # every suite clamps its range, so an oversized max-n is no usage error
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "verify", "--max-n", "31")
+    code, out, _ = run_cli(capsys, "verify", "--max-n", "31", "--format", "json")
     assert time.perf_counter() - start < 2.0
-    assert code == EXIT_USAGE and out == ""
-    assert err.count("\n") == 1 and "max-n <= 30" in err
+    assert code == EXIT_OK
+    assert json.loads(out)["covered_max_n"] == {
+        "lemma-arrangement": 16, "lemma-toric": 8, "degeneration": 8}
 
 
 def test_verify_arrangement_suite_is_clamped(capsys):
@@ -233,12 +235,26 @@ def test_verify_arrangement_suite_is_clamped(capsys):
 def test_verify_usage_error(capsys):
     code, _, _ = run_cli(capsys, "verify", "--scope", "everything")
     assert code == EXIT_USAGE
-    code, _, _ = run_cli(capsys, "verify", "--bound", "-1")
-    assert code == EXIT_USAGE
-    code, out, err = run_cli(capsys, "verify", "--scope", "lemma-toric",
-                             "--max-n", "3", "--bound", "20")
-    assert code == EXIT_USAGE and out == ""
-    assert err.count("\n") == 1 and "above the cap" in err
+
+
+def test_verify_certifies_each_fan_once(capsys, monkeypatch):
+    # the toric and degeneration suites share one certificate per rank
+    ranks = []
+    verify_partition = degeneration.verify_partition
+
+    def counting(f, parent, bound=0):
+        ranks.append(parent.rank)
+        return verify_partition(f, parent, bound)
+
+    monkeypatch.setattr(degeneration, "verify_partition", counting)
+    degeneration._certified_local_core.cache_clear()
+    try:
+        code, _, _ = run_cli(capsys, "verify", "--scope", "all", "--max-n", "8",
+                             "--format", "json")
+    finally:
+        degeneration._certified_local_core.cache_clear()
+    assert code == EXIT_OK
+    assert sorted(ranks) == list(range(2, 10))
 
 
 # -- report -------------------------------------------------------------
@@ -268,13 +284,6 @@ def test_report_rejects_outside_fano_range(capsys):
     assert "d <= n+1" in err
 
 
-def test_report_sweep_cap_is_usage_error(capsys):
-    # --bound 20 at n=8 would sweep about 8e11 points; the cap stops it
-    code, out, err = run_cli(capsys, "report", "--n", "8", "--d", "9", "--bound", "20")
-    assert code == EXIT_USAGE and out == ""
-    assert err.count("\n") == 1 and "above the cap" in err
-
-
 def test_report_oversized_stratum_fails_fast(capsys):
     # strata k = 1..24 would build a slab fan each before refusing k=31
     start = time.perf_counter()
@@ -284,16 +293,28 @@ def test_report_oversized_stratum_fails_fast(capsys):
     assert err.count("\n") == 1 and "k <= 24" in err
 
 
-def test_report_opt_in_sweep(capsys):
-    code, out, _ = run_cli(capsys, "report", "--n", "3", "--d", "4", "--bound", "3",
-                           "--format", "json")
-    assert code == EXIT_OK
-    details = [c["detail"] for c in json.loads(out)["checks"]
-               if c["name"].endswith("partition of model cone")]
-    assert len(details) == 3 and all("sweep bound=3" in d for d in details)
+@pytest.mark.parametrize("argv", [("report", "--n", "3", "--d", "4", "--bound", "3"),
+                                  ("verify", "--bound", "0")])
+def test_bound_is_not_an_option(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err.count("\n") == 1 and "--bound" in err
 
 
 # -- common plumbing ----------------------------------------------------
+
+
+def test_readme_synopsis_lists_every_option():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    documented = {m[1]: set(re.findall(r"--[a-z][a-z-]*", m[2]))
+                  for m in re.finditer(r"^sncdegen (\w+)(.*)$", readme.read_text(),
+                                       re.MULTILINE)}
+    subparsers = next(a for a in build_parser()._actions
+                      if hasattr(a, "add_parser")).choices
+    defined = {name: {o for a in p._actions for o in a.option_strings
+                      if o.startswith("--")} - {"--format", "--help"}
+               for name, p in subparsers.items()}
+    assert documented == defined
 
 
 def test_unknown_subcommand(capsys):

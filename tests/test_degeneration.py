@@ -121,11 +121,6 @@ def test_resolve_local_model_invariance_sweep():
             assert report.passed, (n, k)
 
 
-def test_resolve_local_model_bound_validation():
-    with pytest.raises(ValueError):
-        resolve_local_model(LocalModelSpec(n=2, k=2), bound=-1)
-
-
 def test_partition_check_names_its_witness(monkeypatch):
     # resolve with sigma_1 missing from every fan; the cache of certified
     # cores is cleared so that no other test sees the mutant
@@ -232,24 +227,12 @@ def test_report_table_rendering():
     assert "overall: PASS" in table
 
 
-def test_report_rejects_inconsistent_invariant_flag():
-    with pytest.raises(ValueError):
-        VerificationReport(
-            model=LocalModelSpec(n=2, k=2),
-            checks=(CheckResult("x", True, ""),),
-            fiber_class_before=GrothClass([1]),
-            fiber_class_after=GrothClass([2]),
-            mod_L_invariant=True,
-        )
-
-
 def test_report_passed_requires_all_checks():
     report = VerificationReport(
         model=LocalModelSpec(n=2, k=2),
         checks=(CheckResult("good", True, ""), CheckResult("bad", False, "broken")),
         fiber_class_before=GrothClass([1]),
         fiber_class_after=GrothClass([1]),
-        mod_L_invariant=True,
     )
     assert not report.passed
     assert "[FAIL] bad" in report.render_table()
