@@ -118,15 +118,32 @@ def _emit(payload, fmt: str, text_lines: Sequence[str]) -> None:
 # -- subcommands --------------------------------------------------------
 
 
+#: Largest n of `class` and `report`, whose classes have degree about n;
+#: the recursion memoises about r^2 * n coefficients.  A resource limit:
+#: `class --r 26 --n 10000` takes about 7 s and 47 MB.
+CLASS_MAX_N = 10**4
+
+#: Largest n of `resolve` and of `dual`: resource limits of about 10 s
+#: each (`resolve` checks the fan axiom on n(n-1)/2 pairs of slabs).
+RESOLVE_MAX_N = 42
+DUAL_MAX_N = 192
+
+
+def _refuse_over_cap(what: str, n: int, cap: int) -> None:
+    if n > cap:
+        raise _UsageError(f"{what} is limited to n <= {cap}, got n={n}")
+
+
 def cmd_class(r: int, n: int, fmt: str) -> int:
     if r < 1 or n < 0:
         raise _UsageError(f"need r >= 1 and n >= 0, got r={r}, n={n}")
-    closed = arrangement_class_closed(r, n)
-    recursive = arrangement_class_recursive(r, n)
-    try:
+    _refuse_over_cap("class", n, CLASS_MAX_N)
+    try:  # first, so an oversized r is refused before any other work
         inclexcl = arrangement_class_inclusion_exclusion(r, n)
     except ValueError as exc:  # subset enumeration is capped
         raise _UsageError(str(exc))
+    closed = arrangement_class_closed(r, n)
+    recursive = arrangement_class_recursive(r, n)
     agree = closed == recursive == inclexcl
     residue = reduce_mod_L(closed)
     payload = {
@@ -152,6 +169,7 @@ def cmd_class(r: int, n: int, fmt: str) -> int:
 def cmd_dual(n: int, fmt: str) -> int:
     if n < 1:
         raise _UsageError(f"need n >= 1, got n={n}")
+    _refuse_over_cap("dual", n, DUAL_MAX_N)
     sigma = model_cone(n)
     dual = dual_cone(sigma)
     involution_ok = dual_cone(dual) == sigma
@@ -177,6 +195,7 @@ def cmd_dual(n: int, fmt: str) -> int:
 def cmd_resolve(n: int, fmt: str) -> int:
     if n < 1:
         raise _UsageError(f"need n >= 1, got n={n}")
+    _refuse_over_cap("resolve", n, RESOLVE_MAX_N)
     fan = resolution_fan(n)
     charts = blowup_chart_sequence(n) if n >= 2 else []
     check = semistable_fiber_check(fan, unit_vector(n + 1, n))
@@ -318,6 +337,7 @@ def cmd_verify(scope: str, max_n: int, fmt: str) -> int:
 
 
 def cmd_report(n: int, d: int, fmt: str) -> int:
+    _refuse_over_cap("report", n, CLASS_MAX_N)
     try:
         report = full_degeneration_report(DegenerationSpec(n=n, d=d))
     except ValueError as exc:

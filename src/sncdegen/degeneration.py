@@ -187,7 +187,7 @@ def affine_coordinate_arrangement_class(k: int) -> GrothClass:
 
 #: Deepest stratum k whose toric certificate `full_degeneration_report`
 #: builds (one slab fan of rank k+1 per stratum): a time budget of about
-#: 10 s for the whole report at k = 24, not a bound of the mathematics.
+#: 7 s for the whole report at k = 24, not a bound of the mathematics.
 MAX_CERTIFIED_STRATUM = 24
 
 

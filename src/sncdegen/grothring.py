@@ -185,8 +185,9 @@ ONE = GrothClass([1])
 L = GrothClass([0, 1])
 
 #: Largest set whose 2^size subsets the literal inclusion-exclusion may
-#: enumerate: a resource limit, not a bound of the mathematics.
-MAX_ENUMERATION_SIZE = 30
+#: enumerate: a resource limit of about 5 s (the time doubles with each
+#: hyperplane), not a bound of the mathematics.
+MAX_ENUMERATION_SIZE = 26
 
 
 def proj_space_class(n: int) -> GrothClass:

@@ -86,18 +86,19 @@ class Cone:
     list of primitive extreme-ray generators.
 
     Construction canonicalizes: generators are made primitive, duplicates
-    and non-extreme generators are dropped, and the result is sorted.  For
-    full-dimensional cones the facet normals are computed from the
-    generators by double description, so they are primitive, sorted and
-    irredundant: every inequality is a facet.  Cones of lower dimension
-    are supported only when their generators are linearly independent,
-    which covers every face arising here.
+    and non-extreme generators are dropped, and the result is sorted.  A
+    full-dimensional cone gets its primitive, irredundant facet normals by
+    one double description and keeps which facets pass through each ray.
+    A face is generated by the generators it contains, so a generator is
+    extreme iff no other lies on all the facets through it.  Cones of lower
+    dimension need linearly independent generators.
 
     Instances are value objects: equality and hashing go through the
     canonical (rank, rays) pair, and all derived data is cached.
     """
 
-    __slots__ = ("_rank", "_rays", "_dim", "_inequalities", "_dual", "_smooth")
+    __slots__ = ("_rank", "_rays", "_dim", "_inequalities", "_incidence", "_dual",
+                 "_smooth")
 
     def __init__(self, rays: Iterable[Sequence[int]], rank: Optional[int] = None):
         ray_list = [_as_vec(r) for r in rays]
@@ -119,18 +120,19 @@ class Cone:
             facets = extreme_rays(prim, rank)
             if mat_rank(facets) < rank:
                 raise ValueError("cone is not strongly convex (contains a line)")
-            self._rays = tuple(r for r in prim if self._is_extreme(r, facets))
+            # bit j of on[i] is set iff generator i lies on facet j
+            on = [sum(1 << j for j, a in enumerate(facets) if dot(a, r) == 0) for r in prim]
+            keep = [i for i, m in enumerate(on)
+                    if all(m & other != m for k, other in enumerate(on) if k != i)]
+            self._rays = tuple(prim[i] for i in keep)
             self._inequalities = tuple(facets)
+            self._incidence = tuple(on[i] for i in keep)
         else:
             if len(prim) != self._dim:
                 raise ValueError(
                     "lower-dimensional cones require linearly independent generators")
             self._rays = tuple(prim)
-            self._inequalities = None
-
-    def _is_extreme(self, ray: Vec, facets: Sequence[Vec]) -> bool:
-        active = [a for a in facets if dot(a, ray) == 0]
-        return mat_rank(active) == self._rank - 1
+            self._inequalities = self._incidence = None
 
     # -- basic data -----------------------------------------------------
 
@@ -179,15 +181,14 @@ class Cone:
 
 
 def dual_cone(c: Cone) -> Cone:
-    """The dual cone {m in M : <m, x> >= 0 for all x in c}, with primitive
-    irredundant generators, computed by the double description method.
-    Requires a full-dimensional input (then the dual is strongly convex,
-    and duality is an involution on canonical generator sets).
-    """
+    """The dual cone {m in M : <m, x> >= 0 for all x in c}, generated by the
+    facet normals of c.  Requires a full-dimensional input (then the dual is
+    strongly convex, and duality is an involution on canonical generator
+    sets)."""
     if c.dim < c.rank:
         raise ValueError("dual_cone requires a full-dimensional cone")
     if c._dual is None:
-        c._dual = Cone(extreme_rays(c.rays, c.rank), rank=c.rank)
+        c._dual = Cone(c.inequalities, rank=c.rank)
     return c._dual
 
 
@@ -282,13 +283,11 @@ class Fan:
 
 
 def _face_of(cone: Cone, face_rays: Sequence[Vec]) -> bool:
-    """Is the cone spanned by face_rays a face of `cone`?  Compares against
-    the minimal face of `cone` containing it (the one cut out by all facet
-    normals vanishing on face_rays)."""
-    active = [a for a in cone.inequalities
-              if all(dot(a, r) == 0 for r in face_rays)]
-    cut = sorted(r for r in cone.rays if all(dot(a, r) == 0 for a in active))
-    return cut == sorted(face_rays)
+    """Is the cone spanned by face_rays a face of `cone`, i.e. are they all
+    the rays of `cone` on every facet that contains them?"""
+    on = dict(zip(cone.rays, cone._incidence))
+    common = functools.reduce(operator.and_, (on.get(r, 0) for r in face_rays), -1)
+    return {r for r, m in on.items() if m & common == common} == set(face_rays)
 
 
 def _common_face(a: Cone, b: Cone) -> bool:
@@ -445,8 +444,8 @@ def _unmatched_wall(f: Fan, parent: Cone) -> Optional[str]:
     """The first facet of a maximal cone that lies inside the parent but is
     not the facet of exactly one maximal cone on its other side."""
     boundary = set(parent.inequalities)
-    walls = [(frozenset(r for r in c.rays if dot(a, r) == 0), a)
-             for c in f for a in c.inequalities if a not in boundary]
+    walls = [(tuple(r for r, m in zip(c.rays, c._incidence) if m >> j & 1), a)
+             for c in f for j, a in enumerate(c.inequalities) if a not in boundary]
     seen = Counter(walls)
     for rays, a in walls:
         across = seen[rays, vscale(-1, a)]

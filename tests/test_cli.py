@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from sncdegen import degeneration
+from sncdegen import cli, degeneration
 from sncdegen.cli import EXIT_FAILED, EXIT_OK, EXIT_USAGE, build_parser, main
+from sncdegen.grothring import MAX_ENUMERATION_SIZE
 from sncdegen.toriclat import Fan, sigma_subcone
 
 
@@ -26,6 +27,30 @@ def assert_json_round_trips(out):
     data = json.loads(out)
     assert json.dumps(data, indent=2) + "\n" == out
     return data
+
+
+# -- golden output ------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+#: Commands whose whole stdout is pinned in tests/golden/NAME.txt (text)
+#: and NAME.json.  Regenerate a file only for an intended output change:
+#: ``python -m sncdegen ARGS --format FMT > tests/golden/NAME.EXT``.
+GOLDEN_COMMANDS = {
+    "resolve_n5": ("resolve", "--n", "5"),
+    "dual_n5": ("dual", "--n", "5"),
+    "report_n5_d6": ("report", "--n", "5", "--d", "6"),
+    "verify_all_max5": ("verify", "--scope", "all", "--max-n", "5"),
+    "class_r5_n4": ("class", "--r", "5", "--n", "4"),
+}
+
+
+@pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json")])
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_stdout_matches_golden_file(capsys, name, fmt, ext):
+    code, out, err = run_cli(capsys, *GOLDEN_COMMANDS[name], "--format", fmt)
+    assert code == EXIT_OK and err == ""
+    assert out == (GOLDEN / f"{name}.{ext}").read_text()
 
 
 # -- class --------------------------------------------------------------
@@ -62,9 +87,9 @@ def test_class_usage_error(capsys):
 
 
 def test_class_oversized_r_is_usage_error(capsys):
-    code, out, err = run_cli(capsys, "class", "--r", "31", "--n", "2")
+    code, out, err = run_cli(capsys, "class", "--r", "27", "--n", "2")
     assert code == EXIT_USAGE and out == ""
-    assert err.count("\n") == 1 and "r <= 30" in err
+    assert err.count("\n") == 1 and "r <= 26" in err
 
 
 # -- dual ---------------------------------------------------------------
@@ -291,6 +316,27 @@ def test_report_oversized_stratum_fails_fast(capsys):
     assert time.perf_counter() - start < 2.0
     assert code == EXIT_USAGE and out == ""
     assert err.count("\n") == 1 and "k <= 24" in err
+
+
+@pytest.mark.parametrize("argv, cap", [
+    (("resolve", "--n", "43"), "resolve is limited to n <= 42"),
+    (("dual", "--n", "193"), "dual is limited to n <= 192"),
+    (("class", "--r", "2", "--n", "10001"), "class is limited to n <= 10000"),
+    (("class", "--r", "27", "--n", "10000"), "r <= 26"),
+    (("report", "--n", "10001", "--d", "3"), "report is limited to n <= 10000"),
+])
+def test_oversized_size_fails_fast(capsys, argv, cap):
+    # each would run for seconds to minutes, or without end, before refusing
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
+    assert code == EXIT_USAGE and out == ""
+    assert err.count("\n") == 1 and cap in err
+
+
+def test_size_caps_admit_the_benchmark_sizes():
+    assert cli.RESOLVE_MAX_N >= 32 and cli.DUAL_MAX_N >= 24
+    assert cli.CLASS_MAX_N >= 17 and MAX_ENUMERATION_SIZE >= 18
 
 
 @pytest.mark.parametrize("argv", [("report", "--n", "3", "--d", "4", "--bound", "3"),

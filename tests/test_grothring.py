@@ -222,6 +222,6 @@ def test_argument_validation():
         with pytest.raises(ValueError):
             arrangement_class_inclusion_exclusion(*bad)
     with pytest.raises(ValueError):
-        arrangement_class_inclusion_exclusion(31, 2)
+        arrangement_class_inclusion_exclusion(27, 2)
     with pytest.raises(ValueError):
         binomial_congruence_check(5, 3)

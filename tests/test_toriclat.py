@@ -1,5 +1,6 @@
 """Unit tests for the cone/fan machinery and the toric resolution."""
 
+import itertools
 import json
 import os
 import random
@@ -12,11 +13,15 @@ import pytest
 from oracles import (
     affine_union_class_oracle,
     dual_rays_brute,
+    extreme_rays_brute,
+    faces_via_facets,
     orbit_class_oracle,
     partition_sweep_oracle,
     random_unimodular_cone,
+    random_unimodular_matrix,
     slab_orbit_class_closed_form,
 )
+from oracles import _rank as oracle_rank
 from sncdegen import toriclat
 from sncdegen._intmat import dot
 from sncdegen.grothring import GrothClass, L, reduce_mod_L
@@ -42,10 +47,12 @@ from sncdegen.toriclat import (
 )
 from sncdegen.toriclat import (
     MAX_SWEEP_POINTS,
+    _face_of,
     _generic_point,
     _partition_failure,
     _sweep_box,
     _sweep_uncovered,
+    _unmatched_wall,
 )
 
 E = unit_vector
@@ -77,6 +84,55 @@ def test_cone_rejects_line():
 def test_cone_rejects_mixed_lengths():
     with pytest.raises(ValueError):
         Cone([(1, 0), (1, 0, 0)])
+
+
+def redundant_generators(rng, rank, count):
+    """A pointed full-dimensional generator set with redundant members:
+    `count` random vectors of the positive orthant, a doubled copy of one,
+    the sum of two (on a face or inside), the sum of the vectors on each
+    facet (on that facet, not extreme when the facet holds two or more)
+    and the sum of all (inside), mapped by a random unimodular matrix.
+    Facets come from the brute-force oracle."""
+    while True:
+        base = [tuple(rng.randint(0, 3) for _ in range(rank)) for _ in range(count)]
+        base = [v for v in base if any(v)]
+        if base and oracle_rank(base, rank) == rank:
+            break
+    extra = [tuple(2 * x for x in base[0]), tuple(map(sum, zip(*base))),
+             tuple(map(sum, zip(*rng.sample(base, min(2, len(base))))))]
+    for a in extreme_rays_brute(base, rank):
+        on = [v for v in base if dot(a, v) == 0]
+        if len(on) > 1:
+            extra.append(tuple(map(sum, zip(*on))))
+    m = random_unimodular_matrix(rng, rank)
+    gens = base + extra
+    rng.shuffle(gens)
+    return [tuple(dot(row, v) for row in m) for v in gens]
+
+
+@pytest.mark.parametrize("rank, count", [(2, 5), (3, 6), (3, 8), (4, 6), (4, 7)])
+def test_cone_facets_and_rays_against_brute_oracle(rank, count):
+    # the facets are the rays of the dual, and the rays are the facets of
+    # the dual, both by (rank-1)-subset kernel enumeration
+    rng = random.Random(1000 * rank + count)
+    for _ in range(8):
+        gens = redundant_generators(rng, rank, count)
+        c = Cone(gens, rank=rank)
+        facets = extreme_rays_brute(gens, rank)
+        assert list(c.inequalities) == facets, gens
+        assert list(c.rays) == extreme_rays_brute(facets, rank), gens
+
+
+def test_cone_drops_a_generator_inside_an_edge_of_four_facets():
+    # the cone over the 4-dimensional cross-polytope, whose every edge lies
+    # on four facets: the edge midpoint is on rank - 1 facets, yet not extreme
+    rays = [tuple(s * (i == j) for j in range(4)) + (1,)
+            for i in range(4) for s in (1, -1)]
+    midpoint = (1, 1, 0, 0, 2)
+    c = Cone(rays + [midpoint, (0, 0, 0, 0, 1)])
+    assert sum(dot(a, midpoint) == 0 for a in c.inequalities) == 4
+    assert sorted(c.rays) == sorted(rays)
+    assert list(c.inequalities) == extreme_rays_brute(rays, 5)
 
 
 def test_lower_dimensional_cone():
@@ -125,6 +181,18 @@ def test_contains_lower_dimensional():
 
 
 # -- duality ------------------------------------------------------------
+
+
+def test_dual_cone_runs_one_double_description(monkeypatch):
+    # the dual's generators are the stored facets; only the dual's own
+    # facets need a double description
+    c = Cone(model_cone(5).rays)  # a fresh cone, with no dual cached
+    calls = []
+    extreme_rays = toriclat.extreme_rays
+    monkeypatch.setattr(toriclat, "extreme_rays",
+                        lambda *args: calls.append(args) or extreme_rays(*args))
+    assert sorted(dual_cone(c).rays) == sorted(dual_generators(5))
+    assert len(calls) == 1
 
 
 def test_orthant_self_dual():
@@ -278,6 +346,27 @@ def test_fan_accepts_disjoint_halves():
     b = Cone([(-1, 0), (0, -1)])
     fan = Fan([a, b], rank=2)  # they meet only in the origin
     assert len(fan) == 2
+
+
+def test_face_of_against_facet_oracle():
+    # every ray subset of small random cones, redundant generators dropped
+    rng = random.Random(5)
+    cones = [Cone(redundant_generators(rng, rank, count), rank=rank)
+             for rank, count in [(2, 4), (3, 5), (3, 6), (4, 5)] for _ in range(6)]
+    cones += [model_cone(3), sigma_subcone(3, 2), orthant(4)]
+    for c in cones:
+        assert not _face_of(c, c.rays[:1] + (tuple(map(sum, zip(*c.rays))),))  # not a ray
+        faces = faces_via_facets(c)
+        for size in range(len(c.rays) + 1):
+            for sub in itertools.combinations(c.rays, size):
+                assert _face_of(c, sub) == (frozenset(sub) in faces), (c, sub)
+
+
+def test_face_tests_read_the_stored_incidence(monkeypatch):
+    fan, parent = resolution_fan(4), model_cone(4)
+    monkeypatch.setattr(toriclat, "dot", None)  # any dot product would raise
+    assert _unmatched_wall(fan, parent) is None
+    assert all(_face_of(c, c.rays[:2]) for c in fan)
 
 
 def test_fan_json_round_trip():
