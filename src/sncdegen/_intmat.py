@@ -6,11 +6,11 @@ of ints, matrices are sequences of row tuples.
 
 All linear algebra over Q goes through one routine, `rref`: a
 fraction-free Gauss-Jordan elimination whose rows stay primitive integer
-vectors.  Rank (`mat_rank`), the greedy choice of independent rows, the
-inverse of a square matrix (the simplicial start of `extreme_rays`) and
-membership in a lower-dimensional cone (`toriclat.Cone.contains`) are all
-read off its output.  The Smith normal form in `invariant_factors` is a
-different algorithm (it works over Z, not Q) and keeps its own loop.
+vectors.  Rank (`mat_rank`), the greedy choice of independent rows and
+the inverse of a square matrix (the simplicial start of `extreme_rays`)
+are all read off its output.  The Smith normal form in
+`invariant_factors` is a different algorithm (it works over Z, not Q) and
+keeps its own loop.
 """
 
 from __future__ import annotations

@@ -276,9 +276,9 @@ def _rows_toric(max_n: int) -> tuple[int, list[CheckResult]]:
         ok = dual_cone(dual_cone(sigma)) == sigma
         rows.append(CheckResult(f"duality involution n={n}", ok,
                                 "dual(dual(sigma)) == sigma"))
-        fan, smooth_ok, partition, semistable, _ = _certified_local_core(n)
-        rows += [CheckResult(f"cones unimodular n={n}", smooth_ok,
-                             f"{len(fan)} maximal cones"),
+        fan, singular, partition, semistable, _ = _certified_local_core(n)
+        rows += [CheckResult(f"cones unimodular n={n}", singular is None,
+                             singular or f"{len(fan)} maximal cones"),
                  CheckResult(f"partition n={n}", partition.passed, partition.detail),
                  CheckResult(f"semistable fiber n={n}", semistable.passed,
                              semistable.detail)]

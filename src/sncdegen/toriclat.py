@@ -42,7 +42,6 @@ from ._intmat import (
     invariant_factors,
     mat_rank,
     primitive,
-    rref,
     unit,
     vadd,
     vscale,
@@ -82,57 +81,44 @@ def _as_vec(v: Sequence[int]) -> Vec:
 
 
 class Cone:
-    """A strongly convex rational polyhedral cone, stored by a canonical
-    list of primitive extreme-ray generators.
+    """A full-dimensional, strongly convex rational polyhedral cone, stored
+    by a canonical list of primitive extreme-ray generators.
 
+    The rank is the common length of the generators, which must span it.
     Construction canonicalizes: generators are made primitive, duplicates
-    and non-extreme generators are dropped, and the result is sorted.  A
-    full-dimensional cone gets its primitive, irredundant facet normals by
-    one double description and keeps which facets pass through each ray.
-    A face is generated by the generators it contains, so a generator is
-    extreme iff no other lies on all the facets through it.  Cones of lower
-    dimension need linearly independent generators.
+    and non-extreme generators are dropped, and the result is sorted.  The
+    primitive, irredundant facet normals come from one double description,
+    and the cone keeps which facets pass through each ray.  A face is
+    generated by the generators it contains, so a generator is extreme iff
+    no other lies on all the facets through it.
 
     Instances are value objects: equality and hashing go through the
     canonical (rank, rays) pair, and all derived data is cached.
     """
 
-    __slots__ = ("_rank", "_rays", "_dim", "_inequalities", "_incidence", "_dual",
-                 "_smooth")
+    __slots__ = ("_rank", "_rays", "_inequalities", "_incidence", "_dual", "_smooth")
 
-    def __init__(self, rays: Iterable[Sequence[int]], rank: Optional[int] = None):
+    def __init__(self, rays: Iterable[Sequence[int]]):
         ray_list = [_as_vec(r) for r in rays]
-        if rank is None:
-            if not ray_list:
-                raise ValueError("rank is required for a cone with no generators")
-            rank = len(ray_list[0])
-        if rank < 1:
-            raise ValueError(f"ambient rank must be positive, got {rank}")
+        if not ray_list:
+            raise ValueError("a cone needs at least one generator")
+        rank = len(ray_list[0])
         if any(len(r) != rank for r in ray_list):
-            raise ValueError("all generators must have the ambient rank as length")
+            raise ValueError("all generators must have the same length")
         prim = sorted({primitive(r) for r in ray_list})
+        facets = extreme_rays(prim, rank)  # raises unless the generators span
+        if mat_rank(facets) < rank:
+            raise ValueError("cone is not strongly convex (contains a line)")
+        # bit j of on[i] is set iff generator i lies on facet j
+        on = [sum(1 << j for j, a in enumerate(facets) if dot(a, r) == 0) for r in prim]
+        keep = [i for i, m in enumerate(on)
+                if all(m & other != m for k, other in enumerate(on) if k != i)]
         self._rank = rank
-        self._dim = mat_rank(prim)
+        self._rays = tuple(prim[i] for i in keep)
+        self._inequalities = tuple(facets)
+        self._incidence = tuple(on[i] for i in keep)
         self._dual = None
         self._smooth = None
-
-        if self._dim == rank:
-            facets = extreme_rays(prim, rank)
-            if mat_rank(facets) < rank:
-                raise ValueError("cone is not strongly convex (contains a line)")
-            # bit j of on[i] is set iff generator i lies on facet j
-            on = [sum(1 << j for j, a in enumerate(facets) if dot(a, r) == 0) for r in prim]
-            keep = [i for i, m in enumerate(on)
-                    if all(m & other != m for k, other in enumerate(on) if k != i)]
-            self._rays = tuple(prim[i] for i in keep)
-            self._inequalities = tuple(facets)
-            self._incidence = tuple(on[i] for i in keep)
-        else:
-            if len(prim) != self._dim:
-                raise ValueError(
-                    "lower-dimensional cones require linearly independent generators")
-            self._rays = tuple(prim)
-            self._inequalities = self._incidence = None
 
     # -- basic data -----------------------------------------------------
 
@@ -141,17 +127,12 @@ class Cone:
         return self._rank
 
     @property
-    def dim(self) -> int:
-        return self._dim
-
-    @property
     def rays(self) -> tuple[Vec, ...]:
         return self._rays
 
     @property
-    def inequalities(self) -> Optional[tuple[Vec, ...]]:
-        """Facet normals (full-dimensional cones only), each pairing >= 0
-        with every point of the cone."""
+    def inequalities(self) -> tuple[Vec, ...]:
+        """Facet normals, each pairing >= 0 with every point of the cone."""
         return self._inequalities
 
     def contains(self, v: Sequence[int]) -> bool:
@@ -159,14 +140,7 @@ class Cone:
         vec = _as_vec(v)
         if len(vec) != self._rank:
             raise ValueError("vector length must equal the ambient rank")
-        if self._inequalities is not None:
-            return all(dot(a, vec) >= 0 for a in self._inequalities)
-        # The rays are independent, so v is in their span iff the last
-        # column gets no pivot; then v = sum_i c_i * ray_i and row i ends
-        # in p_i * c_i, with pivot p_i > 0.
-        rows, pivots = rref(zip(*self._rays, vec))
-        return (pivots == list(range(len(self._rays)))
-                and all(row[-1] >= 0 for row in rows))
+        return all(dot(a, vec) >= 0 for a in self._inequalities)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cone):
@@ -182,13 +156,11 @@ class Cone:
 
 def dual_cone(c: Cone) -> Cone:
     """The dual cone {m in M : <m, x> >= 0 for all x in c}, generated by the
-    facet normals of c.  Requires a full-dimensional input (then the dual is
-    strongly convex, and duality is an involution on canonical generator
-    sets)."""
-    if c.dim < c.rank:
-        raise ValueError("dual_cone requires a full-dimensional cone")
+    facet normals of c.  It is full-dimensional because c is strongly
+    convex, and strongly convex because c is full-dimensional, so duality
+    is an involution on canonical generator sets."""
     if c._dual is None:
-        c._dual = Cone(c.inequalities, rank=c.rank)
+        c._dual = Cone(c.inequalities)
     return c._dual
 
 
@@ -206,23 +178,21 @@ def is_smooth(c: Cone) -> bool:
 class Fan:
     """A fan presented by its maximal cones.
 
-    Construction verifies the fan axiom exactly: every pairwise
-    intersection of maximal cones is a common face of both, established
-    through the facet descriptions (so all maximal cones must be
-    full-dimensional).
+    The ambient rank is that of the cones, which must agree.  Construction
+    verifies the fan axiom exactly: every pairwise intersection of maximal
+    cones is a common face of both, established through the facet
+    descriptions.
     """
 
     __slots__ = ("_rank", "_max_cones")
 
-    def __init__(self, max_cones: Iterable[Cone], rank: int):
+    def __init__(self, max_cones: Iterable[Cone]):
         cones = tuple(max_cones)
         if not cones:
             raise ValueError("a fan needs at least one maximal cone")
-        for c in cones:
-            if c.rank != rank:
-                raise ValueError("all cones must share the ambient rank")
-            if c.inequalities is None:
-                raise ValueError("maximal cones must be full-dimensional")
+        rank = cones[0].rank
+        if any(c.rank != rank for c in cones):
+            raise ValueError("all cones must share the ambient rank")
         for a, b in itertools.combinations(cones, 2):
             if not _common_face(a, b):
                 raise ValueError(
@@ -277,9 +247,10 @@ class Fan:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Fan":
         rays = [tuple(r) for r in data["rays"]]
-        cones = [Cone([rays[i] for i in idxs], rank=data["rank"])
-                 for idxs in data["max_cones"]]
-        return cls(cones, rank=data["rank"])
+        fan = cls(Cone([rays[i] for i in idxs]) for idxs in data["max_cones"])
+        if fan.rank != data["rank"]:
+            raise ValueError(f"rank {data['rank']} disagrees with rays of length {fan.rank}")
+        return fan
 
 
 def _face_of(cone: Cone, face_rays: Sequence[Vec]) -> bool:
@@ -310,7 +281,7 @@ def model_cone(n: int) -> Cone:
         raise ValueError(f"the model needs n >= 1, got {n}")
     rank = n + 1
     rays = [unit(rank, i) for i in range(n)] + [_f_vector(rank, i) for i in range(n)]
-    return Cone(rays, rank=rank)
+    return Cone(rays)
 
 
 @functools.lru_cache(maxsize=None)
@@ -324,7 +295,7 @@ def sigma_subcone(n: int, k: int) -> Cone:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     rank = n + 1
     rays = [_f_vector(rank, i) for i in range(k)] + [unit(rank, i) for i in range(k - 1, n)]
-    return Cone(rays, rank=rank)
+    return Cone(rays)
 
 
 def _ones_partial(rank: int, count: int) -> Vec:
@@ -339,7 +310,7 @@ def resolution_fan(n: int) -> Fan:
     resolution of the model hypersurface."""
     if n < 1:
         raise ValueError(f"the model needs n >= 1, got {n}")
-    return Fan([sigma_subcone(n, k) for k in range(1, n + 1)], rank=n + 1)
+    return Fan([sigma_subcone(n, k) for k in range(1, n + 1)])
 
 
 def dual_generators(n: int) -> list[Vec]:
@@ -420,8 +391,6 @@ def verify_partition(f: Fan, parent: Cone, bound: int = 0) -> bool:
 
 def _partition_failure(f: Fan, parent: Cone, bound: int = 0) -> Optional[str]:
     """None when f partitions the parent, else a one-line witness."""
-    if parent.inequalities is None:
-        raise ValueError("verify_partition requires a full-dimensional parent")
     box = _sweep_box(parent, bound)
     for c in f:
         outside = next((r for r in c.rays if not parent.contains(r)), None)
@@ -676,7 +645,7 @@ class ChartPresentation:
 
     def monomial_cone(self) -> Cone:
         """The cone generated by the coordinate monomials (canonicalized)."""
-        return Cone(self.monomials(), rank=self.rank)
+        return Cone(self.monomials())
 
     def render_relation(self) -> Optional[str]:
         if self.relation is None:

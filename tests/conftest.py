@@ -1,12 +1,24 @@
 """Shared test plumbing: collects acceptance-criterion outcomes and prints
-one pass/fail line per criterion at the end of the run, and counts Z[L]
-additions for the work-count tests."""
+one pass/fail line per criterion at the end of the run, counts Z[L]
+additions for the work-count tests, and sets up child Python processes."""
+
+import os
+from pathlib import Path
 
 import pytest
 
 from sncdegen.grothring import GrothClass
 
 ACCEPTANCE_RESULTS: list[tuple[int, str, bool, str]] = []
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def src_env() -> dict:
+    """The environment for a child Python process that imports the
+    package from src/, ahead of any PYTHONPATH already set."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
 
 
 def record_acceptance(num: int, description: str, ok: bool, detail: str = "") -> str:

@@ -225,4 +225,4 @@ def random_unimodular_cone(rng, max_rank=5):
     """A random full-dimensional smooth cone: the rows of a random
     GL(rank, Z) matrix."""
     rank = rng.randint(1, max_rank)
-    return Cone(random_unimodular_matrix(rng, rank), rank=rank)
+    return Cone(random_unimodular_matrix(rng, rank))

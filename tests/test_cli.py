@@ -11,10 +11,11 @@ from pathlib import Path
 
 import pytest
 
+from conftest import src_env
 from sncdegen import cli, degeneration
 from sncdegen.cli import EXIT_FAILED, EXIT_OK, EXIT_USAGE, build_parser, main
 from sncdegen.grothring import MAX_ENUMERATION_SIZE
-from sncdegen.toriclat import Fan, sigma_subcone
+from sncdegen.toriclat import Cone, Fan, model_cone, sigma_subcone
 
 
 def run_cli(capsys, *argv):
@@ -177,7 +178,7 @@ def test_verify_partition_row_names_its_witness(capsys, monkeypatch):
     # drop sigma_n from every fan but the one-slab fan of n=1; the cache of
     # certified cores is cleared so that no other test sees the mutant
     monkeypatch.setattr(degeneration, "resolution_fan", lambda n: Fan(
-        [sigma_subcone(n, k) for k in range(1, n)] or [sigma_subcone(n, n)], rank=n + 1))
+        [sigma_subcone(n, k) for k in range(1, n)] or [sigma_subcone(n, n)]))
     degeneration._certified_local_core.cache_clear()
     try:
         code, out, _ = run_cli(capsys, "verify", "--scope", "lemma-toric",
@@ -189,6 +190,31 @@ def test_verify_partition_row_names_its_witness(capsys, monkeypatch):
     assert rows["partition n=1"]["pass"]
     assert not rows["partition n=3"]["pass"]
     assert rows["partition n=3"]["detail"].startswith("unmatched wall with rays")
+
+
+@pytest.mark.parametrize("fan, max_n, witnesses", [
+    (lambda n: Fan([model_cone(n)]), 2, {
+        "cones unimodular n=2": "is not unimodular: invariant factors [1, 1, 1] for 4 rays",
+    }),
+    (lambda n: Fan([Cone([(1, 0), (1, 2)])]), 1, {
+        "cones unimodular n=1": "is not unimodular: invariant factors [1, 2] for 2 rays",
+        "semistable fiber n=1": "; ray [1, 2] pairs 2 with the fiber direction",
+    }),
+], ids=["model-cone", "index-2"])
+def test_verify_unimodular_and_semistable_rows_name_their_witness(
+        capsys, monkeypatch, fan, max_n, witnesses):
+    monkeypatch.setattr(degeneration, "resolution_fan", fan)
+    degeneration._certified_local_core.cache_clear()
+    try:
+        code, out, _ = run_cli(capsys, "verify", "--scope", "lemma-toric",
+                               "--max-n", str(max_n), "--format", "json")
+    finally:
+        degeneration._certified_local_core.cache_clear()
+    assert code == EXIT_FAILED
+    rows = {row["name"]: row for row in json.loads(out)["checks"]}
+    for name, witness in witnesses.items():
+        assert not rows[name]["pass"]
+        assert rows[name]["detail"].endswith(witness), rows[name]
 
 
 def test_verify_degeneration_scope(capsys):
@@ -389,9 +415,6 @@ def test_closed_pipe_ends_without_traceback():
     fcntl = pytest.importorskip("fcntl")
     if not hasattr(fcntl, "F_SETPIPE_SZ"):
         pytest.skip("pipe capacity cannot be set on this platform")
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     read_end, write_end = os.pipe()
     fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
     if fcntl.fcntl(write_end, fcntl.F_GETPIPE_SZ) >= 6000:  # the output is ~6 kB
@@ -399,7 +422,7 @@ def test_closed_pipe_ends_without_traceback():
     proc = subprocess.Popen(
         [sys.executable, "-m", "sncdegen", "verify", "--scope", "lemma-arrangement",
          "--format", "json"],
-        stdout=write_end, stderr=subprocess.PIPE, env=env)
+        stdout=write_end, stderr=subprocess.PIPE, env=src_env())
     os.close(write_end)
     with os.fdopen(read_end, "rb", buffering=0) as reader:
         first = reader.readline()

@@ -17,7 +17,7 @@ from sncdegen.degeneration import (
     resolve_local_model,
 )
 from sncdegen.grothring import GrothClass, L, proj_space_class, reduce_mod_L
-from sncdegen.toriclat import Fan, sigma_subcone
+from sncdegen.toriclat import Cone, Fan, model_cone, sigma_subcone
 
 
 # -- specs --------------------------------------------------------------
@@ -125,7 +125,7 @@ def test_partition_check_names_its_witness(monkeypatch):
     # resolve with sigma_1 missing from every fan; the cache of certified
     # cores is cleared so that no other test sees the mutant
     monkeypatch.setattr(degeneration, "resolution_fan", lambda k: Fan(
-        [sigma_subcone(k, j) for j in range(2, k + 1)], rank=k + 1))
+        [sigma_subcone(k, j) for j in range(2, k + 1)]))
     degeneration._certified_local_core.cache_clear()
     try:
         report = resolve_local_model(LocalModelSpec(n=3, k=3))
@@ -134,6 +134,41 @@ def test_partition_check_names_its_witness(monkeypatch):
     check = next(c for c in report.checks if c.name == "partition of model cone")
     assert not check.passed and not report.passed
     assert check.detail.startswith("unmatched wall with rays")
+
+
+def checks_with_fan(monkeypatch, fan, spec):
+    """The checks of `resolve_local_model(spec)` with `fan` in place of
+    the slab fan; the cache of certified cores is cleared on both sides."""
+    monkeypatch.setattr(degeneration, "resolution_fan", lambda k: fan)
+    degeneration._certified_local_core.cache_clear()
+    try:
+        report = resolve_local_model(spec)
+    finally:
+        degeneration._certified_local_core.cache_clear()
+    assert not report.passed
+    return {c.name: c for c in report.checks}
+
+
+def test_unimodular_check_names_its_witness(monkeypatch):
+    checks = checks_with_fan(monkeypatch, Fan([model_cone(3)]), LocalModelSpec(n=3, k=3))
+    assert not checks["cones unimodular"].passed
+    assert checks["cones unimodular"].detail == (
+        f"{model_cone(3)!r} is not unimodular: invariant factors [1, 1, 1, 1] for 6 rays")
+    assert checks["semistable fiber"].detail == "reduced=True, smooth=False"
+    assert not checks["resolved fiber class"].passed
+    assert checks["resolved fiber class"].detail == (
+        "no orbit count: the cones are not unimodular")
+
+
+def test_semistable_check_names_its_witness(monkeypatch):
+    # the ray (1, 2) pairs 2 with the fiber direction e_2*
+    index2 = Cone([(1, 0), (1, 2)])
+    checks = checks_with_fan(monkeypatch, Fan([index2]), LocalModelSpec(n=1, k=1))
+    assert not checks["semistable fiber"].passed
+    assert checks["semistable fiber"].detail == (
+        "reduced=False, smooth=False; ray [1, 2] pairs 2 with the fiber direction")
+    assert checks["cones unimodular"].detail == (
+        f"{index2!r} is not unimodular: invariant factors [1, 2] for 2 rays")
 
 
 def test_resolved_fiber_class_check_can_fail(monkeypatch):
@@ -236,3 +271,14 @@ def test_report_passed_requires_all_checks():
     )
     assert not report.passed
     assert "[FAIL] bad" in report.render_table()
+
+
+def test_report_passed_reads_the_checks_only():
+    # the mod-L comparison enters the verdict as a check, not on its own
+    report = VerificationReport(
+        model=LocalModelSpec(n=2, k=2),
+        checks=(CheckResult("good", True, ""),),
+        fiber_class_before=GrothClass([1]),
+        fiber_class_after=GrothClass([0, 1]),
+    )
+    assert report.passed and not report.mod_L_invariant

@@ -1,22 +1,19 @@
 """Property tests for the fraction-free elimination in `_intmat.rref` and
 the routines that read their answers off it.  Every expected value comes
 from a route that shares no code with `rref`: Smith normal form
-(`invariant_factors`), direct pairings, or a `Fraction` solve in
-`tests/oracles.py`."""
+(`invariant_factors`) or direct pairings."""
 
 import math
-import os
 import random
 import subprocess
 import sys
-from pathlib import Path
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import random_unimodular_matrix, simplicial_coordinates
+from conftest import src_env
+from oracles import random_unimodular_matrix
 from sncdegen._intmat import dot, extreme_rays, invariant_factors, mat_rank, rref
-from sncdegen.toriclat import Cone
 
 ENTRIES = st.integers(-5, 5)
 # Fixed examples, so a run is repeatable.
@@ -92,44 +89,8 @@ def test_rays_of_a_simplicial_cone(base):
     assert_rays_invert(base, extreme_rays(base, len(base)))
 
 
-@st.composite
-def lower_dimensional_membership(draw):
-    """k < m independent rays in Z^m and a vector, in their span (with
-    coefficients of either sign) or anywhere."""
-    m = draw(st.integers(1, 6))
-    k = draw(st.integers(0, m - 1))
-    rays = [tuple(draw(st.lists(ENTRIES, min_size=m, max_size=m))) for _ in range(k)]
-    assume(independent(rays))
-    if k and draw(st.booleans()):
-        coeffs = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
-        v = tuple(sum(c * r[i] for c, r in zip(coeffs, rays)) for i in range(m))
-    else:
-        v = tuple(draw(st.lists(ENTRIES, min_size=m, max_size=m)))
-    return m, rays, v
-
-
-@PROPERTY
-@given(lower_dimensional_membership())
-def test_contains_lower_dimensional_agrees_with_fraction_solve(case):
-    m, rays, v = case
-    cone = Cone(rays, rank=m)
-    assert cone.dim < m
-    coords = simplicial_coordinates(cone.rays, v)
-    expected = coords is not None and all(c >= 0 for c in coords)
-    assert cone.contains(v) == expected
-
-
-def test_zero_cone_contains_only_the_origin():
-    cone = Cone([], rank=3)
-    assert cone.contains((0, 0, 0))
-    assert not cone.contains((0, 1, 0))
-
-
 def test_package_import_loads_no_fractions():
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     code = "import sys, sncdegen, sncdegen.cli; print('fractions' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code], env=src_env(), check=True,
                          capture_output=True, text=True).stdout
     assert out == "False\n"

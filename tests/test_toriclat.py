@@ -2,14 +2,13 @@
 
 import itertools
 import json
-import os
 import random
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
+from conftest import src_env
 from oracles import (
     affine_union_class_oracle,
     dual_rays_brute,
@@ -68,7 +67,7 @@ def orthant(rank):
 def test_cone_canonicalizes_generators():
     c = Cone([(2, 0), (1, 0), (0, 3), (1, 1)])
     assert c.rays == ((0, 1), (1, 0))
-    assert c.dim == 2 and c.rank == 2
+    assert c.rank == 2
 
 
 def test_cone_rejects_zero_generator():
@@ -84,6 +83,17 @@ def test_cone_rejects_line():
 def test_cone_rejects_mixed_lengths():
     with pytest.raises(ValueError):
         Cone([(1, 0), (1, 0, 0)])
+
+
+@pytest.mark.parametrize("gens", [
+    [],                          # no generators, so no rank
+    [(1, 1, 0)],                 # a ray in Z^3
+    [(0, 1, 1), (0, 1, -1)],     # a plane in Z^3
+    [(1, 0), (1, 0, 0)],         # mixed lengths
+], ids=["empty", "ray", "plane", "mixed"])
+def test_cone_is_full_dimensional_or_refused(gens):
+    with pytest.raises(ValueError):
+        Cone(gens)
 
 
 def redundant_generators(rng, rank, count):
@@ -117,7 +127,7 @@ def test_cone_facets_and_rays_against_brute_oracle(rank, count):
     rng = random.Random(1000 * rank + count)
     for _ in range(8):
         gens = redundant_generators(rng, rank, count)
-        c = Cone(gens, rank=rank)
+        c = Cone(gens)
         facets = extreme_rays_brute(gens, rank)
         assert list(c.inequalities) == facets, gens
         assert list(c.rays) == extreme_rays_brute(facets, rank), gens
@@ -133,21 +143,6 @@ def test_cone_drops_a_generator_inside_an_edge_of_four_facets():
     assert sum(dot(a, midpoint) == 0 for a in c.inequalities) == 4
     assert sorted(c.rays) == sorted(rays)
     assert list(c.inequalities) == extreme_rays_brute(rays, 5)
-
-
-def test_lower_dimensional_cone():
-    c = Cone([(1, 1, 0)])
-    assert c.dim == 1 and c.rank == 3
-    assert c.inequalities is None
-    with pytest.raises(ValueError):  # dependent generators, lower dimension
-        Cone([(1, 0, 0), (-1, 0, 0)])
-
-
-def test_empty_cone_needs_rank():
-    with pytest.raises(ValueError):
-        Cone([])
-    c = Cone([], rank=2)
-    assert c.rays == () and c.dim == 0
 
 
 def test_cone_value_semantics():
@@ -171,13 +166,6 @@ def test_contains_orthant():
 
 def test_contains_model_generator():
     assert model_cone(2).contains((1, 0, 1))
-
-
-def test_contains_lower_dimensional():
-    c = Cone([(1, 1, 0), (0, 0, 1)])
-    assert c.contains((2, 2, 3))
-    assert not c.contains((1, 0, 0))   # outside the span
-    assert not c.contains((-1, -1, 0))  # in the span, wrong sign
 
 
 # -- duality ------------------------------------------------------------
@@ -280,9 +268,6 @@ def test_is_smooth_examples():
     assert is_smooth(sigma_subcone(2, 2))
     assert not is_smooth(model_cone(2))
     assert not is_smooth(Cone([(1, 1), (1, -1)]))          # index 2 sublattice
-    assert not is_smooth(Cone([(0, 1, 1), (0, 1, -1)]))    # same, lower dim
-    assert is_smooth(Cone([(1, 1, 0)]))
-    assert is_smooth(Cone([], rank=3))
     assert is_smooth(orthant(4))
 
 
@@ -292,7 +277,7 @@ def test_is_smooth_examples():
 def test_model_cone_rays():
     c = model_cone(2)
     assert set(c.rays) == {(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)}
-    assert c.dim == 3
+    assert c.rank == 3
 
 
 def test_model_cone_n1_equals_sigma1():
@@ -329,29 +314,27 @@ def test_fan_rejects_non_face_intersection():
     a = Cone([(1, 0), (1, 1)])
     b = Cone([(2, 1), (0, 1)])
     with pytest.raises(ValueError):
-        Fan([a, b], rank=2)
+        Fan([a, b])
 
 
 def test_fan_rejects_mixed_rank():
     with pytest.raises(ValueError):
-        Fan([orthant(2), orthant(3)], rank=2)
+        Fan([orthant(2), orthant(3)])
     with pytest.raises(ValueError):
-        Fan([], rank=2)
-    with pytest.raises(ValueError):
-        Fan([Cone([(1, 1, 0)])], rank=3)
+        Fan([])
 
 
 def test_fan_accepts_disjoint_halves():
     a = Cone([(1, 0), (0, 1)])
     b = Cone([(-1, 0), (0, -1)])
-    fan = Fan([a, b], rank=2)  # they meet only in the origin
+    fan = Fan([a, b])  # they meet only in the origin
     assert len(fan) == 2
 
 
 def test_face_of_against_facet_oracle():
     # every ray subset of small random cones, redundant generators dropped
     rng = random.Random(5)
-    cones = [Cone(redundant_generators(rng, rank, count), rank=rank)
+    cones = [Cone(redundant_generators(rng, rank, count))
              for rank, count in [(2, 4), (3, 5), (3, 6), (4, 5)] for _ in range(6)]
     cones += [model_cone(3), sigma_subcone(3, 2), orthant(4)]
     for c in cones:
@@ -379,6 +362,13 @@ def test_fan_json_round_trip():
         assert again.to_json_dict() == data
 
 
+def test_fan_json_refuses_a_rank_that_disagrees_with_its_rays():
+    data = resolution_fan(2).to_json_dict()
+    for rank in (2, 4):
+        with pytest.raises(ValueError, match="rank"):
+            Fan.from_json_dict(dict(data, rank=rank))
+
+
 def test_fan_rays_sorted_dedup():
     fan = resolution_fan(3)
     rays = fan.rays()
@@ -394,7 +384,7 @@ def test_partition_model_n2():
 
 
 def test_partition_missing_cone_fails():
-    partial = Fan([sigma_subcone(2, 1)], rank=3)
+    partial = Fan([sigma_subcone(2, 1)])
     assert not verify_partition(partial, model_cone(2), bound=6)
 
 
@@ -411,22 +401,19 @@ def test_partition_negative_coordinates():
     wedge = Cone([(1, 1), (-1, 1)])  # y >= |x|, needs the signed sweep
     left = Cone([(-1, 1), (0, 1)])
     right = Cone([(0, 1), (1, 1)])
-    assert verify_partition(Fan([left, right], rank=2), wedge, bound=3)
-    assert not verify_partition(Fan([right], rank=2), wedge, bound=3)
+    assert verify_partition(Fan([left, right]), wedge, bound=3)
+    assert not verify_partition(Fan([right]), wedge, bound=3)
 
 
 def test_partition_validation():
     with pytest.raises(ValueError):
         verify_partition(resolution_fan(2), model_cone(2), bound=-1)
-    with pytest.raises(ValueError):
-        verify_partition(resolution_fan(2), Cone([(1, 1, 0)]), bound=2)
 
 
 def drop_one_slab_fans(n):
     """(k, the slab fan of rank n+1 without sigma_k) for k = 1..n, n >= 2."""
     for k in range(1, n + 1):
-        yield k, Fan([sigma_subcone(n, j) for j in range(1, n + 1) if j != k],
-                     rank=n + 1)
+        yield k, Fan([sigma_subcone(n, j) for j in range(1, n + 1) if j != k])
 
 
 def slab_walls(n, j):
@@ -451,13 +438,13 @@ def test_partition_rejects_every_drop_one_slab_fan():
 def test_partition_rejects_doubled_slab():
     # n=1: the one slab is the whole model cone, so every wall lies on the
     # boundary and only the generic point sees the double cover
-    fan = Fan([sigma_subcone(1, 1)] * 2, rank=2)
+    fan = Fan([sigma_subcone(1, 1)] * 2)
     assert not verify_partition(fan, model_cone(1))
     assert "is covered 2 times" in _partition_failure(fan, model_cone(1))
     # n>=2: a wall of the doubled slab is a facet of three maximal cones
     for n in range(2, 6):
         for k in range(1, n + 1):
-            fan = Fan(list(resolution_fan(n)) + [sigma_subcone(n, k)], rank=n + 1)
+            fan = Fan(list(resolution_fan(n)) + [sigma_subcone(n, k)])
             assert not verify_partition(fan, model_cone(n)), (n, k)
             witness = _partition_failure(fan, model_cone(n))
             assert witness.startswith("unmatched wall"), (n, k, witness)
@@ -503,7 +490,7 @@ def test_generic_point_is_interior_and_off_every_wall():
 def test_generic_point_moves_off_a_wall():
     # with weights 1, 2 the point (2, 1) lies on the wall through (2, 1);
     # the next weights 1, 3 give (3, 1)
-    fan = Fan([Cone([(1, 0), (2, 1)]), Cone([(2, 1), (0, 1)])], rank=2)
+    fan = Fan([Cone([(1, 0), (2, 1)]), Cone([(2, 1), (0, 1)])])
     assert _generic_point(fan, orthant(2)) == (3, 1)
     assert verify_partition(fan, orthant(2))
 
@@ -511,7 +498,7 @@ def test_generic_point_moves_off_a_wall():
 def test_partition_agrees_with_sweep_oracle():
     for n in range(1, 5):
         parent = model_cone(n)
-        fans = [resolution_fan(n), Fan(list(resolution_fan(n)) * 2, rank=n + 1)]
+        fans = [resolution_fan(n), Fan(list(resolution_fan(n)) * 2)]
         if n > 1:  # at n=1 dropping the one slab leaves no fan
             fans += [fan for _, fan in drop_one_slab_fans(n)]
         for fan in fans:
@@ -555,12 +542,9 @@ def test_sweep_box_cap():
 
 
 def test_import_does_not_load_numpy():
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     subprocess.run(
         [sys.executable, "-c", "import sncdegen, sys; assert 'numpy' not in sys.modules"],
-        env=env, check=True)
+        env=src_env(), check=True)
 
 
 # -- semistability ------------------------------------------------------
@@ -572,7 +556,7 @@ def test_semistable_resolution_n3():
 
 
 def test_semistable_singular_model():
-    fan = Fan([model_cone(2)], rank=3)
+    fan = Fan([model_cone(2)])
     check = semistable_fiber_check(fan, E(3, 2))
     assert check.reduced and not check.smooth and not check.snc
 
@@ -596,8 +580,8 @@ def test_fiber_check_json():
 
 
 def test_toric_class_orthant():
-    assert toric_class(Fan([orthant(2)], rank=2)) == L**2
-    assert toric_class(Fan([orthant(5)], rank=5)) == L**5
+    assert toric_class(Fan([orthant(2)])) == L**2
+    assert toric_class(Fan([orthant(5)])) == L**5
 
 
 def test_toric_class_resolution_n2():
@@ -636,7 +620,7 @@ def test_fiber_class_against_oracle():
 
 
 def slab_fan(n, order):
-    return Fan([sigma_subcone(n, k) for k in order], rank=n + 1)
+    return Fan([sigma_subcone(n, k) for k in order])
 
 
 def fiber_directions(n):
@@ -707,7 +691,7 @@ def test_slab_closed_form_matches_facet_oracle():
 
 
 def test_orbit_counting_rejects_singular_fan():
-    fan = Fan([model_cone(2)], rank=3)
+    fan = Fan([model_cone(2)])
     with pytest.raises(ValueError):
         toric_class(fan)
     with pytest.raises(ValueError):
