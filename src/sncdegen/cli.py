@@ -24,8 +24,10 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from typing import Optional, Sequence
 
+from ._intmat import Vec
 from .degeneration import (
     CheckResult,
     DegenerationSpec,
@@ -123,8 +125,9 @@ def _emit(payload, fmt: str, text_lines: Sequence[str]) -> None:
 #: `class --r 26 --n 10000` takes about 7 s and 47 MB.
 CLASS_MAX_N = 10**4
 
-#: Largest n of `resolve` and of `dual`: resource limits of about 10 s
-#: each (`resolve` checks the fan axiom on n(n-1)/2 pairs of slabs).
+#: Largest n of `resolve` and of `dual`: resource limits.  `resolve --n 42`
+#: takes about 1.3 s, mostly building the slab cones (the fan axiom reads
+#: one separating facet per pair of slabs); `dual --n 192` about 10 s.
 RESOLVE_MAX_N = 42
 DUAL_MAX_N = 192
 
@@ -223,14 +226,23 @@ def cmd_resolve(n: int, fmt: str) -> int:
 # -- verify suites ------------------------------------------------------
 
 
-#: Largest n of the toric and degeneration suites, whatever --max-n asks.
-TORIC_MAX_N = 8
+#: Largest n of the toric and degeneration suites, whatever --max-n asks:
+#: `verify --scope all --max-n 16` takes about 0.8 s.
+TORIC_MAX_N = 16
 
 #: Largest n of the arrangement suite, whatever --max-n asks: it runs
 #: about n^2 subset enumerations of up to 2^n masks, about 0.2 s at 16.
 ARRANGEMENT_MAX_N = 16
 
 # Each suite returns (top, rows): the largest n it ran, and its rows.
+
+
+def _first_difference(ours: Sequence[Vec], theirs: Sequence[Vec]) -> tuple[Vec, bool]:
+    """The least vector on which two lists differ as multisets, and
+    whether it is surplus in `ours` (else in `theirs`)."""
+    surplus = Counter(ours) - Counter(theirs)
+    first = min(surplus + (Counter(theirs) - Counter(ours)))
+    return first, first in surplus
 
 
 def _rows_arrangement(max_n: int) -> tuple[int, list[CheckResult]]:
@@ -270,9 +282,16 @@ def _rows_toric(max_n: int) -> tuple[int, list[CheckResult]]:
     for n in range(1, top + 1):
         sigma = model_cone(n)
         if n >= 2:
-            ok = sorted(dual_cone(sigma).rays) == sorted(dual_generators(n))
-            rows.append(CheckResult(f"dual generators n={n}", ok,
-                                    f"{n + 2} canonical generators"))
+            rays, canonical = dual_cone(sigma).rays, dual_generators(n)
+            ok = sorted(rays) == sorted(canonical)
+            if ok:
+                detail = f"{n + 2} canonical generators"
+            else:
+                ray, extra = _first_difference(rays, canonical)
+                detail = (f"ray {list(ray)} of the dual cone is not a canonical generator"
+                          if extra else
+                          f"canonical generator {list(ray)} is not a ray of the dual cone")
+            rows.append(CheckResult(f"dual generators n={n}", ok, detail))
         ok = dual_cone(dual_cone(sigma)) == sigma
         rows.append(CheckResult(f"duality involution n={n}", ok,
                                 "dual(dual(sigma)) == sigma"))
@@ -283,12 +302,17 @@ def _rows_toric(max_n: int) -> tuple[int, list[CheckResult]]:
                  CheckResult(f"semistable fiber n={n}", semistable.passed,
                              semistable.detail)]
         if n >= 2:
-            bad = next((k for k, chart in enumerate(blowup_chart_sequence(n), start=1)
-                        if chart.monomial_cone() != dual_cone(sigma_subcone(n, k))),
-                       None)
-            rows.append(CheckResult(
-                f"charts match dual cones n={n}", bad is None,
-                "all charts" if bad is None else f"mismatch at chart {bad}"))
+            pairs = ((k, chart.monomial_cone(), dual_cone(sigma_subcone(n, k)))
+                     for k, chart in enumerate(blowup_chart_sequence(n), start=1))
+            bad = next(((k, mine, dual) for k, mine, dual in pairs if mine != dual), None)
+            if bad is None:
+                detail = "all charts"
+            else:
+                k, mine, dual = bad
+                ray, in_chart = _first_difference(mine.rays, dual.rays)
+                detail = (f"mismatch at chart {k}: ray {list(ray)} only in the "
+                          f"{'chart' if in_chart else 'dual'} cone")
+            rows.append(CheckResult(f"charts match dual cones n={n}", bad is None, detail))
     return top, rows
 
 

@@ -180,8 +180,10 @@ class Fan:
 
     The ambient rank is that of the cones, which must agree.  Construction
     verifies the fan axiom exactly: every pairwise intersection of maximal
-    cones is a common face of both, established through the facet
-    descriptions.
+    cones is a common face of both.  A pair passes at once when a facet of
+    one cone separates it from the other (`_separated_face`, read off the
+    stored incidence, as for every pair of slabs); any other pair gets one
+    double description of the intersection (`_common_face`).
     """
 
     __slots__ = ("_rank", "_max_cones")
@@ -194,7 +196,8 @@ class Fan:
         if any(c.rank != rank for c in cones):
             raise ValueError("all cones must share the ambient rank")
         for a, b in itertools.combinations(cones, 2):
-            if not _common_face(a, b):
+            if not (_separated_face(a, b) or _separated_face(b, a)
+                    or _common_face(a, b)):
                 raise ValueError(
                     f"cones do not meet in a common face: {a!r} and {b!r}")
         self._rank = rank
@@ -261,7 +264,24 @@ def _face_of(cone: Cone, face_rays: Sequence[Vec]) -> bool:
     return {r for r, m in on.items() if m & common == common} == set(face_rays)
 
 
+def _separated_face(a: Cone, b: Cone) -> bool:
+    """A sufficient test that a ∩ b is a common face, with no double
+    description.  Let S be the rays of b that are rays of a.  If a facet u
+    of a contains S and pairs < 0 with every other ray of b, then u >= 0 on
+    a and u <= 0 on b, so a ∩ b = b ∩ u⊥ = cone(S): a face of b, and a
+    face of a when `_face_of` says so."""
+    on = dict(zip(a.rays, a._incidence))
+    shared = [r for r in b.rays if r in on]
+    rest = [r for r in b.rays if r not in on]
+    through = functools.reduce(operator.and_, (on[r] for r in shared), -1)
+    return (any(through >> j & 1 and all(dot(u, r) < 0 for r in rest)
+                for j, u in enumerate(a.inequalities))
+            and _face_of(a, shared))
+
+
 def _common_face(a: Cone, b: Cone) -> bool:
+    """The complete test: the extreme rays of a ∩ b, from one double
+    description on the facets of both, span a face of each."""
     meet = extreme_rays(list(a.inequalities) + list(b.inequalities), a.rank)
     return _face_of(a, meet) and _face_of(b, meet)
 

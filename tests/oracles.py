@@ -221,8 +221,9 @@ def random_unimodular_matrix(rng, rank, steps=20):
     return [tuple(row) for row in m]
 
 
-def random_unimodular_cone(rng, max_rank=5):
+def random_unimodular_cone(rng, max_rank=5, rank=None):
     """A random full-dimensional smooth cone: the rows of a random
-    GL(rank, Z) matrix."""
-    rank = rng.randint(1, max_rank)
+    GL(rank, Z) matrix, of a random rank up to max_rank unless given."""
+    if rank is None:
+        rank = rng.randint(1, max_rank)
     return Cone(random_unimodular_matrix(rng, rank))

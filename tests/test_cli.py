@@ -15,7 +15,14 @@ from conftest import src_env
 from sncdegen import cli, degeneration
 from sncdegen.cli import EXIT_FAILED, EXIT_OK, EXIT_USAGE, build_parser, main
 from sncdegen.grothring import MAX_ENUMERATION_SIZE
-from sncdegen.toriclat import Cone, Fan, model_cone, sigma_subcone
+from sncdegen.toriclat import (
+    Cone,
+    Fan,
+    blowup_chart_sequence,
+    dual_generators,
+    model_cone,
+    sigma_subcone,
+)
 
 
 def run_cli(capsys, *argv):
@@ -217,6 +224,30 @@ def test_verify_unimodular_and_semistable_rows_name_their_witness(
         assert rows[name]["detail"].endswith(witness), rows[name]
 
 
+@pytest.mark.parametrize("name, mutant, witness", [
+    ("dual generators", ("dual_generators", lambda n: dual_generators(n)[:-1]),
+     "ray [1, 1, -1] of the dual cone is not a canonical generator"),
+    ("dual generators",
+     ("dual_generators", lambda n: dual_generators(n) + [(1,) * (n + 1)]),
+     "canonical generator [1, 1, 1] is not a ray of the dual cone"),
+    ("charts match dual cones",
+     ("sigma_subcone", lambda n, k: sigma_subcone(n, n + 1 - k)),
+     "mismatch at chart 1: ray [-1, 0, 1] only in the dual cone"),
+    ("charts match dual cones",
+     ("blowup_chart_sequence", lambda n: blowup_chart_sequence(n)[::-1]),
+     "mismatch at chart 1: ray [-1, 0, 1] only in the chart cone"),
+], ids=["extra-ray", "missing-generator", "dual-differs", "chart-differs"])
+def test_verify_duality_rows_name_their_witness(capsys, monkeypatch, name, mutant, witness):
+    monkeypatch.setattr(cli, *mutant)
+    code, out, _ = run_cli(capsys, "verify", "--scope", "lemma-toric",
+                           "--max-n", "2", "--format", "json")
+    assert code == EXIT_FAILED
+    rows = {row["name"]: row for row in json.loads(out)["checks"]}
+    assert not rows[f"{name} n=2"]["pass"]
+    assert rows[f"{name} n=2"]["detail"] == witness
+    assert all(row["pass"] for row_name, row in rows.items() if row_name != f"{name} n=2")
+
+
 def test_verify_degeneration_scope(capsys):
     code, out, _ = run_cli(capsys, "verify", "--scope", "degeneration",
                            "--max-n", "4", "--format", "json")
@@ -247,16 +278,16 @@ def test_verify_reports_covered_range(capsys):
     data = json.loads(out)
     assert data["max_n"] == 12
     assert data["covered_max_n"] == {
-        "lemma-arrangement": 12, "lemma-toric": 8, "degeneration": 8}
+        "lemma-arrangement": 12, "lemma-toric": 12, "degeneration": 12}
     names = [row["name"] for row in data["checks"]]
-    assert "partition n=8" in names and "partition n=9" not in names
+    assert "partition n=12" in names and "partition n=13" not in names
 
     _, out, _ = run_cli(capsys, "verify", "--max-n", "3", "--format", "json")
     assert json.loads(out)["covered_max_n"] == {
         "lemma-arrangement": 3, "lemma-toric": 3, "degeneration": 3}
 
-    _, out, _ = run_cli(capsys, "verify", "--scope", "lemma-toric", "--max-n", "12")
-    assert out.splitlines()[1] == "covered: lemma-toric n<=8"
+    _, out, _ = run_cli(capsys, "verify", "--scope", "lemma-toric", "--max-n", "20")
+    assert out.splitlines()[1] == "covered: lemma-toric n<=16"
 
 
 def test_verify_oversized_max_n_fails_fast(capsys):
@@ -266,7 +297,7 @@ def test_verify_oversized_max_n_fails_fast(capsys):
     assert time.perf_counter() - start < 2.0
     assert code == EXIT_OK
     assert json.loads(out)["covered_max_n"] == {
-        "lemma-arrangement": 16, "lemma-toric": 8, "degeneration": 8}
+        "lemma-arrangement": 16, "lemma-toric": 16, "degeneration": 16}
 
 
 def test_verify_arrangement_suite_is_clamped(capsys):

@@ -155,9 +155,9 @@ def test_unimodular_check_names_its_witness(monkeypatch):
     assert checks["cones unimodular"].detail == (
         f"{model_cone(3)!r} is not unimodular: invariant factors [1, 1, 1, 1] for 6 rays")
     assert checks["semistable fiber"].detail == "reduced=True, smooth=False"
-    assert not checks["resolved fiber class"].passed
-    assert checks["resolved fiber class"].detail == (
-        "no orbit count: the cones are not unimodular")
+    for name in ("resolved fiber class", "mod-L invariance"):
+        assert not checks[name].passed, name
+        assert checks[name].detail == "no orbit count: the cones are not unimodular"
 
 
 def test_semistable_check_names_its_witness(monkeypatch):

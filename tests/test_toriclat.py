@@ -7,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import src_env
 from oracles import (
@@ -46,9 +48,11 @@ from sncdegen.toriclat import (
 )
 from sncdegen.toriclat import (
     MAX_SWEEP_POINTS,
+    _common_face,
     _face_of,
     _generic_point,
     _partition_failure,
+    _separated_face,
     _sweep_box,
     _sweep_uncovered,
     _unmatched_wall,
@@ -313,8 +317,66 @@ def test_sigma_subcone_validation():
 def test_fan_rejects_non_face_intersection():
     a = Cone([(1, 0), (1, 1)])
     b = Cone([(2, 1), (0, 1)])
+    assert not _separated_face(a, b) and not _separated_face(b, a)
+    assert not _common_face(a, b)
     with pytest.raises(ValueError):
         Fan([a, b])
+
+
+@pytest.mark.parametrize("a, b", [
+    # they meet in cone(s1, s3), a diagonal of a's square facet x4 >= 0,
+    # which that facet separates from b's other rays: the face test decides
+    (Cone([(1, 0, 1, 0), (0, 1, 1, 0), (-1, 0, 1, 0), (0, -1, 1, 0), (0, 0, 1, 1)]),
+     Cone([(1, 0, 1, 0), (-1, 0, 1, 0), (0, 0, 1, -1), (0, 1, 1, -1)])),
+    # they meet in the ray (1, 1, 0) inside the orthant's facet z >= 0,
+    # on which it pairs 0, not < 0: the strict pairing decides
+    (Cone([(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+     Cone([(1, 1, 0), (1, 0, -1), (0, 1, -1)])),
+], ids=["diagonal-of-a-facet", "ray-inside-a-facet"])
+def test_separated_face_refuses_a_facet_that_meets_more_than_a_face(a, b):
+    assert not _separated_face(a, b) and not _separated_face(b, a)
+    assert not _common_face(a, b)
+    with pytest.raises(ValueError):
+        Fan([a, b])
+
+
+def test_separated_face_holds_on_every_slab_pair():
+    for n in range(1, 11):
+        for i, j in itertools.combinations(range(1, n + 1), 2):
+            a, b = sigma_subcone(n, i), sigma_subcone(n, j)
+            assert _separated_face(a, b) and _separated_face(b, a), (n, i, j)
+            assert _common_face(a, b), (n, i, j)
+
+
+def test_slab_fan_axiom_runs_no_double_description(monkeypatch):
+    calls = []
+    common_face = toriclat._common_face
+    monkeypatch.setattr(toriclat, "_common_face",
+                        lambda a, b: calls.append((a, b)) or common_face(a, b))
+    Fan([sigma_subcone(12, k) for k in range(1, 13)])
+    assert calls == []
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32), st.integers(1, 4))
+def test_separated_face_implies_common_face(seed, rank):
+    # sufficient, never wrong: a random pair passes the fast test only if
+    # the double description finds a common face too
+    rng = random.Random(seed)
+    a, b = (random_unimodular_cone(rng, rank=rank) for _ in range(2))
+    if _separated_face(a, b):
+        assert _common_face(a, b)
+
+
+def test_random_pairs_exercise_both_fan_axiom_outcomes():
+    # the property above is not vacuous: random pairs of each rank pass the
+    # fast test, and others fail the complete one
+    rng = random.Random(11)
+    for rank in (2, 3, 4):
+        pairs = [[random_unimodular_cone(rng, rank=rank) for _ in range(2)]
+                 for _ in range(100)]
+        assert any(_separated_face(a, b) for a, b in pairs), rank
+        assert not all(_common_face(a, b) for a, b in pairs), rank
 
 
 def test_fan_rejects_mixed_rank():
