@@ -11,6 +11,11 @@ the inverse of a square matrix (the simplicial start of `extreme_rays`)
 are all read off its output.  The Smith normal form in
 `invariant_factors` is a different algorithm (it works over Z, not Q) and
 keeps its own loop.
+
+`extreme_rays` returns each ray with its zero set over the input rows, a
+bitmask kept alongside the rays through the double description, so a
+caller (`toriclat.Cone`) reads the ray-row incidence without pairing
+them again.
 """
 
 from __future__ import annotations
@@ -148,22 +153,23 @@ def invariant_factors(rows: Iterable[Sequence[int]]) -> list[int]:
     return factors
 
 
-def extreme_rays(ineqs: Sequence[Sequence[int]], rank: int) -> list[Vec]:
-    """Extreme rays of the cone {x : <a, x> >= 0 for all a in ineqs}.
+def extreme_rays(ineqs: Sequence[Sequence[int]], rank: int) -> list[tuple[Vec, int]]:
+    """Extreme rays of the cone {x : <a, x> >= 0 for all a in ineqs}, each
+    with its zero set: bit i of the mask is set iff the ray pairs to 0 with
+    ineqs[i], counted by position (a repeated or rescaled row has a bit of
+    its own).  Sorted by ray.
 
     Incremental double description: start from a simplicial subsystem of
     full rank, then insert the remaining inequalities one at a time, keeping
-    only extreme rays via the combinatorial adjacency test on active sets.
+    only extreme rays via the combinatorial adjacency test on zero sets.
     The system must be pointed (the inequality rows span rank `rank`);
     otherwise a ValueError is raised.
     """
-    rows: list[Vec] = []
-    seen = set()
-    for a in ineqs:
+    bits: dict[Vec, int] = {}  # primitive row -> the input positions it stands for
+    for i, a in enumerate(ineqs):
         p = primitive(a)
-        if p not in seen:
-            seen.add(p)
-            rows.append(p)
+        bits[p] = bits.get(p, 0) | 1 << i
+    rows = list(bits)
     # The pivot columns of the transpose are the first rows, in order,
     # that are independent of the rows before them.
     base = rref(zip(*rows))[1]
@@ -177,51 +183,35 @@ def extreme_rays(ineqs: Sequence[Sequence[int]], rank: int) -> list[Vec]:
     scale = math.lcm(*(row[i] for i, row in enumerate(reduced)))
     rays = [primitive([row[rank + j] * (scale // row[i]) for i, row in enumerate(reduced)])
             for j in range(rank)]
-    # evals[k][i] = pairing of ray k with the i-th processed row
-    processed = list(base)
-    evals = [[dot(rows[i], r) for i in processed] for r in rays]
+    on_base = sum(bits[rows[i]] for i in base)  # distinct rows have disjoint bits
+    masks = [on_base & ~bits[rows[i]] for i in base]
 
-    for idx in (i for i in range(len(rows)) if i not in set(base)):
+    for idx in sorted(set(range(len(rows))) - set(base)):
         a = rows[idx]
+        bit = bits[a]
         s = [dot(a, r) for r in rays]
+        masks = [m | bit if x == 0 else m for m, x in zip(masks, s)]
         if all(x >= 0 for x in s):
-            processed.append(idx)
-            for k, r in enumerate(rays):
-                evals[k].append(s[k])
             continue
-        zero_masks = []
-        for ev in evals:
-            mask = 0
-            for i, x in enumerate(ev):
-                if x == 0:
-                    mask |= 1 << i
-            zero_masks.append(mask)
 
         def adjacent(p: int, q: int) -> bool:
-            common = zero_masks[p] & zero_masks[q]
-            return not any(k != p and k != q and common & zero_masks[k] == common
-                           for k in range(len(rays)))
+            common = masks[p] & masks[q]
+            return not any(k != p and k != q and common & m == common
+                           for k, m in enumerate(masks))
 
         pos = [k for k, x in enumerate(s) if x > 0]
         neg = [k for k, x in enumerate(s) if x < 0]
-        new_rays: list[Vec] = []
-        new_evals: list[list[int]] = []
-        for k, x in enumerate(s):
-            if x >= 0:
-                new_rays.append(rays[k])
-                new_evals.append(evals[k] + [x])
+        new_rays = [r for r, x in zip(rays, s) if x >= 0]
+        new_masks = [m for m, x in zip(masks, s) if x >= 0]
         for p in pos:
             for q in neg:
                 if not adjacent(p, q):
                     continue
                 raw = vadd(vscale(-s[q], rays[p]), vscale(s[p], rays[q]))
                 g = math.gcd(*(abs(c) for c in raw))
-                ray = tuple(c // g for c in raw)
-                ev = [(-s[q] * x + s[p] * y) // g for x, y in zip(evals[p], evals[q])]
-                new_rays.append(ray)
-                new_evals.append(ev + [0])
-        processed.append(idx)
-        rays, evals = new_rays, new_evals
+                new_rays.append(tuple(c // g for c in raw))
+                new_masks.append(masks[p] & masks[q] | bit)
+        rays, masks = new_rays, new_masks
         if not rays:
             break
-    return sorted(set(rays))
+    return sorted(dict(zip(rays, masks)).items())

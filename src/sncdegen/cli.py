@@ -125,9 +125,11 @@ def _emit(payload, fmt: str, text_lines: Sequence[str]) -> None:
 #: `class --r 26 --n 10000` takes about 7 s and 47 MB.
 CLASS_MAX_N = 10**4
 
-#: Largest n of `resolve` and of `dual`: resource limits.  `resolve --n 42`
-#: takes about 1.3 s, mostly building the slab cones (the fan axiom reads
-#: one separating facet per pair of slabs); `dual --n 192` about 10 s.
+#: Largest n of `resolve` and of `dual`: resource limits.  Cold, on 2 shared
+#: vCPUs, `resolve --n 42` takes 0.6-0.9 s, split between the slab cones
+#: (simplicial, so their double descriptions stop at the start), their
+#: Smith forms and the fan axiom's separating facets; `dual --n 192` takes
+#: 1.3-1.6 s, mostly pairing inserted rows in the double description.
 RESOLVE_MAX_N = 42
 DUAL_MAX_N = 192
 
@@ -227,7 +229,7 @@ def cmd_resolve(n: int, fmt: str) -> int:
 
 
 #: Largest n of the toric and degeneration suites, whatever --max-n asks:
-#: `verify --scope all --max-n 16` takes about 0.8 s.
+#: `verify --scope all --max-n 16` takes 0.7-1.0 s cold.
 TORIC_MAX_N = 16
 
 #: Largest n of the arrangement suite, whatever --max-n asks: it runs

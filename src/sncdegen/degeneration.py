@@ -191,8 +191,8 @@ def affine_coordinate_arrangement_class(k: int) -> GrothClass:
 
 
 #: Deepest stratum k whose toric certificate `full_degeneration_report`
-#: builds (one slab fan of rank k+1 per stratum): a time budget of about
-#: 1.4 s for the whole report at k = 24, not a bound of the mathematics.
+#: builds (one slab fan of rank k+1 per stratum): a time budget of 1.1-1.3 s
+#: cold for the whole report at k = 24, not a bound of the mathematics.
 MAX_CERTIFIED_STRATUM = 24
 
 

@@ -88,7 +88,8 @@ class Cone:
     Construction canonicalizes: generators are made primitive, duplicates
     and non-extreme generators are dropped, and the result is sorted.  The
     primitive, irredundant facet normals come from one double description,
-    and the cone keeps which facets pass through each ray.  A face is
+    and the cone keeps which facets pass through each ray, read off the
+    zero sets that the double description returns.  A face is
     generated by the generators it contains, so a generator is extreme iff
     no other lies on all the facets through it.
 
@@ -106,11 +107,14 @@ class Cone:
         if any(len(r) != rank for r in ray_list):
             raise ValueError("all generators must have the same length")
         prim = sorted({primitive(r) for r in ray_list})
-        facets = extreme_rays(prim, rank)  # raises unless the generators span
+        found = extreme_rays(prim, rank)  # raises unless the generators span
+        facets = [a for a, _ in found]
         if mat_rank(facets) < rank:
             raise ValueError("cone is not strongly convex (contains a line)")
-        # bit j of on[i] is set iff generator i lies on facet j
-        on = [sum(1 << j for j, a in enumerate(facets) if dot(a, r) == 0) for r in prim]
+        # bit j of on[i] is set iff generator i lies on facet j: bit i of
+        # facet j's zero set, transposed
+        on = [sum(1 << j for j, (_, zeros) in enumerate(found) if zeros >> i & 1)
+              for i in range(len(prim))]
         keep = [i for i, m in enumerate(on)
                 if all(m & other != m for k, other in enumerate(on) if k != i)]
         self._rank = rank
@@ -282,7 +286,7 @@ def _separated_face(a: Cone, b: Cone) -> bool:
 def _common_face(a: Cone, b: Cone) -> bool:
     """The complete test: the extreme rays of a ∩ b, from one double
     description on the facets of both, span a face of each."""
-    meet = extreme_rays(list(a.inequalities) + list(b.inequalities), a.rank)
+    meet = [r for r, _ in extreme_rays(a.inequalities + b.inequalities, a.rank)]
     return _face_of(a, meet) and _face_of(b, meet)
 
 

@@ -1,7 +1,8 @@
 """Property tests for the fraction-free elimination in `_intmat.rref` and
 the routines that read their answers off it.  Every expected value comes
 from a route that shares no code with `rref`: Smith normal form
-(`invariant_factors`) or direct pairings."""
+(`invariant_factors`), direct pairings or kernel enumeration
+(`extreme_rays_brute`)."""
 
 import math
 import random
@@ -12,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import src_env
-from oracles import random_unimodular_matrix
+from oracles import extreme_rays_brute, random_unimodular_matrix
 from sncdegen._intmat import dot, extreme_rays, invariant_factors, mat_rank, rref
 
 ENTRIES = st.integers(-5, 5)
@@ -78,7 +79,7 @@ def assert_rays_invert(base, rays):
 @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
 def test_rays_of_a_unimodular_simplicial_cone(m, seed):
     base = random_unimodular_matrix(random.Random(seed), m)
-    assert_rays_invert(base, extreme_rays(base, m))
+    assert_rays_invert(base, [r for r, _ in extreme_rays(base, m)])
 
 
 @PROPERTY
@@ -86,7 +87,33 @@ def test_rays_of_a_unimodular_simplicial_cone(m, seed):
     st.lists(ENTRIES, min_size=m, max_size=m), min_size=m, max_size=m)))
 def test_rays_of_a_simplicial_cone(base):
     assume(independent(base))
-    assert_rays_invert(base, extreme_rays(base, len(base)))
+    assert_rays_invert(base, [r for r, _ in extreme_rays(base, len(base))])
+
+
+@st.composite
+def pointed_systems(draw, max_rank=4, max_extra=4):
+    """(rows, rank): up to rank + 4 nonzero rows of rank up to 4, spanning
+    it; rows repeated or positively rescaled now and then, so that one
+    primitive inequality often stands at several positions."""
+    rank = draw(st.integers(1, max_rank))
+    nrows = rank + draw(st.integers(0, max_extra))
+    rows = [draw(st.lists(ENTRIES, min_size=rank, max_size=rank)) for _ in range(nrows)]
+    for i in range(1, nrows):
+        if draw(st.integers(0, 3)) == 0:
+            c = draw(st.integers(1, 3))
+            rows[i] = [c * a for a in rows[draw(st.integers(0, i - 1))]]
+    assume(all(any(row) for row in rows) and len(invariant_factors(rows)) == rank)
+    return rows, rank
+
+
+@PROPERTY
+@given(pointed_systems())
+def test_zero_sets_are_the_positions_pairing_to_zero(system):
+    rows, rank = system
+    found = extreme_rays(rows, rank)
+    assert [r for r, _ in found] == extreme_rays_brute(rows, rank)
+    for ray, zeros in found:
+        assert zeros == sum(1 << i for i, row in enumerate(rows) if dot(row, ray) == 0), ray
 
 
 def test_package_import_loads_no_fractions():

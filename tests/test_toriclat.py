@@ -23,7 +23,7 @@ from oracles import (
     slab_orbit_class_closed_form,
 )
 from oracles import _rank as oracle_rank
-from sncdegen import toriclat
+from sncdegen import _intmat, toriclat
 from sncdegen._intmat import dot
 from sncdegen.grothring import GrothClass, L, reduce_mod_L
 from sncdegen.toriclat import (
@@ -147,6 +147,34 @@ def test_cone_drops_a_generator_inside_an_edge_of_four_facets():
     assert sum(dot(a, midpoint) == 0 for a in c.inequalities) == 4
     assert sorted(c.rays) == sorted(rays)
     assert list(c.inequalities) == extreme_rays_brute(rays, 5)
+
+
+def incidence_by_pairings(c):
+    return tuple(sum(1 << j for j, a in enumerate(c.inequalities) if dot(a, r) == 0)
+                 for r in c.rays)
+
+
+def test_stored_incidence_matches_the_pairings():
+    # model cones and their duals are not simplicial, so their double
+    # descriptions insert rows past the simplicial start
+    rng = random.Random(23)
+    cones = [random_unimodular_cone(rng, max_rank=5) for _ in range(30)]
+    cones += [Cone(redundant_generators(rng, rank, count)) for rank, count in [(3, 6), (4, 7)]]
+    for n in range(1, 9):
+        cones += [model_cone(n), dual_cone(model_cone(n))]
+    for c in cones:
+        assert c._incidence == incidence_by_pairings(c), c
+
+
+def test_simplicial_cone_builds_with_no_pairing(monkeypatch):
+    # a slab's double description stops at the simplicial start, whose
+    # zero sets hold by construction, and Cone reads its incidence off them
+    slab = sigma_subcone(6, 3)
+    expected = incidence_by_pairings(slab)
+    monkeypatch.setattr(_intmat, "dot", None)  # any dot product would raise
+    monkeypatch.setattr(toriclat, "dot", None)
+    c = Cone(slab.rays)
+    assert c.inequalities == slab.inequalities and c._incidence == expected
 
 
 def test_cone_value_semantics():
