@@ -10,7 +10,8 @@ vectors.  Rank (`mat_rank`), the greedy choice of independent rows and
 the inverse of a square matrix (the simplicial start of `extreme_rays`)
 are all read off its output.  The Smith normal form in
 `invariant_factors` is a different algorithm (it works over Z, not Q) and
-keeps its own loop.
+keeps its own loop; it names the invariant factors of a cone that is not
+unimodular, while `toriclat.is_smooth` decides unimodularity without it.
 
 `extreme_rays` returns each ray with its zero set over the input rows, a
 bitmask kept alongside the rays through the double description, so a
@@ -21,6 +22,7 @@ them again.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, Sequence
 
 Vec = tuple[int, ...]
@@ -29,7 +31,7 @@ Vec = tuple[int, ...]
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
     if len(u) != len(v):
         raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(operator.mul, u, v))
 
 
 def vadd(u: Sequence[int], v: Sequence[int]) -> Vec:
@@ -48,15 +50,15 @@ def unit(rank: int, i: int) -> Vec:
     """Standard basis vector with a 1 in position i (0-based)."""
     if not 0 <= i < rank:
         raise ValueError(f"index {i} out of range for rank {rank}")
-    return tuple(1 if j == i else 0 for j in range(rank))
+    return (0,) * i + (1,) + (0,) * (rank - i - 1)
 
 
 def primitive(v: Sequence[int]) -> Vec:
     """Divide a nonzero integer vector by the gcd of its entries."""
-    g = math.gcd(*(abs(a) for a in v)) if v else 0
+    g = math.gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
-    return tuple(a // g for a in v)
+    return tuple(v) if g == 1 else tuple(a // g for a in v)
 
 
 def rref(rows: Iterable[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
@@ -208,7 +210,7 @@ def extreme_rays(ineqs: Sequence[Sequence[int]], rank: int) -> list[tuple[Vec, i
                 if not adjacent(p, q):
                     continue
                 raw = vadd(vscale(-s[q], rays[p]), vscale(s[p], rays[q]))
-                g = math.gcd(*(abs(c) for c in raw))
+                g = math.gcd(*raw)
                 new_rays.append(tuple(c // g for c in raw))
                 new_masks.append(masks[p] & masks[q] | bit)
         rays, masks = new_rays, new_masks

@@ -126,10 +126,10 @@ def _emit(payload, fmt: str, text_lines: Sequence[str]) -> None:
 CLASS_MAX_N = 10**4
 
 #: Largest n of `resolve` and of `dual`: resource limits.  Cold, on 2 shared
-#: vCPUs, `resolve --n 42` takes 0.6-0.9 s, split between the slab cones
-#: (simplicial, so their double descriptions stop at the start), their
-#: Smith forms and the fan axiom's separating facets; `dual --n 192` takes
-#: 1.3-1.6 s, mostly pairing inserted rows in the double description.
+#: vCPUs, `resolve --n 42` takes 0.4-0.5 s, split between the slab cones
+#: (simplicial, so their double descriptions stop at the start) and the
+#: fan axiom's separating facets; `dual --n 192` takes 1.1-1.2 s, mostly
+#: pairing inserted rows in the double description.
 RESOLVE_MAX_N = 42
 DUAL_MAX_N = 192
 

@@ -12,11 +12,12 @@ the hypersurface t*y = z_1...z_n, and subdividing sigma into the slabs
 resolves it with a reduced simple normal crossing central fiber.  This
 module provides the cones, fans and chart presentations for that story,
 plus exact certification routines: cone duality by the double description
-method, unimodularity by Smith normal form, a whole-cone partition
-certificate (wall matching plus one generic point, with an opt-in bounded
-lattice sweep as a cross-check), semistability of the fiber direction, and
-orbit-cone class counting in Z[L].  Everything is integer-exact and pure
-Python.
+method, unimodularity from the pairing of each ray with the one facet not
+through it (read off the stored ray-facet incidence, no Smith normal
+form), a whole-cone partition certificate (wall matching plus one generic
+point, with an opt-in bounded lattice sweep as a cross-check),
+semistability of the fiber direction, and orbit-cone class counting in
+Z[L].  Everything is integer-exact and pure Python.
 
 Orbit counting needs only the f-vector of a smooth fan (cones by number
 of rays).  When the maximal cones form a chain, as the slabs do, it is a
@@ -39,7 +40,6 @@ from ._intmat import (
     Vec,
     dot,
     extreme_rays,
-    invariant_factors,
     mat_rank,
     primitive,
     unit,
@@ -77,7 +77,7 @@ def unit_vector(rank: int, i: int) -> Vec:
 
 
 def _as_vec(v: Sequence[int]) -> Vec:
-    return tuple(operator.index(c) for c in v)
+    return tuple(map(operator.index, v))
 
 
 class Cone:
@@ -89,9 +89,10 @@ class Cone:
     and non-extreme generators are dropped, and the result is sorted.  The
     primitive, irredundant facet normals come from one double description,
     and the cone keeps which facets pass through each ray, read off the
-    zero sets that the double description returns.  A face is
-    generated by the generators it contains, so a generator is extreme iff
-    no other lies on all the facets through it.
+    zero sets that the double description returns: `_incidence` maps each
+    ray, in order, to that bitmask.  A face is generated by the generators
+    it contains, so a generator is extreme iff no other lies on all the
+    facets through it.
 
     Instances are value objects: equality and hashing go through the
     canonical (rank, rays) pair, and all derived data is cached.
@@ -118,9 +119,9 @@ class Cone:
         keep = [i for i, m in enumerate(on)
                 if all(m & other != m for k, other in enumerate(on) if k != i)]
         self._rank = rank
-        self._rays = tuple(prim[i] for i in keep)
+        self._incidence = {prim[i]: on[i] for i in keep}
+        self._rays = tuple(self._incidence)
         self._inequalities = tuple(facets)
-        self._incidence = tuple(on[i] for i in keep)
         self._dual = None
         self._smooth = None
 
@@ -169,13 +170,22 @@ def dual_cone(c: Cone) -> Cone:
 
 
 def is_smooth(c: Cone) -> bool:
-    """True iff the generators extend to a Z-basis of the ambient lattice:
-    the Smith normal form of the generator matrix has all invariant
-    factors equal to 1, with one factor per generator.
+    """True iff the generators form a Z-basis of the ambient lattice: the
+    cone is simplicial and each ray pairs to exactly 1 with the one facet
+    not through it, read off the stored incidence.
+
+    For the rays B (as rows) and the primitive facet normals U opposite
+    them (as columns), B·U = diag(<r_j, u_j>), so all pairings are 1 iff
+    det B = ±1: if they are, det B · det U = 1; if det B = ±1, the columns
+    of B^-1 are integral, pair to 1 with their rays and are primitive, so
+    they are the u_j.  One pairing per ray, no Smith normal form.
     """
     if c._smooth is None:
-        factors = invariant_factors(c.rays)
-        c._smooth = len(factors) == len(c.rays) and all(f == 1 for f in factors)
+        # a simplicial ray misses exactly one facet: the bit absent from its mask
+        full = (1 << len(c.inequalities)) - 1
+        c._smooth = len(c.rays) == c.rank and all(
+            dot(c.inequalities[(full & ~m).bit_length() - 1], r) == 1
+            for r, m in c._incidence.items())
     return c._smooth
 
 
@@ -263,7 +273,7 @@ class Fan:
 def _face_of(cone: Cone, face_rays: Sequence[Vec]) -> bool:
     """Is the cone spanned by face_rays a face of `cone`, i.e. are they all
     the rays of `cone` on every facet that contains them?"""
-    on = dict(zip(cone.rays, cone._incidence))
+    on = cone._incidence
     common = functools.reduce(operator.and_, (on.get(r, 0) for r in face_rays), -1)
     return {r for r, m in on.items() if m & common == common} == set(face_rays)
 
@@ -274,7 +284,7 @@ def _separated_face(a: Cone, b: Cone) -> bool:
     of a contains S and pairs < 0 with every other ray of b, then u >= 0 on
     a and u <= 0 on b, so a ∩ b = b ∩ u⊥ = cone(S): a face of b, and a
     face of a when `_face_of` says so."""
-    on = dict(zip(a.rays, a._incidence))
+    on = a._incidence
     shared = [r for r in b.rays if r in on]
     rest = [r for r in b.rays if r not in on]
     through = functools.reduce(operator.and_, (on[r] for r in shared), -1)
@@ -437,7 +447,7 @@ def _unmatched_wall(f: Fan, parent: Cone) -> Optional[str]:
     """The first facet of a maximal cone that lies inside the parent but is
     not the facet of exactly one maximal cone on its other side."""
     boundary = set(parent.inequalities)
-    walls = [(tuple(r for r, m in zip(c.rays, c._incidence) if m >> j & 1), a)
+    walls = [(tuple(r for r, m in c._incidence.items() if m >> j & 1), a)
              for c in f for j, a in enumerate(c.inequalities) if a not in boundary]
     seen = Counter(walls)
     for rays, a in walls:

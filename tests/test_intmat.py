@@ -9,12 +9,14 @@ import random
 import subprocess
 import sys
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import src_env
 from oracles import extreme_rays_brute, random_unimodular_matrix
-from sncdegen._intmat import dot, extreme_rays, invariant_factors, mat_rank, rref
+from sncdegen._intmat import (
+    dot, extreme_rays, invariant_factors, mat_rank, primitive, rref)
 
 ENTRIES = st.integers(-5, 5)
 # Fixed examples, so a run is repeatable.
@@ -114,6 +116,33 @@ def test_zero_sets_are_the_positions_pairing_to_zero(system):
     assert [r for r, _ in found] == extreme_rays_brute(rows, rank)
     for ray, zeros in found:
         assert zeros == sum(1 << i for i, row in enumerate(rows) if dot(row, ray) == 0), ray
+
+
+def test_dot_refuses_a_length_mismatch():
+    # map, like zip, would stop silently at the shorter vector
+    for u, v in [((1, 2, 3), (1, 2)), ((), (1,)), ((4,), ())]:
+        with pytest.raises(ValueError, match="length mismatch"):
+            dot(u, v)
+    assert dot((), ()) == 0 and dot((2, -3), (5, 7)) == -11
+
+
+@PROPERTY
+@given(st.lists(ENTRIES, min_size=1, max_size=8).filter(any), st.integers(1, 6))
+def test_primitive_divides_out_the_content(v, c):
+    scaled = [c * a for a in v]
+    p = primitive(scaled)
+    assert math.gcd(*p) == 1 and p == primitive(v)
+    k = next(a // b for a, b in zip(scaled, p) if b)
+    assert k > 0 and [k * b for b in p] == scaled
+
+
+def test_primitive_keeps_signs_and_refuses_zero():
+    assert primitive((-4, 6, 0)) == (-2, 3, 0)
+    assert primitive([-3]) == (-1,)
+    assert primitive((0, -5, 10)) == (0, -1, 2)
+    for v in [(0, 0, 0), (0,), (), []]:
+        with pytest.raises(ValueError):
+            primitive(v)
 
 
 def test_package_import_loads_no_fractions():

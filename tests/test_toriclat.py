@@ -1,7 +1,9 @@
 """Unit tests for the cone/fan machinery and the toric resolution."""
 
+import functools
 import itertools
 import json
+import math
 import random
 import subprocess
 import sys
@@ -24,7 +26,7 @@ from oracles import (
 )
 from oracles import _rank as oracle_rank
 from sncdegen import _intmat, toriclat
-from sncdegen._intmat import dot
+from sncdegen._intmat import dot, invariant_factors, vadd, vscale
 from sncdegen.grothring import GrothClass, L, reduce_mod_L
 from sncdegen.toriclat import (
     ChartPresentation,
@@ -163,7 +165,7 @@ def test_stored_incidence_matches_the_pairings():
     for n in range(1, 9):
         cones += [model_cone(n), dual_cone(model_cone(n))]
     for c in cones:
-        assert c._incidence == incidence_by_pairings(c), c
+        assert list(c._incidence.items()) == list(zip(c.rays, incidence_by_pairings(c))), c
 
 
 def test_simplicial_cone_builds_with_no_pairing(monkeypatch):
@@ -174,7 +176,8 @@ def test_simplicial_cone_builds_with_no_pairing(monkeypatch):
     monkeypatch.setattr(_intmat, "dot", None)  # any dot product would raise
     monkeypatch.setattr(toriclat, "dot", None)
     c = Cone(slab.rays)
-    assert c.inequalities == slab.inequalities and c._incidence == expected
+    assert (c.inequalities == slab.inequalities
+            and list(c._incidence.items()) == list(zip(slab.rays, expected)))
 
 
 def test_cone_value_semantics():
@@ -303,6 +306,44 @@ def test_is_smooth_examples():
     assert is_smooth(orthant(4))
 
 
+def smith_smooth(c):
+    """The Smith-form criterion: one invariant factor per ray, all 1."""
+    factors = invariant_factors(c.rays)
+    return len(factors) == len(c.rays) and all(f == 1 for f in factors)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32), st.integers(1, 6), st.sampled_from([2, 3]))
+def test_is_smooth_agrees_with_the_smith_form(seed, rank, index):
+    rng = random.Random(seed)
+    smooth = random_unimodular_cone(rng, rank=rank)
+    assert is_smooth(smooth) and smith_smooth(smooth)
+    if rank == 1:
+        return  # the only primitive rays are ±1
+    # move the first ray to index * r_0 + sum_j c_j r_j: still primitive,
+    # since gcd(index, c) = 1, and the ray matrix now has |det| = index
+    first, *rest = smooth.rays
+    coeffs = [rng.randint(-2, 2) for _ in rest]
+    if math.gcd(index, *coeffs) != 1:
+        coeffs[0] = 1
+    moved_ray = functools.reduce(vadd, (vscale(c, r) for c, r in zip(coeffs, rest)),
+                                 vscale(index, first))
+    moved = Cone([moved_ray, *rest])
+    assert len(moved.rays) == rank and math.prod(invariant_factors(moved.rays)) == index
+    assert not is_smooth(moved) and not smith_smooth(moved)
+
+
+def test_is_smooth_agrees_with_the_smith_form_on_non_simplicial_cones():
+    rng = random.Random(3)
+    cones = [model_cone(n) for n in range(1, 7)]
+    cones += [dual_cone(model_cone(n)) for n in range(2, 7)]
+    cones += [Cone(redundant_generators(rng, rank, count))
+              for rank, count in [(2, 4), (3, 5), (3, 6), (4, 6)] for _ in range(5)]
+    for c in cones:
+        assert is_smooth(c) == smith_smooth(c), c
+    assert not any(is_smooth(model_cone(n)) for n in range(2, 7))
+
+
 # -- the model cone and its subdivision ---------------------------------
 
 
@@ -383,6 +424,27 @@ def test_slab_fan_axiom_runs_no_double_description(monkeypatch):
                         lambda a, b: calls.append((a, b)) or common_face(a, b))
     Fan([sigma_subcone(12, k) for k in range(1, 13)])
     assert calls == []
+
+
+def test_slab_fan_checks_run_no_smith_form(monkeypatch):
+    # unimodularity is read off the stored incidence; the Smith form is
+    # left to the failure witness and the tests' oracle
+    smith = _intmat.invariant_factors
+
+    def refuse(rows):
+        raise AssertionError("Smith normal form computed")
+
+    for name, module in list(sys.modules.items()):
+        if name == "sncdegen" or name.startswith("sncdegen."):
+            for key, value in list(vars(module).items()):
+                if value is smith:
+                    monkeypatch.setattr(module, key, refuse)
+    for n in range(1, 13):
+        # fresh cones, whose smoothness no earlier test has cached
+        fan = Fan([Cone(c.rays) for c in resolution_fan.__wrapped__(n)])
+        direction = unit_vector(n + 1, n)
+        assert semistable_fiber_check(fan, direction).snc, n
+        assert fiber_class(fan, direction) == slab_orbit_class_closed_form(n, fiber=True), n
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
