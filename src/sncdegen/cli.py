@@ -6,8 +6,8 @@ Subcommands:
   P(r, n) with an agreement verdict and the residue modulo L.
 * ``dual``     — generators of the dual of the model cone, with the
   duality-involution and canonical-generator checks.
-* ``resolve``  — the subdivision fan, the blow-up charts, and the
-  semistability verdict for the model t*y = z_1*...*z_n.
+* ``resolve``  — the subdivision fan and blow-up charts of t*y = z_1*...*z_n,
+  with the certificate rows that `report` and `verify` print for it.
 * ``verify``   — invariant suites (scopes: lemma-arrangement, lemma-toric,
   degeneration, all) as a pass/fail table.
 * ``report``   — the end-to-end degeneration certificate for (n, d).
@@ -50,10 +50,7 @@ from .toriclat import (
     dual_cone,
     dual_generators,
     model_cone,
-    resolution_fan,
-    semistable_fiber_check,
     sigma_subcone,
-    unit_vector,
 )
 
 EXIT_OK = 0
@@ -126,10 +123,10 @@ def _emit(payload, fmt: str, text_lines: Sequence[str]) -> None:
 CLASS_MAX_N = 10**4
 
 #: Largest n of `resolve` and of `dual`: resource limits.  Cold, on 2 shared
-#: vCPUs, `resolve --n 42` takes 0.4-0.5 s, split between the slab cones
-#: (simplicial, so their double descriptions stop at the start) and the
-#: fan axiom's separating facets; `dual --n 192` takes 1.1-1.2 s, mostly
-#: pairing inserted rows in the double description.
+#: vCPUs, `resolve --n 42` takes 0.33-0.43 s: the slab cones, the fan
+#: axiom's separating facets, and 0.04 s for the certificate rows;
+#: `dual --n 192` takes 1.1-1.2 s, mostly pairing inserted rows in the
+#: double description.
 RESOLVE_MAX_N = 42
 DUAL_MAX_N = 192
 
@@ -201,28 +198,27 @@ def cmd_resolve(n: int, fmt: str) -> int:
     if n < 1:
         raise _UsageError(f"need n >= 1, got n={n}")
     _refuse_over_cap("resolve", n, RESOLVE_MAX_N)
-    fan = resolution_fan(n)
+    certificate = _certified_local_core(n)
     charts = blowup_chart_sequence(n) if n >= 2 else []
-    check = semistable_fiber_check(fan, unit_vector(n + 1, n))
     payload = {
         "n": n,
-        "fan": fan.to_json_dict(),
+        "fan": certificate.fan.to_json_dict(),
         "charts": [c.to_json_dict() for c in charts],
-        "semistable": check.to_json_dict(),
+        "semistable": certificate.fiber.to_json_dict(),
+        "checks": [row.to_json_dict() for row in certificate.rows],
     }
     product = "*".join(f"z{i}" for i in range(1, n + 1)) if n <= 3 else f"z1*...*z{n}"
-    lines = [f"resolution of t*y = {product} (fan of {len(fan)} maximal cones, "
-             f"rank {fan.rank})"]
-    for k, cone in enumerate(fan, start=1):
+    lines = [f"resolution of t*y = {product} (fan of {len(certificate.fan)} maximal cones, "
+             f"rank {certificate.fan.rank})"]
+    for k, cone in enumerate(certificate.fan, start=1):
         lines.append(f"  sigma_{k}: rays {[list(r) for r in cone.rays]}")
     for k, chart in enumerate(charts, start=1):
         coords = ", ".join(f"{c.name}={list(c.monomial)}" for c in chart.coordinates)
         lines.append(f"  chart U_{k}: {coords}")
         lines.append(f"    relation: {chart.render_relation()}")
-    lines.append(f"  fiber check: reduced={check.reduced}, smooth={check.smooth}, "
-                 f"snc={check.snc}")
+    lines += render_checks(certificate.rows)
     _emit(payload, fmt, lines)
-    return EXIT_OK if check.snc else EXIT_FAILED
+    return EXIT_OK if all(row.passed for row in certificate.rows) else EXIT_FAILED
 
 
 # -- verify suites ------------------------------------------------------
@@ -297,12 +293,8 @@ def _rows_toric(max_n: int) -> tuple[int, list[CheckResult]]:
         ok = dual_cone(dual_cone(sigma)) == sigma
         rows.append(CheckResult(f"duality involution n={n}", ok,
                                 "dual(dual(sigma)) == sigma"))
-        fan, singular, partition, semistable, _ = _certified_local_core(n)
-        rows += [CheckResult(f"cones unimodular n={n}", singular is None,
-                             singular or f"{len(fan)} maximal cones"),
-                 CheckResult(f"partition n={n}", partition.passed, partition.detail),
-                 CheckResult(f"semistable fiber n={n}", semistable.passed,
-                             semistable.detail)]
+        rows += [CheckResult(f"{row.name} n={n}", row.passed, row.detail)
+                 for row in _certified_local_core(n).rows]
         if n >= 2:
             pairs = ((k, chart.monomial_cone(), dual_cone(sigma_subcone(n, k)))
                      for k, chart in enumerate(blowup_chart_sequence(n), start=1))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from ._intmat import dot, invariant_factors
 from .grothring import (
@@ -32,6 +32,8 @@ from .grothring import (
     reduce_mod_L,
 )
 from .toriclat import (
+    Fan,
+    FiberCheck,
     _partition_failure,
     fiber_class,
     is_smooth,
@@ -196,35 +198,42 @@ def affine_coordinate_arrangement_class(k: int) -> GrothClass:
 MAX_CERTIFIED_STRATUM = 24
 
 
+class LocalCertificate(NamedTuple):
+    """The slab fan of rank k+1, its `FiberCheck` for the direction e_{k+1}*,
+    the rows "cones unimodular", "partition of model cone" and "semistable
+    fiber", and the resolved fiber class, None without unimodular cones."""
+
+    fan: Fan
+    fiber: FiberCheck
+    rows: tuple[CheckResult, CheckResult, CheckResult]
+    resolved_class: Optional[GrothClass]
+
+
 @functools.lru_cache(maxsize=None)
-def _certified_local_core(k: int):
+def _certified_local_core(k: int) -> LocalCertificate:
     """Certify the resolution of the model cone of t*y = z_1*...*z_k once
-    per k, for `resolve_local_model` and `verify` alike.  Returns the rank
-    k+1 fan; None when its cones are all unimodular (as decided by the
-    semistability check), else a witness: the first cone that is not, with
-    its invariant factors; the partition and semistability checks; and the
-    resolved fiber class for the fiber direction e_{k+1}*, None without
-    unimodular cones (orbit counting needs them).  A witness is computed
-    only when its check fails; a fiber that is not reduced names the first
-    ray pairing more than 1 with the direction."""
+    per k, for `resolve`, `verify` and `report` alike.  A row names its
+    witness, computed only when the row fails."""
     fan = resolution_fan(k)
     parent = model_cone(k)
     direction = unit_vector(k + 1, k)
     failure = None if verify_partition(fan, parent) else _partition_failure(fan, parent)
-    partition = CheckResult("partition of model cone", failure is None,
-                            failure or "walls matched, generic point covered once")
     fiber = semistable_fiber_check(fan, direction)
-    detail = f"reduced={fiber.reduced}, smooth={fiber.smooth}"
+    unimodular = f"{len(fan)} maximal cone(s) of the rank-{k + 1} subdivision"
+    if not fiber.smooth:
+        cone = next(c for c in fan if not is_smooth(c))
+        unimodular = (f"{cone!r} is not unimodular: invariant factors "
+                      f"{invariant_factors(cone.rays)} for {len(cone.rays)} rays")
+    semistable = f"reduced={fiber.reduced}, smooth={fiber.smooth}"
     if not fiber.reduced:
         ray = next(r for r in fan.rays() if dot(direction, r) > 1)
-        detail += f"; ray {list(ray)} pairs {dot(direction, ray)} with the fiber direction"
-    semistable = CheckResult("semistable fiber", fiber.snc, detail)
-    if fiber.smooth:
-        return fan, None, partition, semistable, fiber_class(fan, direction)
-    cone = next(c for c in fan if not is_smooth(c))
-    singular = (f"{cone!r} is not unimodular: invariant factors "
-                f"{invariant_factors(cone.rays)} for {len(cone.rays)} rays")
-    return fan, singular, partition, semistable, None
+        semistable += f"; ray {list(ray)} pairs {dot(direction, ray)} with the fiber direction"
+    rows = (CheckResult("cones unimodular", fiber.smooth, unimodular),
+            CheckResult("partition of model cone", failure is None,
+                        failure or "walls matched, generic point covered once"),
+            CheckResult("semistable fiber", fiber.snc, semistable))
+    return LocalCertificate(fan, fiber, rows,
+                            fiber_class(fan, direction) if fiber.smooth else None)
 
 
 def resolve_local_model(spec: LocalModelSpec) -> VerificationReport:
@@ -243,7 +252,8 @@ def resolve_local_model(spec: LocalModelSpec) -> VerificationReport:
     no orbit count: the class after is reported as 0 and (e) and (f) fail.
     """
     n, k = spec.n, spec.k
-    _, singular, partition, semistable, after_core = _certified_local_core(k)
+    certificate = _certified_local_core(k)
+    after_core = certificate.resolved_class
 
     scissor = affine_coordinate_arrangement_class(k)
     closed_form = L**k - (L - ONE) ** k
@@ -252,11 +262,7 @@ def resolve_local_model(spec: LocalModelSpec) -> VerificationReport:
     no_count = "no orbit count: the cones are not unimodular"
 
     checks = (
-        CheckResult(
-            "cones unimodular", singular is None,
-            singular or f"{k} maximal cone(s) of the rank-{k + 1} subdivision"),
-        partition,
-        semistable,
+        *certificate.rows,
         CheckResult(
             "singular fiber class", scissor == closed_form,
             f"scissor oracle gives {before.render()} = "

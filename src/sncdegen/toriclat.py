@@ -410,7 +410,7 @@ def verify_partition(f: Fan, parent: Cone, bound: int = 0) -> bool:
         other maximal cone, with the opposite normal; and one point of
         the parent lying on no facet hyperplane is covered exactly once,
     (d) library-level cross-check only, opt-in through `bound` and never
-        set by `report` or `verify`: every lattice point of the parent in
+        set by a command: every lattice point of the parent in
         the box [lo, bound]^rank lies in some maximal cone, where lo = 0
         when the parent lies in the nonnegative orthant and -bound
         otherwise.  The default bound 0 sweeps the origin only; larger
@@ -426,10 +426,10 @@ def verify_partition(f: Fan, parent: Cone, bound: int = 0) -> bool:
 def _partition_failure(f: Fan, parent: Cone, bound: int = 0) -> Optional[str]:
     """None when f partitions the parent, else a one-line witness."""
     box = _sweep_box(parent, bound)
-    for c in f:
-        outside = next((r for r in c.rays if not parent.contains(r)), None)
-        if outside is not None:
-            return f"ray {list(outside)} of {c!r} lies outside the parent"
+    outside = {r for r in f.rays() if not parent.contains(r)}
+    if outside:
+        c, ray = next((c, r) for c in f for r in c.rays if r in outside)
+        return f"ray {list(ray)} of {c!r} lies outside the parent"
     wall = _unmatched_wall(f, parent)
     if wall is not None:
         return wall
@@ -528,12 +528,15 @@ def semistable_fiber_check(f: Fan, direction: Sequence[int]) -> FiberCheck:
 
 
 def _is_chain(ray_sets: Sequence[frozenset[Vec]]) -> bool:
-    """True iff S_i ∩ S_j ⊆ S_k for all i < k < j, i.e. the sets that
-    contain any given ray subset are consecutive.  O(c^3) set operations
-    for c sets."""
-    return all(ray_sets[i] & ray_sets[j] <= ray_sets[k]
-               for i, j in itertools.combinations(range(len(ray_sets)), 2)
-               for k in range(i + 1, j))
+    """True iff S_i ∩ S_j ⊆ S_k for all i < k < j, i.e. the sets holding
+    any one ray have consecutive indices.  O(sum |S|) lookups."""
+    last: dict[Vec, int] = {}
+    for k, rays in enumerate(ray_sets):
+        for r in rays:
+            if last.get(r, k - 1) != k - 1:
+                return False
+            last[r] = k
+    return True
 
 
 def _face_counts(f: Fan, hot: Optional[Callable[[Vec], bool]] = None) -> list[int]:
@@ -550,9 +553,8 @@ def _face_counts(f: Fan, hot: Optional[Callable[[Vec], bool]] = None) -> list[in
 
         count = sum_k w(S_k) - sum_k w(S_k ∩ S_{k+1}),
 
-    which costs O(c^3) set operations for the test plus O(c * rank)
-    binomials.  Any other fan falls back to enumerating the distinct ray
-    subsets, up to c * 2^rank of them.
+    which costs O(c * rank) lookups and binomials.  Any other fan falls
+    back to enumerating the distinct ray subsets, up to c * 2^rank.
     """
     for c in f:
         if not is_smooth(c):

@@ -5,6 +5,7 @@ traced.py is read as text, never imported or changed."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 TRACED = Path(__file__).resolve().parent.parent / "perfbench" / "traced.py"
@@ -37,3 +38,17 @@ def test_every_traced_groth_operation_resolves():
     from sncdegen.grothring import GrothClass
     ops = traced_constant("GROTH_OPS")
     assert [op for op in ops if not callable(vars(GrothClass).get(op))] == []
+
+
+def test_partition_counter_reads_parameters_of_verify_partition():
+    # the counter of toriclat.verify_partition.points reads the bound
+    # call's arguments by name: args.arguments["..."]
+    tree = ast.parse(TRACED.read_text())
+    counter = next(n for n in tree.body
+                   if isinstance(n, ast.FunctionDef) and n.name == "_partition_points")
+    keys = {node.slice.value for node in ast.walk(counter)
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Attribute) and node.value.attr == "arguments"
+            and isinstance(node.slice, ast.Constant)}
+    from sncdegen.toriclat import verify_partition
+    assert keys and keys <= set(inspect.signature(verify_partition).parameters)

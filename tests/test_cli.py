@@ -149,6 +149,44 @@ def test_resolve_n1_has_no_charts(capsys):
     assert data["semistable"]["snc"] is True
 
 
+def test_resolve_fails_on_a_dropped_slab(capsys, monkeypatch):
+    # sigma_n dropped: every cone is still unimodular and the fiber reduced,
+    # so only the partition row can catch it; the cache of certified cores
+    # is cleared so that no other test sees the mutant
+    monkeypatch.setattr(degeneration, "resolution_fan", lambda n: Fan(
+        [sigma_subcone(n, k) for k in range(1, n)]))
+    degeneration._certified_local_core.cache_clear()
+    try:
+        code, out, _ = run_cli(capsys, "resolve", "--n", "4", "--format", "json")
+    finally:
+        degeneration._certified_local_core.cache_clear()
+    assert code == EXIT_FAILED
+    data = json.loads(out)
+    assert len(data["fan"]["max_cones"]) == 3
+    assert data["semistable"]["snc"] is True
+    rows = {row["name"]: row for row in data["checks"]}
+    assert rows["cones unimodular"]["pass"] and rows["semistable fiber"]["pass"]
+    assert not rows["partition of model cone"]["pass"]
+    assert rows["partition of model cone"]["detail"].startswith("unmatched wall")
+
+
+def test_resolve_report_and_verify_print_one_certificate(capsys):
+    def rows_of(*argv):
+        _, out, _ = run_cli(capsys, *argv, "--format", "json")
+        return {row["name"]: (row["pass"], row["detail"])
+                for row in json.loads(out)["checks"]}
+
+    names = ["cones unimodular", "partition of model cone", "semistable fiber"]
+    verify = rows_of("verify", "--scope", "lemma-toric", "--max-n", "6")
+    report = rows_of("report", "--n", "6", "--d", "7")
+    for k in range(1, 7):
+        resolve = rows_of("resolve", "--n", str(k))
+        assert list(resolve) == names
+        assert [verify[f"{name} n={k}"] for name in names] == list(resolve.values()), k
+        assert ([report[f"stratum k={k}: {name}"] for name in names]
+                == list(resolve.values())), k
+
+
 def test_resolve_usage_error(capsys):
     code, _, _ = run_cli(capsys, "resolve", "--n", "-3")
     assert code == EXIT_USAGE
@@ -176,7 +214,7 @@ def test_verify_toric_scope(capsys):
     data = json.loads(out)
     names = [row["name"] for row in data["checks"]]
     assert "dual generators n=4" in names
-    assert "partition n=3" in names
+    assert "partition of model cone n=3" in names
     assert "charts match dual cones n=2" in names
     assert all(row["pass"] for row in data["checks"])
 
@@ -194,9 +232,9 @@ def test_verify_partition_row_names_its_witness(capsys, monkeypatch):
         degeneration._certified_local_core.cache_clear()
     assert code == EXIT_FAILED
     rows = {row["name"]: row for row in json.loads(out)["checks"]}
-    assert rows["partition n=1"]["pass"]
-    assert not rows["partition n=3"]["pass"]
-    assert rows["partition n=3"]["detail"].startswith("unmatched wall with rays")
+    assert rows["partition of model cone n=1"]["pass"]
+    assert not rows["partition of model cone n=3"]["pass"]
+    assert rows["partition of model cone n=3"]["detail"].startswith("unmatched wall with rays")
 
 
 @pytest.mark.parametrize("fan, max_n, witnesses", [
@@ -280,7 +318,8 @@ def test_verify_reports_covered_range(capsys):
     assert data["covered_max_n"] == {
         "lemma-arrangement": 12, "lemma-toric": 12, "degeneration": 12}
     names = [row["name"] for row in data["checks"]]
-    assert "partition n=12" in names and "partition n=13" not in names
+    assert ("partition of model cone n=12" in names
+            and "partition of model cone n=13" not in names)
 
     _, out, _ = run_cli(capsys, "verify", "--max-n", "3", "--format", "json")
     assert json.loads(out)["covered_max_n"] == {

@@ -18,6 +18,7 @@ from oracles import (
     dual_rays_brute,
     extreme_rays_brute,
     faces_via_facets,
+    is_chain_by_triples,
     orbit_class_oracle,
     partition_sweep_oracle,
     random_unimodular_cone,
@@ -813,6 +814,22 @@ def test_orbit_counting_cone_orders_against_oracle(order, chain):
     assert toric_class(fan) == orbit_class_oracle(fan)
     for d in fiber_directions(5):
         assert fiber_class(fan, d) == orbit_class_oracle(fan, d), d
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(1, n), min_size=1, max_size=2 * n))))
+def test_is_chain_agrees_with_the_triple_loop_on_slab_fans(case):
+    # slabs in any order, some repeated
+    n, order = case
+    ray_sets = [frozenset(c.rays) for c in slab_fan(n, order)]
+    assert toriclat._is_chain(ray_sets) == is_chain_by_triples(ray_sets)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.frozensets(st.integers(0, 5)), max_size=7))
+def test_is_chain_agrees_with_the_triple_loop_on_set_families(ray_sets):
+    assert toriclat._is_chain(ray_sets) == is_chain_by_triples(ray_sets)
 
 
 def test_chain_guard_is_load_bearing(monkeypatch):
