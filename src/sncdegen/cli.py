@@ -5,7 +5,7 @@ Subcommands:
 * ``class``    — the three derivations of the hyperplane-arrangement class
   P(r, n) with an agreement verdict and the residue modulo L.
 * ``dual``     — generators of the dual of the model cone, with the
-  duality-involution and canonical-generator checks.
+  "dual generators" and "duality involution" rows that `verify` runs.
 * ``resolve``  — the subdivision fan and blow-up charts of t*y = z_1*...*z_n,
   with the certificate rows that `report` and `verify` print for it.
 * ``verify``   — invariant suites (scopes: lemma-arrangement, lemma-toric,
@@ -81,27 +81,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True, help="number of hyperplanes")
     p.add_argument("--n", type=int, required=True, help="dimension of each hyperplane")
     add_format(p)
+    p.set_defaults(run=lambda a: cmd_class(a.r, a.n, a.format))
 
     p = sub.add_parser("dual", help="dual of the model cone")
     p.add_argument("--n", type=int, required=True, help="model dimension")
     add_format(p)
+    p.set_defaults(run=lambda a: cmd_dual(a.n, a.format))
 
     p = sub.add_parser("resolve", help="fan, charts and semistability of the model")
     p.add_argument("--n", type=int, required=True, help="model dimension")
     add_format(p)
+    p.set_defaults(run=lambda a: cmd_resolve(a.n, a.format))
 
     p = sub.add_parser("verify", help="run invariant suites")
-    p.add_argument("--scope",
-                   choices=("lemma-arrangement", "lemma-toric", "degeneration", "all"),
-                   default="all")
+    p.add_argument("--scope", choices=(*SUITES, "all"), default="all")
     p.add_argument("--max-n", type=int, default=12, dest="max_n",
                    help="largest n to sweep (default: 12)")
     add_format(p)
+    p.set_defaults(run=lambda a: cmd_verify(a.scope, a.max_n, a.format))
 
     p = sub.add_parser("report", help="end-to-end degeneration certificate")
     p.add_argument("--n", type=int, required=True, help="fiber dimension")
     p.add_argument("--d", type=int, required=True, help="degree")
     add_format(p)
+    p.set_defaults(run=lambda a: cmd_report(a.n, a.d, a.format))
 
     return parser
 
@@ -172,24 +175,22 @@ def cmd_dual(n: int, fmt: str) -> int:
     if n < 1:
         raise _UsageError(f"need n >= 1, got n={n}")
     _refuse_over_cap("dual", n, DUAL_MAX_N)
-    sigma = model_cone(n)
-    dual = dual_cone(sigma)
-    involution_ok = dual_cone(dual) == sigma
-    canonical = sorted(dual_generators(n))
-    canonical_ok = sorted(dual.rays) == canonical if n >= 2 else True
-    ok = involution_ok and canonical_ok
+    dual = dual_cone(model_cone(n))
+    rows = _duality_rows(n)
+    *generators, involution = rows
+    ok = all(row.passed for row in rows)
     payload = {
         "n": n,
         "rank": dual.rank,
         "rays": [list(r) for r in dual.rays],
-        "involution": involution_ok,
-        "canonical_generators": canonical_ok,
+        "involution": involution.passed,
+        "canonical_generators": all(row.passed for row in generators),
+        "checks": [row.to_json_dict() for row in rows],
         "pass": ok,
     }
     lines = [f"dual of the model cone, n={n} (rank {dual.rank})"]
     lines += [f"  {list(r)}" for r in dual.rays]
-    lines.append(f"  involution dual(dual) == original: {'ok' if involution_ok else 'FAIL'}")
-    lines.append(f"  canonical generator list:          {'ok' if canonical_ok else 'FAIL'}")
+    lines += render_checks(rows)
     _emit(payload, fmt, lines)
     return EXIT_OK if ok else EXIT_FAILED
 
@@ -274,27 +275,33 @@ def _rows_arrangement(max_n: int) -> tuple[int, list[CheckResult]]:
     return top, rows
 
 
+def _duality_rows(n: int) -> list[CheckResult]:
+    """The duality rows of the model cone, with no ` n=` suffix: "dual
+    generators" for n >= 2 (at n = 1 the dual has fewer rays than the
+    canonical list) and "duality involution"."""
+    sigma = model_cone(n)
+    rows = []
+    if n >= 2:
+        rays, canonical = dual_cone(sigma).rays, dual_generators(n)
+        ok = sorted(rays) == sorted(canonical)
+        if ok:
+            detail = f"{n + 2} canonical generators"
+        else:
+            ray, extra = _first_difference(rays, canonical)
+            detail = (f"ray {list(ray)} of the dual cone is not a canonical generator"
+                      if extra else
+                      f"canonical generator {list(ray)} is not a ray of the dual cone")
+        rows.append(CheckResult("dual generators", ok, detail))
+    rows.append(CheckResult("duality involution", dual_cone(dual_cone(sigma)) == sigma,
+                            "dual(dual(sigma)) == sigma"))
+    return rows
+
+
 def _rows_toric(max_n: int) -> tuple[int, list[CheckResult]]:
     rows = []
     top = min(max_n, TORIC_MAX_N)
     for n in range(1, top + 1):
-        sigma = model_cone(n)
-        if n >= 2:
-            rays, canonical = dual_cone(sigma).rays, dual_generators(n)
-            ok = sorted(rays) == sorted(canonical)
-            if ok:
-                detail = f"{n + 2} canonical generators"
-            else:
-                ray, extra = _first_difference(rays, canonical)
-                detail = (f"ray {list(ray)} of the dual cone is not a canonical generator"
-                          if extra else
-                          f"canonical generator {list(ray)} is not a ray of the dual cone")
-            rows.append(CheckResult(f"dual generators n={n}", ok, detail))
-        ok = dual_cone(dual_cone(sigma)) == sigma
-        rows.append(CheckResult(f"duality involution n={n}", ok,
-                                "dual(dual(sigma)) == sigma"))
-        rows += [CheckResult(f"{row.name} n={n}", row.passed, row.detail)
-                 for row in _certified_local_core(n).rows]
+        local = [*_duality_rows(n), *_certified_local_core(n).rows]
         if n >= 2:
             pairs = ((k, chart.monomial_cone(), dual_cone(sigma_subcone(n, k)))
                      for k, chart in enumerate(blowup_chart_sequence(n), start=1))
@@ -306,7 +313,8 @@ def _rows_toric(max_n: int) -> tuple[int, list[CheckResult]]:
                 ray, in_chart = _first_difference(mine.rays, dual.rays)
                 detail = (f"mismatch at chart {k}: ray {list(ray)} only in the "
                           f"{'chart' if in_chart else 'dual'} cone")
-            rows.append(CheckResult(f"charts match dual cones n={n}", bad is None, detail))
+            local.append(CheckResult("charts match dual cones", bad is None, detail))
+        rows += [CheckResult(f"{row.name} n={n}", row.passed, row.detail) for row in local]
     return top, rows
 
 
@@ -330,15 +338,18 @@ def _rows_degeneration(max_n: int) -> tuple[int, list[CheckResult]]:
     return top, rows
 
 
+#: The suites of `verify --scope`, in the order that `--scope all` runs them.
+SUITES = {"lemma-arrangement": _rows_arrangement,
+          "lemma-toric": _rows_toric,
+          "degeneration": _rows_degeneration}
+
+
 def cmd_verify(scope: str, max_n: int, fmt: str) -> int:
     if max_n < 0:
         raise _UsageError(f"need max-n >= 0, got {max_n}")
-    suites = {"lemma-arrangement": _rows_arrangement,
-              "lemma-toric": _rows_toric,
-              "degeneration": _rows_degeneration}
     covered: dict[str, int] = {}
     rows: list[CheckResult] = []
-    for name, suite in suites.items():
+    for name, suite in SUITES.items():
         if scope in (name, "all"):
             covered[name], suite_rows = suite(max_n)
             rows += suite_rows
@@ -364,24 +375,11 @@ def cmd_report(n: int, d: int, fmt: str) -> int:
     return EXIT_OK if report.passed else EXIT_FAILED
 
 
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.subcommand == "class":
-        return cmd_class(args.r, args.n, args.format)
-    if args.subcommand == "dual":
-        return cmd_dual(args.n, args.format)
-    if args.subcommand == "resolve":
-        return cmd_resolve(args.n, args.format)
-    if args.subcommand == "verify":
-        return cmd_verify(args.scope, args.max_n, args.format)
-    if args.subcommand == "report":
-        return cmd_report(args.n, args.d, args.format)
-    raise _UsageError(f"unknown subcommand {args.subcommand!r}")
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
-        code = _dispatch(parser.parse_args(argv))
+        args = parser.parse_args(argv)
+        code = args.run(args)
         sys.stdout.flush()  # a closed pipe raises here rather than at exit
         return code
     except _UsageError as exc:

@@ -768,8 +768,7 @@ def blowup_chart_sequence(n: int) -> list[ChartPresentation]:
             coordinates=tuple(coords),
             relation=((n + 1,), tuple(range(k, n + 1))),
         ))
-    final_name = "t" if n == 1 else f"t{n - 1}"
-    coords = [Coordinate(final_name, _residual_monomial(rank, n - 1))]
+    coords = [Coordinate(f"t{n - 1}", _residual_monomial(rank, n - 1))]
     coords += [Coordinate(f"z{i}", unit(rank, i - 1)) for i in range(1, n + 1)]
     coords.append(Coordinate("y", y_mono))
     # t_{n-1} * y = z_n

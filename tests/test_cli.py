@@ -107,7 +107,7 @@ def test_dual_text(capsys):
     code, out, _ = run_cli(capsys, "dual", "--n", "2")
     assert code == EXIT_OK
     assert "[1, 1, -1]" in out
-    assert "ok" in out and "FAIL" not in out
+    assert "[PASS]" in out and "[FAIL]" not in out
 
 
 def test_dual_json(capsys):
@@ -185,6 +185,9 @@ def test_resolve_report_and_verify_print_one_certificate(capsys):
         assert [verify[f"{name} n={k}"] for name in names] == list(resolve.values()), k
         assert ([report[f"stratum k={k}: {name}"] for name in names]
                 == list(resolve.values())), k
+        dual = rows_of("dual", "--n", str(k))
+        assert list(dual) == ["dual generators"] * (k >= 2) + ["duality involution"]
+        assert [verify[f"{name} n={k}"] for name in dual] == list(dual.values()), k
 
 
 def test_resolve_usage_error(capsys):
@@ -262,28 +265,42 @@ def test_verify_unimodular_and_semistable_rows_name_their_witness(
         assert rows[name]["detail"].endswith(witness), rows[name]
 
 
-@pytest.mark.parametrize("name, mutant, witness", [
-    ("dual generators", ("dual_generators", lambda n: dual_generators(n)[:-1]),
-     "ray [1, 1, -1] of the dual cone is not a canonical generator"),
-    ("dual generators",
-     ("dual_generators", lambda n: dual_generators(n) + [(1,) * (n + 1)]),
-     "canonical generator [1, 1, 1] is not a ray of the dual cone"),
-    ("charts match dual cones",
+VERIFY_N2 = ("verify", "--scope", "lemma-toric", "--max-n", "2")
+DUAL_N2 = ("dual", "--n", "2")
+EXTRA_RAY = (("dual_generators", lambda n: dual_generators(n)[:-1]),
+             "ray [1, 1, -1] of the dual cone is not a canonical generator")
+MISSING_GENERATOR = (("dual_generators", lambda n: dual_generators(n) + [(1,) * (n + 1)]),
+                     "canonical generator [1, 1, 1] is not a ray of the dual cone")
+
+
+@pytest.mark.parametrize("argv, row, mutant, witness", [
+    (VERIFY_N2, "dual generators n=2", *EXTRA_RAY),
+    (VERIFY_N2, "dual generators n=2", *MISSING_GENERATOR),
+    (VERIFY_N2, "charts match dual cones n=2",
      ("sigma_subcone", lambda n, k: sigma_subcone(n, n + 1 - k)),
      "mismatch at chart 1: ray [-1, 0, 1] only in the dual cone"),
-    ("charts match dual cones",
+    (VERIFY_N2, "charts match dual cones n=2",
      ("blowup_chart_sequence", lambda n: blowup_chart_sequence(n)[::-1]),
      "mismatch at chart 1: ray [-1, 0, 1] only in the chart cone"),
-], ids=["extra-ray", "missing-generator", "dual-differs", "chart-differs"])
-def test_verify_duality_rows_name_their_witness(capsys, monkeypatch, name, mutant, witness):
+    (DUAL_N2, "dual generators", *EXTRA_RAY),
+    (DUAL_N2, "dual generators", *MISSING_GENERATOR),
+], ids=["extra-ray", "missing-generator", "dual-differs", "chart-differs",
+        "dual-extra-ray", "dual-missing-generator"])
+def test_verify_duality_rows_name_their_witness(capsys, monkeypatch, argv, row, mutant, witness):
     monkeypatch.setattr(cli, *mutant)
-    code, out, _ = run_cli(capsys, "verify", "--scope", "lemma-toric",
-                           "--max-n", "2", "--format", "json")
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == EXIT_FAILED
-    rows = {row["name"]: row for row in json.loads(out)["checks"]}
-    assert not rows[f"{name} n=2"]["pass"]
-    assert rows[f"{name} n=2"]["detail"] == witness
-    assert all(row["pass"] for row_name, row in rows.items() if row_name != f"{name} n=2")
+    data = json.loads(out)
+    rows = {r["name"]: r for r in data["checks"]}
+    assert not rows[row]["pass"]
+    assert rows[row]["detail"] == witness
+    assert all(r["pass"] for name, r in rows.items() if name != row)
+    assert data["pass"] is False
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_FAILED
+    failed = [line for line in out.splitlines() if line.startswith("  [FAIL] ")]
+    assert len(failed) == 1
+    assert re.fullmatch(rf"  \[FAIL\] {re.escape(row)} +{re.escape(witness)}", failed[0])
 
 
 def test_verify_degeneration_scope(capsys):
@@ -457,6 +474,15 @@ def test_readme_synopsis_lists_every_option():
                       if o.startswith("--")} - {"--format", "--help"}
                for name, p in subparsers.items()}
     assert documented == defined
+
+
+def test_parser_dispatches_and_names_the_suites_once():
+    subparsers = next(a for a in build_parser()._actions
+                      if hasattr(a, "add_parser")).choices
+    for name, p in subparsers.items():
+        assert callable(p.get_default("run")), name
+    scope = next(a for a in subparsers["verify"]._actions if a.dest == "scope")
+    assert list(scope.choices) == [*cli.SUITES, "all"]
 
 
 def test_unknown_subcommand(capsys):
