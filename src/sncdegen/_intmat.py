@@ -8,10 +8,13 @@ All linear algebra over Q goes through one routine, `rref`: a
 fraction-free Gauss-Jordan elimination whose rows stay primitive integer
 vectors.  Rank (`mat_rank`), the greedy choice of independent rows and
 the inverse of a square matrix (the simplicial start of `extreme_rays`)
-are all read off its output.  The Smith normal form in
-`invariant_factors` is a different algorithm (it works over Z, not Q) and
-keeps its own loop; it names the invariant factors of a cone that is not
-unimodular, while `toriclat.is_smooth` decides unimodularity without it.
+are all read off its output.  A square system skips the greedy choice:
+all its rows are the start, and a singular one shows in the pivots of
+that inverse, so a simplicial cone costs one elimination.  The Smith
+normal form in `invariant_factors` is a different algorithm (it works
+over Z, not Q) and keeps its own loop; it names the invariant factors of
+a cone that is not unimodular, while `toriclat.is_smooth` decides
+unimodularity without it.
 
 `extreme_rays` returns each ray with its zero set over the input rows, a
 bitmask kept alongside the rays through the double description, so a
@@ -172,16 +175,19 @@ def extreme_rays(ineqs: Sequence[Sequence[int]], rank: int) -> list[tuple[Vec, i
         p = primitive(a)
         bits[p] = bits.get(p, 0) | 1 << i
     rows = list(bits)
-    # The pivot columns of the transpose are the first rows, in order,
-    # that are independent of the rows before them.
-    base = rref(zip(*rows))[1]
-    if len(base) < rank:
-        raise ValueError("inequality system is not pointed (rows do not span full rank)")
+    # A square system is its own base.  Otherwise the pivot columns of the
+    # transpose are the first rows, in order, that are independent of the
+    # rows before them.
+    base = range(rank) if len(rows) == rank else rref(zip(*rows))[1]
 
     # Row i of rref([B | I]) is [p_i e_i | p_i (B^-1)_i], so the columns of
     # B^-1, rescaled by lcm(p) > 0, are the rays of the simplicial cone
-    # B x >= 0: ray j pairs positively with base row j and to zero with the rest.
-    reduced = rref([list(rows[i]) + list(unit(rank, j)) for j, i in enumerate(base)])[0]
+    # B x >= 0: ray j pairs positively with base row j and to zero with the
+    # rest.  With fewer than rank rows, or a singular B, a pivot falls short
+    # of a column of B or lands in the I block.
+    reduced, pivots = rref([list(rows[i]) + list(unit(rank, j)) for j, i in enumerate(base)])
+    if pivots != list(range(rank)):
+        raise ValueError("inequality system is not pointed (rows do not span full rank)")
     scale = math.lcm(*(row[i] for i, row in enumerate(reduced)))
     rays = [primitive([row[rank + j] * (scale // row[i]) for i, row in enumerate(reduced)])
             for j in range(rank)]

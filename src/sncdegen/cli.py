@@ -184,7 +184,8 @@ def cmd_dual(n: int, fmt: str) -> int:
         "rank": dual.rank,
         "rays": [list(r) for r in dual.rays],
         "involution": involution.passed,
-        "canonical_generators": all(row.passed for row in generators),
+        # null at n = 1, where no "dual generators" row runs
+        "canonical_generators": all(row.passed for row in generators) if generators else None,
         "checks": [row.to_json_dict() for row in rows],
         "pass": ok,
     }

@@ -19,7 +19,6 @@ fiber classes, serializable to JSON and renderable as a table.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
 from ._intmat import dot, invariant_factors
@@ -57,20 +56,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LocalModelSpec:
+class LocalModelSpec(NamedTuple("LocalModelSpec", [("n", int), ("k", int)])):
     """Local normal form t*x_{n+1} = x_1*...*x_k on a depth-k stratum of
     the arrangement: n is the fiber dimension, k the number of branches
     through the point (1 <= k <= n); n-k coordinates are free."""
 
-    n: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got n={self.n}")
-        if not 1 <= self.k <= self.n:
-            raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
+    def __new__(cls, n: int, k: int):
+        if n < 1:
+            raise ValueError(f"need n >= 1, got n={n}")
+        if not 1 <= k <= n:
+            raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+        return super().__new__(cls, n, k)
 
     @property
     def equation(self) -> str:
@@ -81,27 +79,24 @@ class LocalModelSpec:
         return {"type": "local", "n": self.n, "k": self.k, "equation": self.equation}
 
 
-@dataclass(frozen=True)
-class DegenerationSpec:
+class DegenerationSpec(NamedTuple("DegenerationSpec", [("n", int), ("d", int)])):
     """A pencil of degree-d hypersurfaces of dimension n degenerating to d
     hyperplanes in general position; the Fano range requires d <= n+1."""
 
-    n: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got n={self.n}")
-        if not 1 <= self.d <= self.n + 1:
-            raise ValueError(
-                f"degree must satisfy 1 <= d <= n+1, got d={self.d}, n={self.n}")
+    def __new__(cls, n: int, d: int):
+        if n < 1:
+            raise ValueError(f"need n >= 1, got n={n}")
+        if not 1 <= d <= n + 1:
+            raise ValueError(f"degree must satisfy 1 <= d <= n+1, got d={d}, n={n}")
+        return super().__new__(cls, n, d)
 
     def to_json_dict(self) -> dict:
         return {"type": "degeneration", "n": self.n, "d": self.d}
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One named verification step with its outcome and a short detail."""
 
     name: str
@@ -120,8 +115,11 @@ def render_checks(checks: Sequence[CheckResult]) -> list[str]:
             for c in checks]
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple("VerificationReport", [
+        ("model", Union[LocalModelSpec, DegenerationSpec]),
+        ("checks", tuple[CheckResult, ...]),
+        ("fiber_class_before", GrothClass),
+        ("fiber_class_after", GrothClass)])):
     """Machine-checkable outcome of a resolution or degeneration run.
 
     `fiber_class_before` and `fiber_class_after` are the central-fiber
@@ -130,13 +128,13 @@ class VerificationReport:
     does: for a local model that comparison is one of the checks ("mod-L
     invariance"), and an aggregate report carries it once per stratum."""
 
-    model: Union[LocalModelSpec, DegenerationSpec]
-    checks: tuple[CheckResult, ...]
-    fiber_class_before: GrothClass
-    fiber_class_after: GrothClass
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "checks", tuple(self.checks))
+    def __new__(cls, model: Union[LocalModelSpec, DegenerationSpec],
+                checks: Sequence[CheckResult], fiber_class_before: GrothClass,
+                fiber_class_after: GrothClass):
+        return super().__new__(cls, model, tuple(checks), fiber_class_before,
+                               fiber_class_after)
 
     @property
     def mod_L_invariant(self) -> bool:

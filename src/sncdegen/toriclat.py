@@ -33,8 +33,7 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from ._intmat import (
     Vec,
@@ -92,7 +91,9 @@ class Cone:
     zero sets that the double description returns: `_incidence` maps each
     ray, in order, to that bitmask.  A face is generated by the generators
     it contains, so a generator is extreme iff no other lies on all the
-    facets through it.
+    facets through it.  A simplicial cone, rank generators, skips that
+    filter and the strong-convexity rank test: generators that span are
+    then independent, so all are extreme and the cone is pointed.
 
     Instances are value objects: equality and hashing go through the
     canonical (rank, rays) pair, and all derived data is cached.
@@ -110,14 +111,16 @@ class Cone:
         prim = sorted({primitive(r) for r in ray_list})
         found = extreme_rays(prim, rank)  # raises unless the generators span
         facets = [a for a, _ in found]
-        if mat_rank(facets) < rank:
-            raise ValueError("cone is not strongly convex (contains a line)")
         # bit j of on[i] is set iff generator i lies on facet j: bit i of
         # facet j's zero set, transposed
         on = [sum(1 << j for j, (_, zeros) in enumerate(found) if zeros >> i & 1)
               for i in range(len(prim))]
-        keep = [i for i, m in enumerate(on)
-                if all(m & other != m for k, other in enumerate(on) if k != i)]
+        keep = range(rank)  # rank spanning generators: independent, all extreme
+        if len(prim) > rank:
+            if mat_rank(facets) < rank:
+                raise ValueError("cone is not strongly convex (contains a line)")
+            keep = [i for i, m in enumerate(on)
+                    if all(m & other != m for k, other in enumerate(on) if k != i)]
         self._rank = rank
         self._incidence = {prim[i]: on[i] for i in keep}
         self._rays = tuple(self._incidence)
@@ -494,8 +497,7 @@ def _sweep_uncovered(f: Fan, parent: Cone, box: range) -> Optional[Vec]:
     return None
 
 
-@dataclass(frozen=True)
-class FiberCheck:
+class FiberCheck(NamedTuple):
     """Semistability report for the fiber of a monomial direction."""
 
     reduced: bool
@@ -624,19 +626,18 @@ def fiber_class(f: Fan, direction: Sequence[int]) -> GrothClass:
 # -- chart presentations ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Coordinate:
+class Coordinate(NamedTuple("Coordinate", [("name", str), ("monomial", Vec)])):
     """A named affine coordinate given by its monomial exponent vector."""
 
-    name: str
-    monomial: Vec
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "monomial", _as_vec(self.monomial))
+    def __new__(cls, name: str, monomial: Sequence[int]):
+        return super().__new__(cls, name, _as_vec(monomial))
 
 
-@dataclass(frozen=True)
-class ChartPresentation:
+class ChartPresentation(NamedTuple("ChartPresentation", [
+        ("coordinates", tuple[Coordinate, ...]),
+        ("relation", Optional[tuple[tuple[int, ...], tuple[int, ...]]])])):
     """A symbolic affine chart: named coordinate monomials in the dual
     lattice M, plus an optional binomial relation prod(left) = prod(right)
     given by multisets of coordinate indices.
@@ -646,21 +647,19 @@ class ChartPresentation:
     monomials.
     """
 
-    coordinates: tuple[Coordinate, ...]
-    relation: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        coords = tuple(self.coordinates)
-        object.__setattr__(self, "coordinates", coords)
+    def __new__(cls, coordinates: Iterable[Coordinate],
+                relation: Optional[tuple[Sequence[int], Sequence[int]]] = None):
+        coords = tuple(coordinates)
         if not coords:
             raise ValueError("a chart needs at least one coordinate")
         rank = len(coords[0].monomial)
         if any(len(c.monomial) != rank for c in coords):
             raise ValueError("all monomials must share the ambient rank")
-        if self.relation is not None:
-            left, right = self.relation
-            left, right = tuple(left), tuple(right)
-            object.__setattr__(self, "relation", (left, right))
+        if relation is not None:
+            left, right = relation
+            relation = left, right = tuple(left), tuple(right)
             for idx in left + right:
                 if not 0 <= idx < len(coords):
                     raise ValueError(f"relation index {idx} out of range")
@@ -671,6 +670,7 @@ class ChartPresentation:
             if lsum != rsum:
                 raise ValueError(
                     f"relation is not a lattice identity: {lsum} != {rsum}")
+        return super().__new__(cls, coords, relation)
 
     @property
     def rank(self) -> int:
@@ -704,10 +704,9 @@ class ChartPresentation:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ChartPresentation":
-        coords = tuple(Coordinate(c["name"], tuple(c["monomial"]))
-                       for c in data["coords"])
+        coords = [Coordinate(c["name"], c["monomial"]) for c in data["coords"]]
         rel = data.get("relation")
-        relation = None if rel is None else (tuple(rel["left"]), tuple(rel["right"]))
+        relation = None if rel is None else (rel["left"], rel["right"])
         return cls(coordinates=coords, relation=relation)
 
 

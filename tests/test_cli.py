@@ -119,6 +119,19 @@ def test_dual_json(capsys):
     assert data["involution"] is True and data["pass"] is True
 
 
+def test_dual_n1_claims_no_generator_check(capsys):
+    # at n = 1 the dual has 2 rays and the canonical list 3, so no
+    # "dual generators" row runs and the key must not affirm one
+    code, out, _ = run_cli(capsys, "dual", "--n", "1", "--format", "json")
+    assert code == EXIT_OK
+    data = assert_json_round_trips(out)
+    assert data["canonical_generators"] is None
+    assert [row["name"] for row in data["checks"]] == ["duality involution"]
+    assert data["involution"] is True and data["pass"] is True
+    _, out, _ = run_cli(capsys, "dual", "--n", "2", "--format", "json")
+    assert json.loads(out)["canonical_generators"] is True
+
+
 def test_dual_usage_error(capsys):
     code, _, _ = run_cli(capsys, "dual", "--n", "0")
     assert code == EXIT_USAGE

@@ -92,6 +92,21 @@ def test_rays_of_a_simplicial_cone(base):
     assert_rays_invert(base, [r for r, _ in extreme_rays(base, len(base))])
 
 
+@PROPERTY
+@given(st.integers(2, 6).flatmap(lambda m: st.tuples(
+    st.lists(st.lists(ENTRIES, min_size=m, max_size=m), min_size=m - 1, max_size=m - 1),
+    st.lists(st.integers(-2, 2), min_size=m - 1, max_size=m - 1))))
+def test_a_singular_square_system_is_refused(system):
+    # a square system skips the choice of independent rows, so the inverse
+    # that starts double description must notice the missing rank itself
+    rows, coeffs = system
+    last = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(len(rows) + 1)]
+    base = rows + [last]
+    assume(all(map(any, base)) and len({primitive(r) for r in base}) == len(base))
+    with pytest.raises(ValueError, match="not pointed"):
+        extreme_rays(base, len(base))
+
+
 @st.composite
 def pointed_systems(draw, max_rank=4, max_extra=4):
     """(rows, rank): up to rank + 4 nonzero rows of rank up to 4, spanning

@@ -9,7 +9,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import src_env
@@ -179,6 +179,33 @@ def test_simplicial_cone_builds_with_no_pairing(monkeypatch):
     c = Cone(slab.rays)
     assert (c.inequalities == slab.inequalities
             and list(c._incidence.items()) == list(zip(slab.rays, expected)))
+
+
+@st.composite
+def independent_generators(draw):
+    """rank generators of Z^rank, rank 2..6, linearly independent."""
+    rank = draw(st.integers(2, 6))
+    gens = [tuple(draw(st.lists(st.integers(-4, 4), min_size=rank, max_size=rank)))
+            for _ in range(rank)]
+    assume(len(invariant_factors(gens)) == rank)
+    return gens
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(independent_generators())
+def test_simplicial_cone_agrees_with_the_general_path(gens):
+    # rank generators skip the rank test and the extremality filter; with
+    # g0 + g1 added, a redundant generator, the cone takes the general path
+    simplicial = Cone(gens)
+    general = Cone(gens + [vadd(gens[0], gens[1])])
+    assert simplicial.rays == general.rays
+    assert simplicial.inequalities == general.inequalities
+    assert list(simplicial._incidence.items()) == list(general._incidence.items())
+    # the last generator replaced by minus the sum of the others: still
+    # rank distinct primitive generators, but they span a hyperplane
+    singular = gens[:-1] + [vscale(-1, functools.reduce(vadd, gens[:-1]))]
+    with pytest.raises(ValueError):
+        Cone(singular)
 
 
 def test_cone_value_semantics():
