@@ -12,66 +12,59 @@ behind degenerating a smooth hypersurface to a hyperplane arrangement:
 * `degeneration` — local normal forms on arrangement strata and
   machine-checkable verification reports;
 * `cli`          — the `sncdegen` command-line driver.
+
+The namespace is lazy (PEP 562): `import sncdegen` imports no submodule,
+and the first use of an exported name imports only the submodule that
+defines it (and what that submodule imports), so a cold process compiles
+no more of the package than it uses.  `cli` still imports every module
+when it loads: the benchmark's tracer imports `sncdegen.cli` and then
+expects every traced module in `sys.modules`, so per-subcommand imports
+wait until the tracer imports what it wraps itself.
 """
 
-from .degeneration import (
-    CheckResult,
-    DegenerationSpec,
-    LocalModelSpec,
-    VerificationReport,
-    affine_coordinate_arrangement_class,
-    central_fiber_arrangement_class,
-    full_degeneration_report,
-    resolve_local_model,
-)
-from .grothring import (
-    GrothClass,
-    L,
-    ONE,
-    ZERO,
-    arrangement_class_closed,
-    arrangement_class_inclusion_exclusion,
-    arrangement_class_recursive,
-    binomial_congruence_check,
-    proj_space_class,
-    reduce_mod_L,
-)
-from .toriclat import (
-    ChartPresentation,
-    Cone,
-    Coordinate,
-    Fan,
-    FiberCheck,
-    blowup_chart_sequence,
-    dual_cone,
-    dual_generators,
-    fiber_class,
-    greedy_decompose,
-    is_smooth,
-    model_cone,
-    resolution_fan,
-    semistable_fiber_check,
-    sigma_subcone,
-    singular_model_chart,
-    toric_class,
-    unit_vector,
-    verify_partition,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GrothClass", "L", "ONE", "ZERO", "proj_space_class", "reduce_mod_L",
-    "arrangement_class_closed", "arrangement_class_recursive",
-    "arrangement_class_inclusion_exclusion", "binomial_congruence_check",
-    "Cone", "Fan", "Coordinate", "ChartPresentation",
-    "FiberCheck", "unit_vector", "dual_cone", "greedy_decompose",
-    "is_smooth", "model_cone", "sigma_subcone", "resolution_fan",
-    "dual_generators", "verify_partition", "semistable_fiber_check",
-    "toric_class", "fiber_class", "blowup_chart_sequence",
-    "singular_model_chart",
-    "LocalModelSpec", "DegenerationSpec", "CheckResult", "VerificationReport",
-    "affine_coordinate_arrangement_class", "resolve_local_model",
-    "central_fiber_arrangement_class", "full_degeneration_report",
-    "__version__",
-]
+#: The exported names of each submodule, in the order of `__all__`.
+_EXPORTS = {
+    "grothring": (
+        "GrothClass", "L", "ONE", "ZERO", "proj_space_class", "reduce_mod_L",
+        "arrangement_class_closed", "arrangement_class_recursive",
+        "arrangement_class_inclusion_exclusion", "binomial_congruence_check",
+    ),
+    "toriclat": (
+        "Cone", "Fan", "Coordinate", "ChartPresentation",
+        "FiberCheck", "unit_vector", "dual_cone", "greedy_decompose",
+        "is_smooth", "model_cone", "sigma_subcone", "resolution_fan",
+        "dual_generators", "verify_partition", "semistable_fiber_check",
+        "toric_class", "fiber_class", "blowup_chart_sequence",
+        "singular_model_chart",
+    ),
+    "degeneration": (
+        "LocalModelSpec", "DegenerationSpec", "CheckResult", "VerificationReport",
+        "affine_coordinate_arrangement_class", "resolve_local_model",
+        "central_fiber_arrangement_class", "full_degeneration_report",
+    ),
+}
+
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_SOURCE, "__version__"]
+
+
+def __getattr__(name: str):
+    """Import the submodule that defines an exported name on its first
+    use, and bind the name here so that later uses skip this hook.  Any
+    other name raises AttributeError, which lets `from sncdegen import cli`
+    fall through to importing the submodule."""
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

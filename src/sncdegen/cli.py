@@ -25,7 +25,7 @@ import json
 import os
 import sys
 from collections import Counter
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ._intmat import Vec
 from .degeneration import (
@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(payload, fmt: str, text_lines: Sequence[str]) -> None:
+def _emit(payload, fmt: str, text_lines: Iterable[str]) -> None:
     if fmt == "json":
         print(json.dumps(payload, indent=2))
     else:
@@ -209,17 +209,20 @@ def cmd_resolve(n: int, fmt: str) -> int:
         "semistable": certificate.fiber.to_json_dict(),
         "checks": [row.to_json_dict() for row in certificate.rows],
     }
-    product = "*".join(f"z{i}" for i in range(1, n + 1)) if n <= 3 else f"z1*...*z{n}"
-    lines = [f"resolution of t*y = {product} (fan of {len(certificate.fan)} maximal cones, "
-             f"rank {certificate.fan.rank})"]
-    for k, cone in enumerate(certificate.fan, start=1):
-        lines.append(f"  sigma_{k}: rays {[list(r) for r in cone.rays]}")
-    for k, chart in enumerate(charts, start=1):
-        coords = ", ".join(f"{c.name}={list(c.monomial)}" for c in chart.coordinates)
-        lines.append(f"  chart U_{k}: {coords}")
-        lines.append(f"    relation: {chart.render_relation()}")
-    lines += render_checks(certificate.rows)
-    _emit(payload, fmt, lines)
+
+    def lines():  # a generator: JSON output formats none of them
+        product = "*".join(f"z{i}" for i in range(1, n + 1)) if n <= 3 else f"z1*...*z{n}"
+        yield (f"resolution of t*y = {product} (fan of {len(certificate.fan)} maximal "
+               f"cones, rank {certificate.fan.rank})")
+        for k, cone in enumerate(certificate.fan, start=1):
+            yield f"  sigma_{k}: rays {[list(r) for r in cone.rays]}"
+        for k, chart in enumerate(charts, start=1):
+            coords = ", ".join(f"{c.name}={list(c.monomial)}" for c in chart.coordinates)
+            yield f"  chart U_{k}: {coords}"
+            yield f"    relation: {chart.render_relation()}"
+        yield from render_checks(certificate.rows)
+
+    _emit(payload, fmt, lines())
     return EXIT_OK if all(row.passed for row in certificate.rows) else EXIT_FAILED
 
 

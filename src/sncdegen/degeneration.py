@@ -198,13 +198,12 @@ MAX_CERTIFIED_STRATUM = 24
 
 class LocalCertificate(NamedTuple):
     """The slab fan of rank k+1, its `FiberCheck` for the direction e_{k+1}*,
-    the rows "cones unimodular", "partition of model cone" and "semistable
-    fiber", and the resolved fiber class, None without unimodular cones."""
+    and the rows "cones unimodular", "partition of model cone" and
+    "semistable fiber"."""
 
     fan: Fan
     fiber: FiberCheck
     rows: tuple[CheckResult, CheckResult, CheckResult]
-    resolved_class: Optional[GrothClass]
 
 
 @functools.lru_cache(maxsize=None)
@@ -230,8 +229,18 @@ def _certified_local_core(k: int) -> LocalCertificate:
             CheckResult("partition of model cone", failure is None,
                         failure or "walls matched, generic point covered once"),
             CheckResult("semistable fiber", fiber.snc, semistable))
-    return LocalCertificate(fan, fiber, rows,
-                            fiber_class(fan, direction) if fiber.smooth else None)
+    return LocalCertificate(fan, fiber, rows)
+
+
+@functools.lru_cache(maxsize=None)
+def _resolved_fiber_class(k: int) -> Optional[GrothClass]:
+    """The orbit count of the central fiber of the certified slab fan of
+    rank k+1, None without unimodular cones.  Kept out of the certificate,
+    which `resolve` prints without this class."""
+    certificate = _certified_local_core(k)
+    if not certificate.fiber.smooth:
+        return None
+    return fiber_class(certificate.fan, unit_vector(k + 1, k))
 
 
 def resolve_local_model(spec: LocalModelSpec) -> VerificationReport:
@@ -251,7 +260,7 @@ def resolve_local_model(spec: LocalModelSpec) -> VerificationReport:
     """
     n, k = spec.n, spec.k
     certificate = _certified_local_core(k)
-    after_core = certificate.resolved_class
+    after_core = _resolved_fiber_class(k)
 
     scissor = affine_coordinate_arrangement_class(k)
     closed_form = L**k - (L - ONE) ** k

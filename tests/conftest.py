@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from sncdegen import degeneration
 from sncdegen.grothring import GrothClass
 
 ACCEPTANCE_RESULTS: list[tuple[int, str, bool, str]] = []
@@ -19,6 +20,13 @@ def src_env() -> dict:
     package from src/, ahead of any PYTHONPATH already set."""
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+
+
+def clear_certificates() -> None:
+    """Empty the caches of certified local cores and of resolved fiber
+    classes, so that a mutant a test patches in reaches no other test."""
+    degeneration._certified_local_core.cache_clear()
+    degeneration._resolved_fiber_class.cache_clear()
 
 
 def record_acceptance(num: int, description: str, ok: bool, detail: str = "") -> str:

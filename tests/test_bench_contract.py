@@ -6,7 +6,11 @@ traced.py is read as text, never imported or changed."""
 import ast
 import importlib
 import inspect
+import subprocess
+import sys
 from pathlib import Path
+
+from conftest import src_env
 
 TRACED = Path(__file__).resolve().parent.parent / "perfbench" / "traced.py"
 
@@ -32,6 +36,18 @@ def test_every_traced_span_resolves():
         if not callable(found):
             missing.append(f"{module_name}.{qualname}")
     assert missing == []
+
+
+def test_tracer_imports_load_every_traced_module():
+    # the tracer runs `import sncdegen, sncdegen.cli`, then reads
+    # sys.modules["sncdegen.<module>"] for every span before the target
+    # runs: the command line must still load each traced module
+    modules = sorted({f"sncdegen.{module}" for module, _ in traced_constant("SPANS")})
+    code = ("import sys, sncdegen, sncdegen.cli\n"
+            f"print([m for m in {modules!r} if m not in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_every_traced_groth_operation_resolves():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import src_env
+from conftest import clear_certificates, src_env
 from sncdegen import cli, degeneration
 from sncdegen.cli import EXIT_FAILED, EXIT_OK, EXIT_USAGE, build_parser, main
 from sncdegen.grothring import MAX_ENUMERATION_SIZE
@@ -164,15 +164,15 @@ def test_resolve_n1_has_no_charts(capsys):
 
 def test_resolve_fails_on_a_dropped_slab(capsys, monkeypatch):
     # sigma_n dropped: every cone is still unimodular and the fiber reduced,
-    # so only the partition row can catch it; the cache of certified cores
-    # is cleared so that no other test sees the mutant
+    # so only the partition row can catch it; the certificate caches
+    # are cleared so that no other test sees the mutant
     monkeypatch.setattr(degeneration, "resolution_fan", lambda n: Fan(
         [sigma_subcone(n, k) for k in range(1, n)]))
-    degeneration._certified_local_core.cache_clear()
+    clear_certificates()
     try:
         code, out, _ = run_cli(capsys, "resolve", "--n", "4", "--format", "json")
     finally:
-        degeneration._certified_local_core.cache_clear()
+        clear_certificates()
     assert code == EXIT_FAILED
     data = json.loads(out)
     assert len(data["fan"]["max_cones"]) == 3
@@ -236,16 +236,16 @@ def test_verify_toric_scope(capsys):
 
 
 def test_verify_partition_row_names_its_witness(capsys, monkeypatch):
-    # drop sigma_n from every fan but the one-slab fan of n=1; the cache of
-    # certified cores is cleared so that no other test sees the mutant
+    # drop sigma_n from every fan but the one-slab fan of n=1; the certificate
+    # caches are cleared so that no other test sees the mutant
     monkeypatch.setattr(degeneration, "resolution_fan", lambda n: Fan(
         [sigma_subcone(n, k) for k in range(1, n)] or [sigma_subcone(n, n)]))
-    degeneration._certified_local_core.cache_clear()
+    clear_certificates()
     try:
         code, out, _ = run_cli(capsys, "verify", "--scope", "lemma-toric",
                                "--max-n", "3", "--format", "json")
     finally:
-        degeneration._certified_local_core.cache_clear()
+        clear_certificates()
     assert code == EXIT_FAILED
     rows = {row["name"]: row for row in json.loads(out)["checks"]}
     assert rows["partition of model cone n=1"]["pass"]
@@ -265,12 +265,12 @@ def test_verify_partition_row_names_its_witness(capsys, monkeypatch):
 def test_verify_unimodular_and_semistable_rows_name_their_witness(
         capsys, monkeypatch, fan, max_n, witnesses):
     monkeypatch.setattr(degeneration, "resolution_fan", fan)
-    degeneration._certified_local_core.cache_clear()
+    clear_certificates()
     try:
         code, out, _ = run_cli(capsys, "verify", "--scope", "lemma-toric",
                                "--max-n", str(max_n), "--format", "json")
     finally:
-        degeneration._certified_local_core.cache_clear()
+        clear_certificates()
     assert code == EXIT_FAILED
     rows = {row["name"]: row for row in json.loads(out)["checks"]}
     for name, witness in witnesses.items():
@@ -398,12 +398,12 @@ def test_verify_certifies_each_fan_once(capsys, monkeypatch):
         return verify_partition(f, parent, bound)
 
     monkeypatch.setattr(degeneration, "verify_partition", counting)
-    degeneration._certified_local_core.cache_clear()
+    clear_certificates()
     try:
         code, _, _ = run_cli(capsys, "verify", "--scope", "all", "--max-n", "8",
                              "--format", "json")
     finally:
-        degeneration._certified_local_core.cache_clear()
+        clear_certificates()
     assert code == EXIT_OK
     assert sorted(ranks) == list(range(2, 10))
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from conftest import clear_certificates
 from oracles import affine_union_class_oracle, affine_union_point_count
 from sncdegen import degeneration
 from sncdegen.degeneration import (
@@ -122,15 +123,15 @@ def test_resolve_local_model_invariance_sweep():
 
 
 def test_partition_check_names_its_witness(monkeypatch):
-    # resolve with sigma_1 missing from every fan; the cache of certified
-    # cores is cleared so that no other test sees the mutant
+    # resolve with sigma_1 missing from every fan; the certificate
+    # caches are cleared so that no other test sees the mutant
     monkeypatch.setattr(degeneration, "resolution_fan", lambda k: Fan(
         [sigma_subcone(k, j) for j in range(2, k + 1)]))
-    degeneration._certified_local_core.cache_clear()
+    clear_certificates()
     try:
         report = resolve_local_model(LocalModelSpec(n=3, k=3))
     finally:
-        degeneration._certified_local_core.cache_clear()
+        clear_certificates()
     check = next(c for c in report.checks if c.name == "partition of model cone")
     assert not check.passed and not report.passed
     assert check.detail.startswith("unmatched wall with rays")
@@ -138,13 +139,13 @@ def test_partition_check_names_its_witness(monkeypatch):
 
 def checks_with_fan(monkeypatch, fan, spec):
     """The checks of `resolve_local_model(spec)` with `fan` in place of
-    the slab fan; the cache of certified cores is cleared on both sides."""
+    the slab fan; the certificate caches are cleared on both sides."""
     monkeypatch.setattr(degeneration, "resolution_fan", lambda k: fan)
-    degeneration._certified_local_core.cache_clear()
+    clear_certificates()
     try:
         report = resolve_local_model(spec)
     finally:
-        degeneration._certified_local_core.cache_clear()
+        clear_certificates()
     assert not report.passed
     return {c.name: c for c in report.checks}
 
@@ -176,11 +177,11 @@ def test_resolved_fiber_class_check_can_fail(monkeypatch):
     fiber_class = degeneration.fiber_class
     monkeypatch.setattr(degeneration, "fiber_class",
                         lambda f, direction: fiber_class(f, direction) + 1)
-    degeneration._certified_local_core.cache_clear()
+    clear_certificates()
     try:
         report = resolve_local_model(LocalModelSpec(n=3, k=2))
     finally:
-        degeneration._certified_local_core.cache_clear()
+        clear_certificates()
     check = next(c for c in report.checks if c.name == "resolved fiber class")
     assert not check.passed and not report.passed
 

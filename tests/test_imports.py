@@ -1,7 +1,10 @@
-"""Every module of the package references each name it imports, and
-importing the command line stays free of `dataclasses` and `inspect`."""
+"""Every module of the package references each name it imports,
+importing the command line stays free of `dataclasses` and `inspect`, and
+the package namespace imports a submodule only when one of its names is
+used."""
 
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +14,7 @@ import pytest
 from conftest import src_env
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sncdegen"
-# __init__.py imports names only to re-export them
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -60,3 +62,87 @@ def test_command_line_import_adds_no_dataclasses_or_inspect():
     added = modules(", sncdegen.cli") - modules("")
     assert "sncdegen.cli" in added
     assert not added & {"dataclasses", "inspect"}
+
+
+# -- the lazy package namespace -----------------------------------------
+
+# The public names of the package, in order, as they were when
+# `__init__.py` imported every submodule eagerly.
+PUBLIC = [
+    "GrothClass", "L", "ONE", "ZERO", "proj_space_class", "reduce_mod_L",
+    "arrangement_class_closed", "arrangement_class_recursive",
+    "arrangement_class_inclusion_exclusion", "binomial_congruence_check",
+    "Cone", "Fan", "Coordinate", "ChartPresentation",
+    "FiberCheck", "unit_vector", "dual_cone", "greedy_decompose",
+    "is_smooth", "model_cone", "sigma_subcone", "resolution_fan",
+    "dual_generators", "verify_partition", "semistable_fiber_check",
+    "toric_class", "fiber_class", "blowup_chart_sequence",
+    "singular_model_chart",
+    "LocalModelSpec", "DegenerationSpec", "CheckResult", "VerificationReport",
+    "affine_coordinate_arrangement_class", "resolve_local_model",
+    "central_fiber_arrangement_class", "full_degeneration_report",
+    "__version__",
+]
+
+
+def run_fresh(code: str):
+    """Run `code` in a fresh interpreter and return the JSON value of the
+    last line it prints."""
+    out = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                         capture_output=True, text=True, check=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def package_modules_after(statement: str) -> list[str]:
+    """The `sncdegen` submodules loaded after `statement` runs in a fresh
+    interpreter."""
+    return run_fresh(f"import json, sys\n{statement}\nprint(json.dumps(sorted("
+                     "m for m in sys.modules if m.startswith('sncdegen.'))))")
+
+
+def test_package_import_loads_no_submodule():
+    assert package_modules_after("import sncdegen") == []
+
+
+def test_arrangement_class_loads_only_grothring():
+    assert package_modules_after(
+        "import sncdegen; sncdegen.arrangement_class_closed") == ["sncdegen.grothring"]
+
+
+def test_resolution_fan_does_not_load_degeneration():
+    loaded = package_modules_after("import sncdegen; sncdegen.resolution_fan")
+    assert "sncdegen.toriclat" in loaded
+    assert "sncdegen.degeneration" not in loaded and "sncdegen.cli" not in loaded
+
+
+def test_public_names_are_the_defining_modules_objects():
+    names, mismatched = run_fresh("""
+import json, sys, sncdegen
+names = list(sncdegen.__all__)
+# a value's __module__ is that of its class for the GrothClass constants
+bad = [name for name in names if name != "__version__"
+       and getattr(sncdegen, name) is not getattr(
+           sys.modules[getattr(sncdegen, name).__module__], name)]
+print(json.dumps([names, bad]))
+""")
+    assert names == PUBLIC
+    assert mismatched == []
+
+
+def test_star_import_and_unknown_names():
+    bound, unknown, submodules = run_fresh("""
+import json, sncdegen
+namespace = {}
+exec("from sncdegen import *", namespace)
+try:
+    sncdegen.no_such_name
+    unknown = None
+except AttributeError as exc:
+    unknown = str(exc)
+from sncdegen import cli, degeneration
+print(json.dumps([sorted(set(namespace) - {"__builtins__"}), unknown,
+                  [cli.__name__, degeneration.__name__]]))
+""")
+    assert bound == sorted(PUBLIC)
+    assert unknown == "module 'sncdegen' has no attribute 'no_such_name'"
+    assert submodules == ["sncdegen.cli", "sncdegen.degeneration"]
