@@ -10,11 +10,12 @@ vectors.  Rank (`mat_rank`), the greedy choice of independent rows and
 the inverse of a square matrix (the simplicial start of `extreme_rays`)
 are all read off its output.  A square system skips the greedy choice:
 all its rows are the start, and a singular one shows in the pivots of
-that inverse, so a simplicial cone costs one elimination.  The Smith
-normal form in `invariant_factors` is a different algorithm (it works
-over Z, not Q) and keeps its own loop; it names the invariant factors of
-a cone that is not unimodular, while `toriclat.is_smooth` decides
-unimodularity without it.
+that inverse, so a simplicial cone costs one elimination (a slab after
+the first costs none: `toriclat._exchange` pivots it from the last).
+The Smith normal form in `invariant_factors` is a different algorithm (it
+works over Z, not Q) and keeps its own loop; it names the invariant
+factors of a cone that is not unimodular, while `toriclat.is_smooth`
+decides unimodularity without it.
 
 `extreme_rays` returns each ray with its zero set over the input rows, a
 bitmask kept alongside the rays through the double description, so a

@@ -25,7 +25,8 @@ import json
 import os
 import sys
 from collections import Counter
-from typing import Iterable, Optional, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Iterable, Optional, Sequence
 
 from ._intmat import Vec
 from .degeneration import (
@@ -109,12 +110,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(payload, fmt: str, text_lines: Iterable[str]) -> None:
+def _emit(fmt: str, payload: Callable[[], dict], lines: Callable[[], Iterable[str]]) -> None:
+    """Print the JSON document or the text lines, building only the one printed."""
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
+        print(_json(payload()))
     else:
-        for line in text_lines:
+        for line in lines():
             print(line)
+
+
+_JSON_LEAF = {int: str, str: encode_basestring_ascii}  # by exact type; else json.dumps
+
+
+def _json(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2) for str-keyed documents, written directly:
+    json's indent-2 encoder is pure Python."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items()]
+    elif isinstance(value, list) and value:
+        items = (map(str, value) if set(map(type, value)) == {int}  # bool is not int here
+                 else [_json(v, inner) for v in value])
+    else:
+        return _JSON_LEAF.get(type(value), json.dumps)(value)
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
 
 
 # -- subcommands --------------------------------------------------------
@@ -126,9 +146,9 @@ def _emit(payload, fmt: str, text_lines: Iterable[str]) -> None:
 CLASS_MAX_N = 10**4
 
 #: Largest n of `resolve` and of `dual`: resource limits.  Cold, on 2 shared
-#: vCPUs, `resolve --n 42` takes 0.33-0.43 s: the slab cones, the fan
-#: axiom's separating facets, and 0.04 s for the certificate rows;
-#: `dual --n 192` takes 1.1-1.2 s, mostly pairing inserted rows in the
+#: vCPUs, `resolve --n 42` takes 0.27-0.30 s, about 0.06 s of it the fan
+#: axiom's separating facets and 0.01 s the slab cones;
+#: `dual --n 192` takes 1.0-1.2 s, mostly pairing inserted rows in the
 #: double description.
 RESOLVE_MAX_N = 42
 DUAL_MAX_N = 192
@@ -168,7 +188,7 @@ def cmd_class(r: int, n: int, fmt: str) -> int:
         f"  residue mod L:        {residue}",
         f"  verdict:              {'AGREE' if agree else 'DISAGREE'}",
     ]
-    _emit(payload, fmt, lines)
+    _emit(fmt, lambda: payload, lambda: lines)
     return EXIT_OK if agree else EXIT_FAILED
 
 def cmd_dual(n: int, fmt: str) -> int:
@@ -192,7 +212,7 @@ def cmd_dual(n: int, fmt: str) -> int:
     lines = [f"dual of the model cone, n={n} (rank {dual.rank})"]
     lines += [f"  {list(r)}" for r in dual.rays]
     lines += render_checks(rows)
-    _emit(payload, fmt, lines)
+    _emit(fmt, lambda: payload, lambda: lines)
     return EXIT_OK if ok else EXIT_FAILED
 
 
@@ -202,15 +222,8 @@ def cmd_resolve(n: int, fmt: str) -> int:
     _refuse_over_cap("resolve", n, RESOLVE_MAX_N)
     certificate = _certified_local_core(n)
     charts = blowup_chart_sequence(n) if n >= 2 else []
-    payload = {
-        "n": n,
-        "fan": certificate.fan.to_json_dict(),
-        "charts": [c.to_json_dict() for c in charts],
-        "semistable": certificate.fiber.to_json_dict(),
-        "checks": [row.to_json_dict() for row in certificate.rows],
-    }
 
-    def lines():  # a generator: JSON output formats none of them
+    def lines():
         product = "*".join(f"z{i}" for i in range(1, n + 1)) if n <= 3 else f"z1*...*z{n}"
         yield (f"resolution of t*y = {product} (fan of {len(certificate.fan)} maximal "
                f"cones, rank {certificate.fan.rank})")
@@ -222,7 +235,13 @@ def cmd_resolve(n: int, fmt: str) -> int:
             yield f"    relation: {chart.render_relation()}"
         yield from render_checks(certificate.rows)
 
-    _emit(payload, fmt, lines())
+    _emit(fmt, lambda: {
+        "n": n,
+        "fan": certificate.fan.to_json_dict(),
+        "charts": [c.to_json_dict() for c in charts],
+        "semistable": certificate.fiber.to_json_dict(),
+        "checks": [row.to_json_dict() for row in certificate.rows],
+    }, lines)
     return EXIT_OK if all(row.passed for row in certificate.rows) else EXIT_FAILED
 
 
@@ -365,7 +384,7 @@ def cmd_verify(scope: str, max_n: int, fmt: str) -> int:
              f"covered: {ran}", *render_checks(rows)]
     passed = sum(1 for row in rows if row.passed)
     lines.append(f"  {passed}/{len(rows)} checks passed")
-    _emit(payload, fmt, lines)
+    _emit(fmt, lambda: payload, lambda: lines)
     return EXIT_OK if ok else EXIT_FAILED
 
 
@@ -375,7 +394,7 @@ def cmd_report(n: int, d: int, fmt: str) -> int:
         report = full_degeneration_report(DegenerationSpec(n=n, d=d))
     except ValueError as exc:
         raise _UsageError(str(exc))
-    _emit(report.to_json_dict(), fmt, [report.render_table()])
+    _emit(fmt, report.to_json_dict, lambda: [report.render_table()])
     return EXIT_OK if report.passed else EXIT_FAILED
 
 

@@ -9,9 +9,11 @@ the hypersurface t*y = z_1...z_n, and subdividing sigma into the slabs
     sigma_k = cone(f_1, ..., f_k, e_k, ..., e_n),
     x_1 + ... + x_{k-1} <= x_{n+1} <= x_1 + ... + x_k,
 
-resolves it with a reduced simple normal crossing central fiber.  This
-module provides the cones, fans and chart presentations for that story,
-plus exact certification routines: cone duality by the double description
+resolves it with a reduced simple normal crossing central fiber; only
+sigma_1 runs a double description, and each later slab comes from the one
+before by an exchange pivot of e_k for f_{k+1}, O(rank^2).  This module
+provides the cones, fans and chart presentations for that story, plus
+exact certification routines: cone duality by the double description
 method, unimodularity from the pairing of each ray with the one facet not
 through it (read off the stored ray-facet incidence, no Smith normal
 form), a whole-cone partition certificate (wall matching plus one generic
@@ -89,9 +91,10 @@ class Cone:
     primitive, irredundant facet normals come from one double description,
     and the cone keeps which facets pass through each ray, read off the
     zero sets that the double description returns: `_incidence` maps each
-    ray, in order, to that bitmask.  A face is generated by the generators
-    it contains, so a generator is extreme iff no other lies on all the
-    facets through it.  A simplicial cone, rank generators, skips that
+    ray, in order, to that bitmask.  A slab after the first stores the
+    same data from `_exchange` instead.  A face is generated by the
+    generators it contains, so a generator is extreme iff no other lies on
+    all the facets through it.  A simplicial cone, rank generators, skips that
     filter and the strong-convexity rank test: generators that span are
     then independent, so all are extreme and the cone is pointed.
 
@@ -121,12 +124,17 @@ class Cone:
                 raise ValueError("cone is not strongly convex (contains a line)")
             keep = [i for i, m in enumerate(on)
                     if all(m & other != m for k, other in enumerate(on) if k != i)]
+        self._store(rank, {prim[i]: on[i] for i in keep}, facets)
+
+    def _store(self, rank: int, incidence: dict[Vec, int], facets: Sequence[Vec]) -> "Cone":
+        """Set the slots: sorted rays, mapped to their masks over the sorted facets."""
         self._rank = rank
-        self._incidence = {prim[i]: on[i] for i in keep}
-        self._rays = tuple(self._incidence)
+        self._incidence = incidence
+        self._rays = tuple(incidence)
         self._inequalities = tuple(facets)
         self._dual = None
         self._smooth = None
+        return self
 
     # -- basic data -----------------------------------------------------
 
@@ -184,12 +192,40 @@ def is_smooth(c: Cone) -> bool:
     they are the u_j.  One pairing per ray, no Smith normal form.
     """
     if c._smooth is None:
-        # a simplicial ray misses exactly one facet: the bit absent from its mask
-        full = (1 << len(c.inequalities)) - 1
         c._smooth = len(c.rays) == c.rank and all(
-            dot(c.inequalities[(full & ~m).bit_length() - 1], r) == 1
-            for r, m in c._incidence.items())
+            dot(u, r) == 1 for r, u in _opposite_facets(c).items())
     return c._smooth
+
+
+def _opposite_facets(c: Cone) -> dict[Vec, Vec]:
+    """Each ray of a simplicial cone with the facet its mask lacks."""
+    full = (1 << len(c.inequalities)) - 1
+    return {r: c.inequalities[(full & ~m).bit_length() - 1] for r, m in c._incidence.items()}
+
+
+def _exchange(c: Cone, out: Vec, new: Sequence[int]) -> Cone:
+    """The simplicial cone c with the ray `out` swapped for `new`, in O(rank^2):
+    u_out, the facet opposite `out` signed so that p = <u_out, new> > 0, is
+    opposite `new`, and each other facet u becomes primitive(p u - <u, new> u_out).
+    p = 0 puts `new` in the span of the kept rays: ValueError."""
+    new = primitive(new)
+    opposite = _opposite_facets(c)
+    u_out = opposite.pop(out)
+    p = dot(u_out, new)
+    if p == 0:
+        raise ValueError(f"ray {list(new)} lies in the span of the rays kept")
+    if p < 0:
+        u_out, p = vscale(-1, u_out), -p
+    for r, u in opposite.items():
+        x = dot(u, new)
+        if x:
+            opposite[r] = primitive([p * a - x * b for a, b in zip(u, u_out)])
+    opposite[new] = u_out
+    facets = sorted(opposite.values())
+    bit = {u: 1 << j for j, u in enumerate(facets)}
+    full = (1 << c.rank) - 1
+    return Cone.__new__(Cone)._store(
+        c.rank, {r: full & ~bit[opposite[r]] for r in sorted(opposite)}, facets)
 
 
 class Fan:
@@ -286,14 +322,16 @@ def _separated_face(a: Cone, b: Cone) -> bool:
     description.  Let S be the rays of b that are rays of a.  If a facet u
     of a contains S and pairs < 0 with every other ray of b, then u >= 0 on
     a and u <= 0 on b, so a ∩ b = b ∩ u⊥ = cone(S): a face of b, and a
-    face of a when `_face_of` says so."""
+    face of a when `_face_of` says so, always if a is simplicial.  Facets
+    through S go last first: x_1 + ... + x_i >= x_{n+1} sorts last in sigma_i."""
     on = a._incidence
     shared = [r for r in b.rays if r in on]
     rest = [r for r in b.rays if r not in on]
-    through = functools.reduce(operator.and_, (on[r] for r in shared), -1)
-    return (any(through >> j & 1 and all(dot(u, r) < 0 for r in rest)
-                for j, u in enumerate(a.inequalities))
-            and _face_of(a, shared))
+    through = functools.reduce(operator.and_, (on[r] for r in shared),
+                               (1 << len(a.inequalities)) - 1)
+    return (any(all(dot(a.inequalities[j], r) < 0 for r in rest)
+                for j in reversed(range(through.bit_length())) if through >> j & 1)
+            and (len(on) == a.rank or _face_of(a, shared)))
 
 
 def _common_face(a: Cone, b: Cone) -> bool:
@@ -322,6 +360,15 @@ def model_cone(n: int) -> Cone:
 
 
 @functools.lru_cache(maxsize=None)
+def _slabs(n: int) -> tuple[Cone, ...]:
+    """sigma_1, ..., sigma_n: sigma_1 by double description, the rest by `_exchange`."""
+    rank = n + 1
+    slabs = [Cone([_f_vector(rank, 0), *(unit(rank, i) for i in range(n))])]
+    for k in range(1, n):
+        slabs.append(_exchange(slabs[-1], unit(rank, k - 1), _f_vector(rank, k)))
+    return tuple(slabs)
+
+
 def sigma_subcone(n: int, k: int) -> Cone:
     """The k-th slab cone sigma_k = cone(f_1, ..., f_k, e_k, ..., e_n).
     Its facets are x_i >= 0 for i != k and
@@ -330,9 +377,7 @@ def sigma_subcone(n: int, k: int) -> Cone:
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    rank = n + 1
-    rays = [_f_vector(rank, i) for i in range(k)] + [unit(rank, i) for i in range(k - 1, n)]
-    return Cone(rays)
+    return _slabs(n)[k - 1]
 
 
 def _ones_partial(rank: int, count: int) -> Vec:
@@ -347,7 +392,7 @@ def resolution_fan(n: int) -> Fan:
     resolution of the model hypersurface."""
     if n < 1:
         raise ValueError(f"the model needs n >= 1, got {n}")
-    return Fan([sigma_subcone(n, k) for k in range(1, n + 1)])
+    return Fan(_slabs(n))
 
 
 def dual_generators(n: int) -> list[Vec]:

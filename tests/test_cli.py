@@ -10,6 +10,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import clear_certificates, src_env
 from sncdegen import cli, degeneration
@@ -59,6 +61,54 @@ def test_stdout_matches_golden_file(capsys, name, fmt, ext):
     code, out, err = run_cli(capsys, *GOLDEN_COMMANDS[name], "--format", fmt)
     assert code == EXIT_OK and err == ""
     assert out == (GOLDEN / f"{name}.{ext}").read_text()
+
+
+# -- output -------------------------------------------------------------
+
+
+JSON_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\n\t\x7fé€\u2028😀') | st.characters(),
+                    max_size=8)
+JSON_LEAVES = (st.none() | st.booleans() | JSON_TEXT
+               | st.integers(-2**70, 2**70) | st.integers(2**64, 2**80))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES | st.lists(st.integers() | st.booleans()),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=40)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(JSON_VALUES)
+def test_json_writer_matches_json_dumps(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("argv", [
+    *(("resolve", "--n", str(n)) for n in (1, 2, 7, 20)),
+    *(("dual", "--n", str(n)) for n in (1, 2, 9)),
+    *(("report", "--n", str(n), "--d", str(d)) for n, d in ((2, 1), (3, 2), (6, 7))),
+    *(("verify", "--scope", scope, "--max-n", "3") for scope in (*cli.SUITES, "all")),
+    *(("class", "--r", str(r), "--n", str(n)) for r, n in ((1, 0), (5, 4), (18, 17))),
+], ids=" ".join)
+def test_json_output_reserializes_byte_for_byte(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == EXIT_OK and err == ""
+    assert_json_round_trips(out)
+
+
+def test_each_format_builds_only_what_it_prints(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built output for a format that is not printed")
+
+    argvs = [("resolve", "--n", "4"), ("report", "--n", "4", "--d", "5")]
+    with monkeypatch.context() as m:
+        m.setattr(Fan, "to_json_dict", refuse)
+        m.setattr(degeneration.VerificationReport, "to_json_dict", refuse)
+        assert [run_cli(capsys, *argv)[0] for argv in argvs] == [EXIT_OK] * 2
+    with monkeypatch.context() as m:
+        m.setattr(cli, "render_checks", refuse)
+        m.setattr(degeneration.VerificationReport, "render_table", refuse)
+        assert ([run_cli(capsys, *argv, "--format", "json")[0] for argv in argvs]
+                == [EXIT_OK] * 2)
 
 
 # -- class --------------------------------------------------------------

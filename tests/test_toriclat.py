@@ -52,6 +52,7 @@ from sncdegen.toriclat import (
 from sncdegen.toriclat import (
     MAX_SWEEP_POINTS,
     _common_face,
+    _exchange,
     _face_of,
     _generic_point,
     _partition_failure,
@@ -206,6 +207,42 @@ def test_simplicial_cone_agrees_with_the_general_path(gens):
     singular = gens[:-1] + [vscale(-1, functools.reduce(vadd, gens[:-1]))]
     with pytest.raises(ValueError):
         Cone(singular)
+
+
+def same_cone(c, d):
+    """Equal in the canonical data a cone stores, order included."""
+    return (c.rays == d.rays and c.inequalities == d.inequalities
+            and list(c._incidence.items()) == list(d._incidence.items()))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(independent_generators(), st.data())
+def test_exchange_pivot_agrees_with_double_description(gens, data):
+    c = Cone(gens)
+    out = data.draw(st.sampled_from(c.rays))
+    kept = [r for r in c.rays if r != out]
+    new = data.draw(st.lists(st.integers(-5, 5), min_size=c.rank, max_size=c.rank)
+                    .filter(any))
+    try:
+        expected = Cone(kept + [new])
+    except ValueError:  # new lies in the span of the kept rays
+        with pytest.raises(ValueError):
+            _exchange(c, out, new)
+    else:
+        assert same_cone(_exchange(c, out, new), expected)
+    # a nonzero combination of the kept rays pairs 0 with the facet opposite out
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(kept), max_size=len(kept))
+                       .filter(any))
+    in_span = functools.reduce(vadd, (vscale(x, r) for x, r in zip(coeffs, kept)))
+    with pytest.raises(ValueError):
+        _exchange(c, out, in_span)
+
+
+def test_slabs_by_exchange_equal_their_double_description():
+    for n in range(1, 13):
+        for k in range(1, n + 1):
+            slab = sigma_subcone(n, k)
+            assert same_cone(slab, Cone(slab.rays)), (n, k)
 
 
 def test_cone_value_semantics():
@@ -443,6 +480,31 @@ def test_separated_face_holds_on_every_slab_pair():
             a, b = sigma_subcone(n, i), sigma_subcone(n, j)
             assert _separated_face(a, b) and _separated_face(b, a), (n, i, j)
             assert _common_face(a, b), (n, i, j)
+
+
+def test_separated_face_tries_every_candidate_facet():
+    # sigma_2 and sigma_5 share f_1, f_2, e_5, e_6.  Through them run
+    # x_3 >= 0, x_4 >= 0 and one facet that separates: the upper facet of
+    # sigma_2, its last, or the lower facet of sigma_5, its first.  So one of
+    # the two orders meets the separating facet last, whichever end the
+    # walk over the candidates starts from.
+    lower, upper = sigma_subcone(6, 2), sigma_subcone(6, 5)
+    for a, b, at in [(lower, upper, max), (upper, lower, min)]:
+        shared = [r for r in b.rays if r in a.rays]
+        rest = [r for r in b.rays if r not in a.rays]
+        through = [j for j, u in enumerate(a.inequalities)
+                   if all(dot(u, r) == 0 for r in shared)]
+        separating = [j for j in through
+                      if all(dot(a.inequalities[j], r) < 0 for r in rest)]
+        assert len(through) == 3 and separating == [at(through)]
+        assert _separated_face(a, b)
+
+
+def test_fan_accepts_a_pair_with_no_shared_ray():
+    # no shared ray leaves every facet of a a candidate
+    a, b = Cone([(1, 0), (1, 1)]), Cone([(-1, 0), (-1, 1)])
+    assert _separated_face(a, b) and _separated_face(b, a)
+    assert len(Fan([a, b])) == 2
 
 
 def test_slab_fan_axiom_runs_no_double_description(monkeypatch):
