@@ -4,9 +4,10 @@ Each function here derives its answer by a different route than the
 library code it checks: faces are enumerated through facet-normal subsets
 rather than generator subsets, extreme rays through exhaustive kernel
 enumeration, random smooth cones through explicit unimodular row
-operations, and classes in Z[L] through point counts over finite fields
+operations, classes in Z[L] through point counts over finite fields
 (a class is a polynomial in L, and evaluating it at L = p counts F_p
-points).  Deliberately slow and simple.
+points), subset sizes mask by mask, and the closed arrangement formula term
+by term in class arithmetic.  Deliberately slow and simple.
 """
 
 import itertools
@@ -17,7 +18,7 @@ from math import comb
 from typing import Sequence
 
 from sncdegen._intmat import Vec, dot, primitive, vscale
-from sncdegen.grothring import GrothClass, L, ONE, ZERO
+from sncdegen.grothring import GrothClass, L, ONE, ZERO, proj_space_class
 from sncdegen.toriclat import Cone
 
 
@@ -189,6 +190,24 @@ def affine_union_class_oracle(k):
         s = mask.bit_count()
         term = L ** (k - s)
         total = total + (term if s % 2 == 1 else -term)
+    return total
+
+
+def subset_size_counts_oracle(r):
+    """The number of nonempty subsets of each size of r elements, as
+    `count[size]`, by visiting every mask and taking its `bit_count`."""
+    count = [0] * (r + 1)
+    for mask in range(1, 1 << r):
+        count[mask.bit_count()] += 1
+    return tuple(count)
+
+
+def arrangement_class_termwise_oracle(r, n):
+    """The closed arrangement formula sum_j (-1)^j C(r, j+1) [P^{n-j}],
+    summed term by term as classes of Z[L]; terms with j >= r vanish."""
+    total = ZERO
+    for j in range(min(n, r - 1) + 1):
+        total = total + (-1) ** j * comb(r, j + 1) * proj_space_class(n - j)
     return total
 
 

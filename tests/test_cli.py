@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from conftest import clear_certificates, src_env
 from sncdegen import cli, degeneration
 from sncdegen.cli import EXIT_FAILED, EXIT_OK, EXIT_USAGE, build_parser, main
-from sncdegen.grothring import MAX_ENUMERATION_SIZE
+from sncdegen.grothring import MAX_ENUMERATION_SIZE, _subset_sizes
 from sncdegen.toriclat import (
     Cone,
     Fan,
@@ -417,6 +417,13 @@ def test_verify_oversized_max_n_fails_fast(capsys):
     assert code == EXIT_OK
     assert json.loads(out)["covered_max_n"] == {
         "lemma-arrangement": 16, "lemma-toric": 16, "degeneration": 16}
+
+
+def test_verify_arrangement_tallies_subsets_once_per_r(capsys):
+    _subset_sizes.cache_clear()
+    code, _, _ = run_cli(capsys, "verify", "--scope", "lemma-arrangement", "--max-n", "12")
+    assert code == EXIT_OK
+    assert _subset_sizes.cache_info().misses == 12
 
 
 def test_verify_arrangement_suite_is_clamped(capsys):

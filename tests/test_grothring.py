@@ -2,15 +2,22 @@
 
 import json
 import random
+import tracemalloc
 
 import pytest
 
-from oracles import hyperplane_union_point_count
+from oracles import (
+    arrangement_class_termwise_oracle,
+    hyperplane_union_point_count,
+    subset_size_counts_oracle,
+)
+from sncdegen.cli import CLASS_MAX_N
 from sncdegen.grothring import (
     GrothClass,
     L,
     ONE,
     ZERO,
+    _subset_sizes,
     arrangement_class_closed,
     arrangement_class_inclusion_exclusion,
     arrangement_class_recursive,
@@ -164,12 +171,27 @@ def test_triple_agreement():
 
 
 def test_inclusion_exclusion_matches_closed_form_up_to_20():
-    # every n for r <= 16; above that, n = r - 2 (subsets of size r are
-    # empty intersections) and n = 20 (none are), each pass being 2^r masks
+    # the subset tally is cached per r, so each r enumerates its 2^r
+    # subsets once, whatever the number of n
     for r in range(1, 21):
-        for n in range(21) if r <= 16 else (r - 2, 20):
+        for n in range(21):
             assert arrangement_class_inclusion_exclusion(r, n) == \
                 arrangement_class_closed(r, n), (r, n)
+
+
+def test_subset_sizes_match_mask_by_mask_count():
+    # r = 15, 16, 17 straddle the edge of the 2^16-subset low block
+    for r in range(1, 21):
+        assert _subset_sizes(r) == subset_size_counts_oracle(r), r
+
+
+def test_closed_matches_termwise_class_sum():
+    for r in range(1, 21):
+        for n in range(21):
+            assert arrangement_class_closed(r, n) == \
+                arrangement_class_termwise_oracle(r, n), (r, n)
+    assert arrangement_class_closed(26, CLASS_MAX_N) == \
+        arrangement_class_termwise_oracle(26, CLASS_MAX_N)
 
 
 def test_arrangement_classes_match_point_counts():
@@ -190,6 +212,18 @@ def test_inclusion_exclusion_makes_no_arithmetic_per_subset(groth_additions):
     # one class per subset would make 2^16 - 1 additions
     arrangement_class_inclusion_exclusion(16, 15)
     assert len(groth_additions) <= 2 * 16
+
+
+def test_inclusion_exclusion_memory_is_flat():
+    # a table of all 2^22 subset sizes would take 4 MB
+    _subset_sizes.cache_clear()
+    tracemalloc.start()
+    try:
+        arrangement_class_inclusion_exclusion(22, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_congruence_low_range():
