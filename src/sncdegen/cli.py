@@ -12,20 +12,22 @@ Subcommands:
   degeneration, all) as a pass/fail table.
 * ``report``   — the end-to-end degeneration certificate for (n, d).
 
-Exit codes: 0 success, 1 usage error, 2 verification failure.  Output goes
-to stdout (text or JSON via --format); diagnostics go to stderr.  JSON
+The options of every subcommand live in one table, `COMMANDS`, which both
+the argument parser and ``--help`` read.  A flag takes its value as
+``--flag value`` or ``--flag=value``, is spelled in full and, if repeated,
+keeps its last value.  Exit codes: 0 success (``--help`` included), 1 usage
+error, 2 verification failure.  Output goes to stdout (text or JSON via
+--format); a usage error is one ``sncdegen: error:`` line on stderr.  JSON
 output is a single document that re-serializes byte-for-byte under
-``json.dumps(..., indent=2)``.
+``json.dumps(..., indent=2)``.  The module imports neither `argparse` nor
+`json`, whose loading and parser set-up cost a cold run about 14 ms.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 from collections import Counter
-from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Optional, Sequence
 
 from ._intmat import Vec
@@ -63,53 +65,6 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse variant that reports usage problems as exit code 1."""
-
-    def error(self, message):
-        raise _UsageError(message)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="sncdegen", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_format(p):
-        p.add_argument("--format", choices=("text", "json"), default="text",
-                       help="output format (default: text)")
-
-    p = sub.add_parser("class", help="arrangement class P(r, n) three ways")
-    p.add_argument("--r", type=int, required=True, help="number of hyperplanes")
-    p.add_argument("--n", type=int, required=True, help="dimension of each hyperplane")
-    add_format(p)
-    p.set_defaults(run=lambda a: cmd_class(a.r, a.n, a.format))
-
-    p = sub.add_parser("dual", help="dual of the model cone")
-    p.add_argument("--n", type=int, required=True, help="model dimension")
-    add_format(p)
-    p.set_defaults(run=lambda a: cmd_dual(a.n, a.format))
-
-    p = sub.add_parser("resolve", help="fan, charts and semistability of the model")
-    p.add_argument("--n", type=int, required=True, help="model dimension")
-    add_format(p)
-    p.set_defaults(run=lambda a: cmd_resolve(a.n, a.format))
-
-    p = sub.add_parser("verify", help="run invariant suites")
-    p.add_argument("--scope", choices=(*SUITES, "all"), default="all")
-    p.add_argument("--max-n", type=int, default=12, dest="max_n",
-                   help="largest n to sweep (default: 12)")
-    add_format(p)
-    p.set_defaults(run=lambda a: cmd_verify(a.scope, a.max_n, a.format))
-
-    p = sub.add_parser("report", help="end-to-end degeneration certificate")
-    p.add_argument("--n", type=int, required=True, help="fiber dimension")
-    p.add_argument("--d", type=int, required=True, help="degree")
-    add_format(p)
-    p.set_defaults(run=lambda a: cmd_report(a.n, a.d, a.format))
-
-    return parser
-
-
 def _emit(fmt: str, payload: Callable[[], dict], lines: Callable[[], Iterable[str]]) -> None:
     """Print the JSON document or the text lines, building only the one printed."""
     if fmt == "json":
@@ -119,20 +74,35 @@ def _emit(fmt: str, payload: Callable[[], dict], lines: Callable[[], Iterable[st
             print(line)
 
 
-_JSON_LEAF = {int: str, str: encode_basestring_ascii}  # by exact type; else json.dumps
+def _json_str(s: str) -> str:
+    """A JSON string literal, as json.dumps writes it with ensure_ascii."""
+    if s.isascii() and s.isprintable():  # every string the commands print
+        return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    from json.encoder import encode_basestring_ascii
+    return encode_basestring_ascii(s)
+
+
+#: The writer of each JSON leaf, by exact type; a dict or a list reaches
+#: this table only when it is empty.
+_JSON_LEAF = {int: str, str: _json_str, bool: lambda b: "true" if b else "false",
+              type(None): lambda _: "null", dict: lambda _: "{}", list: lambda _: "[]"}
 
 
 def _json(value, indent: str = "\n") -> str:
-    """json.dumps(value, indent=2) for str-keyed documents, written directly:
-    json's indent-2 encoder is pure Python."""
+    """json.dumps(value, indent=2) for str-keyed documents of dicts, lists,
+    ints, strs, bools and None, written directly: json's indent-2 encoder is
+    pure Python.  Any other type raises TypeError."""
     inner = indent + "  "
     if isinstance(value, dict) and value:
-        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items()]
+        items = [f"{_json_str(k)}: {_json(v, inner)}" for k, v in value.items()]
     elif isinstance(value, list) and value:
         items = (map(str, value) if set(map(type, value)) == {int}  # bool is not int here
                  else [_json(v, inner) for v in value])
     else:
-        return _JSON_LEAF.get(type(value), json.dumps)(value)
+        leaf = _JSON_LEAF.get(type(value))
+        if leaf is None:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        return leaf(value)
     brackets = "{}" if isinstance(value, dict) else "[]"
     return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
 
@@ -142,13 +112,13 @@ def _json(value, indent: str = "\n") -> str:
 
 #: Largest n of `class` and `report`, whose classes have degree about n;
 #: the recursion memoises about r^2 * n coefficients.  A resource limit:
-#: `class --r 26 --n 10000` takes about 7 s and 47 MB.
+#: `class --r 26 --n 10000` takes 2.1-3.6 s cold and 46 MB.
 CLASS_MAX_N = 10**4
 
 #: Largest n of `resolve` and of `dual`: resource limits.  Cold, on 2 shared
-#: vCPUs, `resolve --n 42` takes 0.27-0.30 s, about 0.06 s of it the fan
+#: vCPUs, `resolve --n 42` takes 0.21-0.30 s, about 0.06 s of it the fan
 #: axiom's separating facets and 0.01 s the slab cones;
-#: `dual --n 192` takes 1.0-1.2 s, mostly pairing inserted rows in the
+#: `dual --n 192` takes 0.8-1.3 s, mostly pairing inserted rows in the
 #: double description.
 RESOLVE_MAX_N = 42
 DUAL_MAX_N = 192
@@ -249,12 +219,12 @@ def cmd_resolve(n: int, fmt: str) -> int:
 
 
 #: Largest n of the toric and degeneration suites, whatever --max-n asks:
-#: `verify --scope all --max-n 16` takes 0.46-0.60 s cold.
+#: `verify --scope all --max-n 16` takes 0.39-0.58 s cold.
 TORIC_MAX_N = 16
 
 #: Largest n of the arrangement suite, whatever --max-n asks: it tallies
-#: the subsets of each r <= n once, cached across n, and takes about
-#: 0.17 s cold at 16.
+#: the subsets of each r <= n once, cached across n, and takes
+#: 0.11-0.17 s cold at 16.
 ARRANGEMENT_MAX_N = 16
 
 # Each suite returns (top, rows): the largest n it ran, and its rows.
@@ -399,11 +369,94 @@ def cmd_report(n: int, d: int, fmt: str) -> int:
     return EXIT_OK if report.passed else EXIT_FAILED
 
 
+# -- the command line ---------------------------------------------------
+
+
+_FORMAT = {"--format": (("text", "json"), "text", "output format")}
+
+#: The subcommands: name -> (run function, summary, options).  The options
+#: map each flag to (int or the tuple of its allowed values, its default or
+#: None when it is required, help text), in the order that the run function
+#: takes their values.
+COMMANDS = {
+    "class": (cmd_class, "arrangement class P(r, n) three ways",
+              {"--r": (int, None, "number of hyperplanes"),
+               "--n": (int, None, "dimension of each hyperplane"), **_FORMAT}),
+    "dual": (cmd_dual, "dual of the model cone",
+             {"--n": (int, None, "model dimension"), **_FORMAT}),
+    "resolve": (cmd_resolve, "fan, charts and semistability of the model",
+                {"--n": (int, None, "model dimension"), **_FORMAT}),
+    "verify": (cmd_verify, "run invariant suites",
+               {"--scope": ((*SUITES, "all"), "all", "suites to run"),
+                "--max-n": (int, 12, "largest n to sweep"), **_FORMAT}),
+    "report": (cmd_report, "end-to-end degeneration certificate",
+               {"--n": (int, None, "fiber dimension"),
+                "--d": (int, None, "degree"), **_FORMAT}),
+}
+
+
+def _help(name: Optional[str]) -> int:
+    """Print the usage of one subcommand, or with None of the program."""
+    if name is None:
+        lines = [f"usage: sncdegen {{{','.join(COMMANDS)}}} [--flag value | --flag=value ...]",
+                 "", __doc__.splitlines()[0], "", "subcommands:"]
+        lines += [f"  {cmd:<9}{summary}" for cmd, (_, summary, _) in COMMANDS.items()]
+        lines += ["", "'sncdegen SUBCOMMAND --help' lists the options of one subcommand."]
+    else:
+        _, summary, options = COMMANDS[name]
+        lines = [f"usage: sncdegen {name} [--flag value | --flag=value ...]", "", summary,
+                 "", "options (flags are spelled in full):"]
+        for flag, (kind, default, text) in options.items():
+            values = "an integer" if kind is int else "one of " + ", ".join(kind)
+            lines.append(f"  {flag:<10}{text}: {values}; "
+                         + ("required" if default is None else f"default {default}"))
+    print("\n".join(lines))
+    return EXIT_OK
+
+
+def _parse(argv: Sequence[str]) -> tuple[Callable[..., int], list]:
+    """The function that `argv` asks to run and its arguments: a
+    subcommand's run function and its option values, or `_help`."""
+    if not argv:
+        raise _UsageError(f"missing subcommand (choose from {', '.join(COMMANDS)})")
+    name, *rest = argv
+    if name in ("-h", "--help"):
+        return _help, [None]
+    if name not in COMMANDS:
+        raise _UsageError(f"invalid subcommand {name!r} (choose from {', '.join(COMMANDS)})")
+    if "-h" in rest or "--help" in rest:
+        return _help, [name]
+    run, _, options = COMMANDS[name]
+    given = {}
+    tokens = iter(rest)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag not in options:
+            raise _UsageError(f"{name}: unrecognized argument {token!r}")
+        value = value if eq else next(tokens, None)
+        if value is None:
+            raise _UsageError(f"argument {flag}: expected a value")
+        kind = options[flag][0]
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:  # also past the interpreter's digit limit
+                raise _UsageError(f"argument {flag}: invalid int value: {value!r}") from None
+        elif value not in kind:
+            raise _UsageError(f"argument {flag}: invalid choice: {value!r} "
+                              f"(choose from {', '.join(kind)})")
+        given[flag] = value
+    missing = [flag for flag, (_, default, _) in options.items()
+               if default is None and flag not in given]
+    if missing:
+        raise _UsageError(f"{name}: the following arguments are required: {', '.join(missing)}")
+    return run, [given.get(flag, default) for flag, (_, default, _) in options.items()]
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        code = args.run(args)
+        run, args = _parse(sys.argv[1:] if argv is None else argv)
+        code = run(*args)
         sys.stdout.flush()  # a closed pipe raises here rather than at exit
         return code
     except _UsageError as exc:

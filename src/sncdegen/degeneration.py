@@ -191,7 +191,7 @@ def affine_coordinate_arrangement_class(k: int) -> GrothClass:
 
 
 #: Deepest stratum k whose toric certificate `full_degeneration_report`
-#: builds (one slab fan of rank k+1 per stratum): a time budget of 0.33-0.40 s
+#: builds (one slab fan of rank k+1 per stratum): a time budget of 0.24-0.43 s
 #: cold for the whole report at k = 24, not a bound of the mathematics.
 MAX_CERTIFIED_STRATUM = 24
 

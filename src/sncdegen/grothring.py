@@ -186,7 +186,7 @@ L = GrothClass([0, 1])
 
 #: Largest set whose 2^size subsets the literal inclusion-exclusion may
 #: enumerate: a resource limit, not a bound of the mathematics.  The
-#: tally doubles in time with each hyperplane; at 26 it takes 1.0-1.3 s
+#: tally doubles in time with each hyperplane; at 26 it takes 0.8-1.4 s
 #: cold for `class --r 26 --n 25`, with a peak RSS of 16 MB.
 MAX_ENUMERATION_SIZE = 26
 

@@ -10,12 +10,12 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import clear_certificates, src_env
 from sncdegen import cli, degeneration
-from sncdegen.cli import EXIT_FAILED, EXIT_OK, EXIT_USAGE, build_parser, main
+from sncdegen.cli import EXIT_FAILED, EXIT_OK, EXIT_USAGE, main
 from sncdegen.grothring import MAX_ENUMERATION_SIZE, _subset_sizes
 from sncdegen.toriclat import (
     Cone,
@@ -78,8 +78,24 @@ JSON_VALUES = st.recursive(
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(JSON_VALUES)
+@example("")
+@example("\x7f")
+@example('"\\')
+@example("é")
+@example("😀")
+@example({})
+@example([])
+@example({"a": {}, "b": [], "c": [{}, []]})
+@example([{}, [], [[]]])
+@example({"t": True, "f": False, "n": None})
 def test_json_writer_matches_json_dumps(value):
     assert cli._json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, {"x": [1, 0.5]}, ("a",)], ids=repr)
+def test_json_writer_refuses_other_leaves(value):
+    with pytest.raises(TypeError):
+        cli._json(value)
 
 
 @pytest.mark.parametrize("argv", [
@@ -538,21 +554,60 @@ def test_readme_synopsis_lists_every_option():
     documented = {m[1]: set(re.findall(r"--[a-z][a-z-]*", m[2]))
                   for m in re.finditer(r"^sncdegen (\w+)(.*)$", readme.read_text(),
                                        re.MULTILINE)}
-    subparsers = next(a for a in build_parser()._actions
-                      if hasattr(a, "add_parser")).choices
-    defined = {name: {o for a in p._actions for o in a.option_strings
-                      if o.startswith("--")} - {"--format", "--help"}
-               for name, p in subparsers.items()}
+    defined = {name: set(options) - {"--format"}
+               for name, (_, _, options) in cli.COMMANDS.items()}
     assert documented == defined
 
 
 def test_parser_dispatches_and_names_the_suites_once():
-    subparsers = next(a for a in build_parser()._actions
-                      if hasattr(a, "add_parser")).choices
-    for name, p in subparsers.items():
-        assert callable(p.get_default("run")), name
-    scope = next(a for a in subparsers["verify"]._actions if a.dest == "scope")
-    assert list(scope.choices) == [*cli.SUITES, "all"]
+    for name, (run, _, _) in cli.COMMANDS.items():
+        assert callable(run), name
+    assert list(cli.COMMANDS["verify"][2]["--scope"][0]) == [*cli.SUITES, "all"]
+
+
+@pytest.mark.parametrize("argv, token", [
+    ((), "subcommand"),
+    (("frobnicate",), "'frobnicate'"),
+    (("report", "--n", "3", "--d", "4", "--bound", "3"), "'--bound'"),
+    (("resolve", "--n"), "--n"),
+    (("resolve", "--n="), "--n"),
+    (("resolve", "--n", "three"), "'three'"),
+    (("resolve", "--n", "9" * 5000), "--n"),
+    (("dual", "--n", "3", "--format", "xml"), "'xml'"),
+    (("verify", "--scope", "nope"), "'nope'"),
+    (("verify", "--fo", "json"), "'--fo'"),
+    (("report", "--n", "4"), "--d"),
+], ids=lambda v: (" ".join(v)[:40] or "no subcommand") if isinstance(v, tuple) else None)
+def test_usage_error_is_one_stderr_line(capsys, argv, token):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err.count("\n") == 1 and err.startswith("sncdegen: error:")
+    assert token in err
+
+
+def test_usage_error_through_the_module_has_no_traceback():
+    proc = subprocess.run([sys.executable, "-m", "sncdegen", "resolve", "--n", "three"],
+                          capture_output=True, text=True, env=src_env(), timeout=60)
+    assert proc.returncode == EXIT_USAGE and proc.stdout == ""
+    assert proc.stderr == "sncdegen: error: argument --n: invalid int value: 'three'\n"
+
+
+@pytest.mark.parametrize("argv", [("-h",), ("--help",),
+                                  *((name, flag) for name in cli.COMMANDS
+                                    for flag in ("-h", "--help"))], ids=" ".join)
+def test_help_names_every_subcommand_and_option(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_OK and err == ""
+    if len(argv) == 1:
+        assert all(f"  {name} " in out for name in cli.COMMANDS)
+        return
+    options = cli.COMMANDS[argv[0]][2]
+    rows = [line.split(maxsplit=1) for line in out.splitlines() if line.startswith("  --")]
+    assert [flag for flag, _ in rows] == list(options)
+    for flag, text in rows:
+        kind, default, _ = options[flag]
+        assert ("required" if default is None else f"default {default}") in text
+        assert kind is int or all(value in text for value in kind)
 
 
 def test_unknown_subcommand(capsys):

@@ -1,7 +1,7 @@
-"""Every module of the package references each name it imports,
-importing the command line stays free of `dataclasses` and `inspect`, and
-the package namespace imports a submodule only when one of its names is
-used."""
+"""Every module of the package references each name it imports, the
+command line runs without `dataclasses`, `inspect`, `argparse` or `json`,
+and the package namespace imports a submodule only when one of its names
+is used."""
 
 import ast
 import json
@@ -61,7 +61,18 @@ def test_command_line_import_adds_no_dataclasses_or_inspect():
 
     added = modules(", sncdegen.cli") - modules("")
     assert "sncdegen.cli" in added
-    assert not added & {"dataclasses", "inspect"}
+    assert not added & {"dataclasses", "inspect", "argparse", "gettext", "locale", "json"}
+
+
+@pytest.mark.parametrize("argv", [["report", "--n", "4", "--d", "5", "--format", "json"],
+                                  ["resolve", "--n", "5", "--format", "json"]], ids=" ".join)
+def test_json_commands_run_without_json(argv):
+    # the payload goes to stdout; the last line says whether `json` was loaded
+    code = ("import sys\nfrom sncdegen.cli import main\n"
+            f"code = main({argv!r})\nprint(code, 'json' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "0 False"
 
 
 # -- the lazy package namespace -----------------------------------------
