@@ -49,11 +49,11 @@ for n in (2, 3, 4):
     assert dual.rays == tuple(sorted(expected))
 
 ############################################################################
-# Smoothness via Smith normal form
-# --------------------------------
-# A cone is smooth when its rays extend to a lattice basis, detected by
-# the invariant factors of the ray matrix being all 1.  The model cone
-# itself is singular for n >= 2 (it has 2n rays in rank n + 1).
+# Smoothness from the facets
+# --------------------------
+# A cone is smooth when its rays extend to a lattice basis: it is
+# simplicial and each ray pairs to 1 with the facet opposite it.  The
+# model cone itself is singular for n >= 2 (it has 2n rays in rank n + 1).
 print("quadrant smooth       :", is_smooth(quadrant))
 print("wedge smooth          :", is_smooth(wedge))
 print("model_cone(2) smooth  :", is_smooth(model_cone(2)))

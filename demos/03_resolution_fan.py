@@ -41,11 +41,11 @@ for k in range(1, n + 1):
 # Exact cover of the model cone
 # -----------------------------
 # verify_partition checks that every subdivision cone sits inside the
-# parent and that the cones meet pairwise along common faces.  Then every
-# wall between two slabs must be shared by exactly one cone on each side,
-# every other facet must lie on the parent's boundary, and one point on no
-# wall must lie in exactly one slab.  Together these certify the cover of
-# the whole cone, not just of a box.  bound=4 adds a sweep of the lattice
+# parent.  Then every wall between two slabs must be shared by exactly one
+# cone on each side, every other facet must lie on the parent's boundary,
+# and one point on no wall must lie in exactly one slab.  Together these
+# certify the cover of the whole cone, not just of a box, and that the
+# cones meet pairwise along common faces.  bound=4 adds a sweep of the lattice
 # points of [0,4]^(n+1) as a cross-check.
 ok = verify_partition(fan, model_cone(n), bound=4)
 print(f"partition of model_cone({n}) certified (cross-checked over [0,4]^{n + 1}):", ok)

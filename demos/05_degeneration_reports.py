@@ -63,7 +63,7 @@ for n, k in [(3, 1), (3, 2), (3, 3), (5, 4)]:
 # -------------------
 # d hyperplanes degenerating inside P^(n+1): the central fiber class is
 # the arrangement class P(d, n), congruent to 1 mod L in the stable range
-# d <= n + 1, and every stratum depth k = 1..min(d-1, n) is certified.
+# d <= n + 1, and every stratum depth k = 1..min(d, n) is certified.
 deg = DegenerationSpec(n=3, d=4)
 print("central fiber class:",
       central_fiber_arrangement_class(deg).render())

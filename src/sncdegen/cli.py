@@ -116,8 +116,8 @@ def _json(value, indent: str = "\n") -> str:
 CLASS_MAX_N = 10**4
 
 #: Largest n of `resolve` and of `dual`: resource limits.  Cold, on 2 shared
-#: vCPUs, `resolve --n 42` takes 0.21-0.30 s, about 0.06 s of it the fan
-#: axiom's separating facets and 0.01 s the slab cones;
+#: vCPUs, `resolve --n 42` takes 0.16-0.28 s, about 0.02-0.03 s of it the
+#: partition certificate and 0.01-0.02 s each the model cone and the slabs;
 #: `dual --n 192` takes 0.8-1.3 s, mostly pairing inserted rows in the
 #: double description.
 RESOLVE_MAX_N = 42

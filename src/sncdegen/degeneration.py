@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple, Optional, Sequence, Union
 
-from ._intmat import dot, invariant_factors
+from ._intmat import dot
 from .grothring import (
     GrothClass,
     L,
@@ -33,6 +33,7 @@ from .grothring import (
 from .toriclat import (
     Fan,
     FiberCheck,
+    _opposite_facets,
     _partition_failure,
     fiber_class,
     is_smooth,
@@ -219,8 +220,11 @@ def _certified_local_core(k: int) -> LocalCertificate:
     unimodular = f"{len(fan)} maximal cone(s) of the rank-{k + 1} subdivision"
     if not fiber.smooth:
         cone = next(c for c in fan if not is_smooth(c))
-        unimodular = (f"{cone!r} is not unimodular: invariant factors "
-                      f"{invariant_factors(cone.rays)} for {len(cone.rays)} rays")
+        why = f"{len(cone.rays)} rays in rank {cone.rank}"
+        if len(cone.rays) == cone.rank:  # simplicial: a ray pairs > 1
+            why = next(f"ray {list(r)} pairs {dot(u, r)} with its opposite facet"
+                       for r, u in _opposite_facets(cone).items() if dot(u, r) != 1)
+        unimodular = f"{cone!r} is not unimodular: {why}"
     semistable = f"reduced={fiber.reduced}, smooth={fiber.smooth}"
     if not fiber.reduced:
         ray = next(r for r in fan.rays() if dot(direction, r) > 1)
@@ -302,21 +306,23 @@ def central_fiber_arrangement_class(spec: DegenerationSpec) -> GrothClass:
 def full_degeneration_report(spec: DegenerationSpec) -> VerificationReport:
     """End-to-end certificate for the degeneration: the central fiber's
     class is congruent to 1 modulo L, and every local normal form that
-    occurs on a stratum of the arrangement (depth k = 1..min(d-1, n):
-    fixing one branch as x_{n+1} leaves k other branches visible) is
-    resolved with an unchanged fiber-class residue.
+    occurs on a stratum of the arrangement is resolved with an unchanged
+    fiber-class residue.  In the family H_1*...*H_d + t*F = 0 in P^{n+1},
+    the total space is the graph t = -H_1*...*H_d/F off {F = 0}; where F
+    and exactly k of the H_i vanish it is t*x_{n+1} = x_1*...*x_k with
+    x_{n+1} = F, for each k = 1..min(d, n).
 
     Per-stratum checks are flattened into the aggregate check list under
     a "stratum k=..." prefix.  The report's own before/after classes both
     record the central fiber's arrangement class: the local resolutions
     leave it untouched modulo L, which is the invariant being certified.
-    A deepest stratum min(d-1, n) above MAX_CERTIFIED_STRATUM raises
+    A deepest stratum min(d, n) above MAX_CERTIFIED_STRATUM raises
     ValueError before any stratum is resolved.
     """
     n, d = spec.n, spec.d
     if n < 2:
         raise ValueError(f"the degeneration model needs n >= 2, got n={n}")
-    depth = min(d - 1, n)
+    depth = min(d, n)
     if depth > MAX_CERTIFIED_STRATUM:
         raise ValueError(f"the toric certificate is limited to strata of depth "
                          f"k <= {MAX_CERTIFIED_STRATUM}, got k={depth}")

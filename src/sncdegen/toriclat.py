@@ -17,9 +17,9 @@ exact certification routines: cone duality by the double description
 method, unimodularity from the pairing of each ray with the one facet not
 through it (read off the stored ray-facet incidence, no Smith normal
 form), a whole-cone partition certificate (wall matching plus one generic
-point, with an opt-in bounded lattice sweep as a cross-check),
-semistability of the fiber direction, and orbit-cone class counting in
-Z[L].  Everything is integer-exact and pure Python.
+point, with an opt-in bounded lattice sweep as a cross-check) that also
+proves the fan axiom, semistability of the fiber direction, and orbit-cone
+class counting in Z[L].  Everything is integer-exact and pure Python.
 
 Orbit counting needs only the f-vector of a smooth fan (cones by number
 of rays).  When the maximal cones form a chain, as the slabs do, it is a
@@ -229,15 +229,12 @@ def _exchange(c: Cone, out: Vec, new: Sequence[int]) -> Cone:
 
 
 class Fan:
-    """A fan presented by its maximal cones.
+    """A fan presented by its maximal cones, which must share one rank.
 
-    The ambient rank is that of the cones, which must agree.  Construction
-    verifies the fan axiom exactly: every pairwise intersection of maximal
-    cones is a common face of both.  A pair passes at once when a facet of
-    one cone separates it from the other (`_separated_face`, read off the
-    stored incidence, as for every pair of slabs); any other pair gets one
-    double description of the intersection (`_common_face`).
-    """
+    Construction checks only that shape: `verify_partition` proves that
+    every two cones meet in a common face, and every fan the library builds
+    passes it against its parent.  `from_json_dict`, whose data has no
+    parent, checks every pair with `_common_face` instead."""
 
     __slots__ = ("_rank", "_max_cones")
 
@@ -248,11 +245,6 @@ class Fan:
         rank = cones[0].rank
         if any(c.rank != rank for c in cones):
             raise ValueError("all cones must share the ambient rank")
-        for a, b in itertools.combinations(cones, 2):
-            if not (_separated_face(a, b) or _separated_face(b, a)
-                    or _common_face(a, b)):
-                raise ValueError(
-                    f"cones do not meet in a common face: {a!r} and {b!r}")
         self._rank = rank
         self._max_cones = cones
 
@@ -302,10 +294,15 @@ class Fan:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Fan":
+        """The fan of `to_json_dict` data, refused unless every two of its
+        cones meet in a common face."""
         rays = [tuple(r) for r in data["rays"]]
         fan = cls(Cone([rays[i] for i in idxs]) for idxs in data["max_cones"])
         if fan.rank != data["rank"]:
             raise ValueError(f"rank {data['rank']} disagrees with rays of length {fan.rank}")
+        for a, b in itertools.combinations(fan, 2):
+            if not _common_face(a, b):
+                raise ValueError(f"cones do not meet in a common face: {a!r} and {b!r}")
         return fan
 
 
@@ -315,23 +312,6 @@ def _face_of(cone: Cone, face_rays: Sequence[Vec]) -> bool:
     on = cone._incidence
     common = functools.reduce(operator.and_, (on.get(r, 0) for r in face_rays), -1)
     return {r for r, m in on.items() if m & common == common} == set(face_rays)
-
-
-def _separated_face(a: Cone, b: Cone) -> bool:
-    """A sufficient test that a ∩ b is a common face, with no double
-    description.  Let S be the rays of b that are rays of a.  If a facet u
-    of a contains S and pairs < 0 with every other ray of b, then u >= 0 on
-    a and u <= 0 on b, so a ∩ b = b ∩ u⊥ = cone(S): a face of b, and a
-    face of a when `_face_of` says so, always if a is simplicial.  Facets
-    through S go last first: x_1 + ... + x_i >= x_{n+1} sorts last in sigma_i."""
-    on = a._incidence
-    shared = [r for r in b.rays if r in on]
-    rest = [r for r in b.rays if r not in on]
-    through = functools.reduce(operator.and_, (on[r] for r in shared),
-                               (1 << len(a.inequalities)) - 1)
-    return (any(all(dot(a.inequalities[j], r) < 0 for r in rest)
-                for j in reversed(range(through.bit_length())) if through >> j & 1)
-            and (len(on) == a.rank or _face_of(a, shared)))
 
 
 def _common_face(a: Cone, b: Cone) -> bool:
@@ -387,8 +367,9 @@ def _ones_partial(rank: int, count: int) -> Vec:
 
 @functools.lru_cache(maxsize=None)
 def resolution_fan(n: int) -> Fan:
-    """The subdivision of the model cone into the slabs sigma_1, ..., sigma_n.
-    Every maximal cone is unimodular, so the associated toric variety is a
+    """The subdivision of the model cone into the slabs sigma_1, ..., sigma_n,
+    certified by `verify_partition` against `model_cone(n)`.  Every
+    maximal cone is unimodular, so the associated toric variety is a
     resolution of the model hypersurface."""
     if n < 1:
         raise ValueError(f"the model needs n >= 1, got {n}")
@@ -451,7 +432,7 @@ def verify_partition(f: Fan, parent: Cone, bound: int = 0) -> bool:
 
     (a) every maximal cone is contained in the parent,
     (b) every pairwise intersection of maximal cones is a common face,
-        which holds by construction: `Fan` refuses any other cones,
+        which follows from (a) and (c), as shown below,
     (c) the cones subdivide the whole parent (De Loera-Rambau-Santos,
         *Triangulations*, ch. 4): every facet of a maximal cone either
         lies on a facet of the parent or is the facet of exactly one
@@ -467,6 +448,16 @@ def verify_partition(f: Fan, parent: Cone, bound: int = 0) -> bool:
     All checks are exact and cover the whole parent; (d) adds nothing to
     the verdict unless (a)-(c) are wrong.  `_partition_failure` names the
     witness of a failure.
+
+    Proof of (b), for full-dimensional cones, simplicial or not.  (1) Crossing
+    a generic point of a facet hyperplane, wall matching leaves as many cones
+    as it enters, so every generic point of the parent lies in equally many
+    cones: one, as the point of (c) does.  (2) Let p lie in the relative
+    interior of a face F of a cone.  Near p, every facet of a cone with face F
+    contains F, and its partner across the wall has face F too, so (1) run in
+    a small ball around p shows that every cone through p has face F.
+    (3) Take p in the relative interior of σ ∩ τ, and F the least face of σ
+    containing p.  By (2) F is a face of τ, so F ⊆ σ ∩ τ ⊆ F.
     """
     return _partition_failure(f, parent, bound) is None
 

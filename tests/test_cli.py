@@ -319,12 +319,37 @@ def test_verify_partition_row_names_its_witness(capsys, monkeypatch):
     assert rows["partition of model cone n=3"]["detail"].startswith("unmatched wall with rays")
 
 
+def test_overlapping_cone_fails_the_partition_row(capsys, monkeypatch):
+    # the slab fan of n = 4 plus sigma_2 with x_1 and x_2 swapped, which
+    # overlaps sigma_1 and sigma_2: a row fails, and nothing raises
+    slabs = degeneration.resolution_fan(4)
+    swapped = Cone([(r[1], r[0], *r[2:]) for r in sigma_subcone(4, 2).rays])
+    resolution_fan = degeneration.resolution_fan
+    monkeypatch.setattr(degeneration, "resolution_fan", lambda k: (
+        Fan([*slabs, swapped]) if k == 4 else resolution_fan(k)))
+    clear_certificates()
+    try:
+        code, out, _ = run_cli(capsys, "resolve", "--n", "4", "--format", "json")
+        report_code, report_out, _ = run_cli(capsys, "report", "--n", "4", "--d", "5",
+                                             "--format", "json")
+    finally:
+        clear_certificates()
+    assert code == report_code == EXIT_FAILED
+    failing = [row for row in json.loads(out)["checks"] if not row["pass"]]
+    assert [row["name"] for row in failing] == ["partition of model cone"]
+    assert failing[0]["detail"].startswith("unmatched wall with rays")
+    rows = {row["name"]: row for row in json.loads(report_out)["checks"]}
+    assert all(row["pass"] for name, row in rows.items() if "k=4" not in name)
+    row = rows["stratum k=4: partition of model cone"]
+    assert not row["pass"] and row["detail"] == failing[0]["detail"]
+
+
 @pytest.mark.parametrize("fan, max_n, witnesses", [
     (lambda n: Fan([model_cone(n)]), 2, {
-        "cones unimodular n=2": "is not unimodular: invariant factors [1, 1, 1] for 4 rays",
+        "cones unimodular n=2": "is not unimodular: 4 rays in rank 3",
     }),
     (lambda n: Fan([Cone([(1, 0), (1, 2)])]), 1, {
-        "cones unimodular n=1": "is not unimodular: invariant factors [1, 2] for 2 rays",
+        "cones unimodular n=1": "is not unimodular: ray [1, 0] pairs 2 with its opposite facet",
         "semistable fiber n=1": "; ray [1, 2] pairs 2 with the fiber direction",
     }),
 ], ids=["model-cone", "index-2"])

@@ -154,7 +154,7 @@ def test_unimodular_check_names_its_witness(monkeypatch):
     checks = checks_with_fan(monkeypatch, Fan([model_cone(3)]), LocalModelSpec(n=3, k=3))
     assert not checks["cones unimodular"].passed
     assert checks["cones unimodular"].detail == (
-        f"{model_cone(3)!r} is not unimodular: invariant factors [1, 1, 1, 1] for 6 rays")
+        f"{model_cone(3)!r} is not unimodular: 6 rays in rank 4")
     assert checks["semistable fiber"].detail == "reduced=True, smooth=False"
     for name in ("resolved fiber class", "mod-L invariance"):
         assert not checks[name].passed, name
@@ -169,7 +169,7 @@ def test_semistable_check_names_its_witness(monkeypatch):
     assert checks["semistable fiber"].detail == (
         "reduced=False, smooth=False; ray [1, 2] pairs 2 with the fiber direction")
     assert checks["cones unimodular"].detail == (
-        f"{index2!r} is not unimodular: invariant factors [1, 2] for 2 rays")
+        f"{index2!r} is not unimodular: ray [1, 0] pairs 2 with its opposite facet")
 
 
 def test_resolved_fiber_class_check_can_fail(monkeypatch):
@@ -198,21 +198,34 @@ def test_central_fiber_class_values():
 # -- aggregated reports -------------------------------------------------
 
 
+def strata(report):
+    return sorted({c.name.split(":")[0] for c in report.checks if c.name.startswith("stratum")})
+
+
 def test_full_report_quartic_threefolds():
     report = full_degeneration_report(DegenerationSpec(n=3, d=4))
     assert report.passed
-    strata = {c.name.split(":")[0] for c in report.checks if c.name.startswith("stratum")}
-    assert strata == {"stratum k=1", "stratum k=2", "stratum k=3"}
+    assert strata(report) == ["stratum k=1", "stratum k=2", "stratum k=3"]
 
 
 def test_full_report_cubic_surfaces():
     assert full_degeneration_report(DegenerationSpec(n=2, d=3)).passed
 
 
-def test_full_report_d1_has_no_strata():
+def test_full_report_d1_certifies_k1():
+    # one hyperplane meets {F = 0} in the points of the k = 1 model
     report = full_degeneration_report(DegenerationSpec(n=4, d=1))
     assert report.passed
-    assert len(report.checks) == 1  # just the congruence check
+    assert strata(report) == ["stratum k=1"]
+
+
+def test_full_report_certifies_every_stratum_that_occurs():
+    # H_1 and H_2 meet {F = 0} in two points of P^3: the ordinary double
+    # point t*x_3 = x_1*x_2 is the stratum k = 2 = min(d, n)
+    for n, d, top in [(2, 2, 2), (5, 3, 3), (4, 5, 4)]:
+        report = full_degeneration_report(DegenerationSpec(n=n, d=d))
+        assert report.passed
+        assert strata(report) == [f"stratum k={k}" for k in range(1, top + 1)], (n, d)
 
 
 def test_full_report_needs_n_at_least_2():
@@ -226,7 +239,7 @@ def test_full_report_caps_the_deepest_stratum(monkeypatch):
     top = degeneration.MAX_CERTIFIED_STRATUM
     with pytest.raises(ValueError, match=f"k <= {top}, got k={top + 1}"):
         full_degeneration_report(DegenerationSpec(n=top + 1, d=top + 2))
-    with pytest.raises(ValueError, match=f"got k={top + 1}"):
+    with pytest.raises(ValueError, match=f"got k={top + 2}"):
         full_degeneration_report(DegenerationSpec(n=top + 3, d=top + 2))
 
 

@@ -56,7 +56,6 @@ from sncdegen.toriclat import (
     _face_of,
     _generic_point,
     _partition_failure,
-    _separated_face,
     _sweep_box,
     _sweep_uncovered,
     _unmatched_wall,
@@ -448,72 +447,53 @@ def test_sigma_subcone_validation():
         model_cone(0)
 
 
+def assert_refused_as_a_fan(a, b):
+    """Both checks of the fan axiom refuse the cones a and b: reading them
+    as outside data, and certifying them against a parent holding both."""
+    with pytest.raises(ValueError, match="do not meet in a common face"):
+        Fan.from_json_dict(Fan([a, b]).to_json_dict())
+    assert not verify_partition(Fan([a, b]), Cone(a.rays + b.rays))
+
+
 def test_fan_rejects_non_face_intersection():
     a = Cone([(1, 0), (1, 1)])
     b = Cone([(2, 1), (0, 1)])
-    assert not _separated_face(a, b) and not _separated_face(b, a)
     assert not _common_face(a, b)
-    with pytest.raises(ValueError):
-        Fan([a, b])
+    assert_refused_as_a_fan(a, b)
 
 
 @pytest.mark.parametrize("a, b", [
     # they meet in cone(s1, s3), a diagonal of a's square facet x4 >= 0,
-    # which that facet separates from b's other rays: the face test decides
+    # which that facet separates from b's other rays
     (Cone([(1, 0, 1, 0), (0, 1, 1, 0), (-1, 0, 1, 0), (0, -1, 1, 0), (0, 0, 1, 1)]),
      Cone([(1, 0, 1, 0), (-1, 0, 1, 0), (0, 0, 1, -1), (0, 1, 1, -1)])),
-    # they meet in the ray (1, 1, 0) inside the orthant's facet z >= 0,
-    # on which it pairs 0, not < 0: the strict pairing decides
+    # they meet in the ray (1, 1, 0) inside the orthant's facet z >= 0
     (Cone([(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
      Cone([(1, 1, 0), (1, 0, -1), (0, 1, -1)])),
 ], ids=["diagonal-of-a-facet", "ray-inside-a-facet"])
 def test_separated_face_refuses_a_facet_that_meets_more_than_a_face(a, b):
-    assert not _separated_face(a, b) and not _separated_face(b, a)
     assert not _common_face(a, b)
-    with pytest.raises(ValueError):
-        Fan([a, b])
+    assert_refused_as_a_fan(a, b)
 
 
 def test_separated_face_holds_on_every_slab_pair():
     for n in range(1, 11):
         for i, j in itertools.combinations(range(1, n + 1), 2):
-            a, b = sigma_subcone(n, i), sigma_subcone(n, j)
-            assert _separated_face(a, b) and _separated_face(b, a), (n, i, j)
-            assert _common_face(a, b), (n, i, j)
-
-
-def test_separated_face_tries_every_candidate_facet():
-    # sigma_2 and sigma_5 share f_1, f_2, e_5, e_6.  Through them run
-    # x_3 >= 0, x_4 >= 0 and one facet that separates: the upper facet of
-    # sigma_2, its last, or the lower facet of sigma_5, its first.  So one of
-    # the two orders meets the separating facet last, whichever end the
-    # walk over the candidates starts from.
-    lower, upper = sigma_subcone(6, 2), sigma_subcone(6, 5)
-    for a, b, at in [(lower, upper, max), (upper, lower, min)]:
-        shared = [r for r in b.rays if r in a.rays]
-        rest = [r for r in b.rays if r not in a.rays]
-        through = [j for j, u in enumerate(a.inequalities)
-                   if all(dot(u, r) == 0 for r in shared)]
-        separating = [j for j in through
-                      if all(dot(a.inequalities[j], r) < 0 for r in rest)]
-        assert len(through) == 3 and separating == [at(through)]
-        assert _separated_face(a, b)
+            assert _common_face(sigma_subcone(n, i), sigma_subcone(n, j)), (n, i, j)
 
 
 def test_fan_accepts_a_pair_with_no_shared_ray():
-    # no shared ray leaves every facet of a a candidate
     a, b = Cone([(1, 0), (1, 1)]), Cone([(-1, 0), (-1, 1)])
-    assert _separated_face(a, b) and _separated_face(b, a)
-    assert len(Fan([a, b])) == 2
+    assert _common_face(a, b)
+    assert len(Fan.from_json_dict(Fan([a, b]).to_json_dict())) == 2
 
 
 def test_slab_fan_axiom_runs_no_double_description(monkeypatch):
-    calls = []
-    common_face = toriclat._common_face
-    monkeypatch.setattr(toriclat, "_common_face",
-                        lambda a, b: calls.append((a, b)) or common_face(a, b))
-    Fan([sigma_subcone(12, k) for k in range(1, 13)])
-    assert calls == []
+    # the partition certificate proves the fan axiom, so `Fan` pairs nothing
+    slabs = [sigma_subcone(12, k) for k in range(1, 13)]
+    monkeypatch.setattr(toriclat, "dot", None)  # any pairing would raise
+    monkeypatch.setattr(toriclat, "extreme_rays", None)
+    assert len(Fan(slabs)) == 12
 
 
 def test_slab_fan_checks_run_no_smith_form(monkeypatch):
@@ -537,26 +517,35 @@ def test_slab_fan_checks_run_no_smith_form(monkeypatch):
         assert fiber_class(fan, direction) == slab_orbit_class_closed_form(n, fiber=True), n
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.integers(0, 2**32), st.integers(1, 4))
-def test_separated_face_implies_common_face(seed, rank):
-    # sufficient, never wrong: a random pair passes the fast test only if
-    # the double description finds a common face too
-    rng = random.Random(seed)
-    a, b = (random_unimodular_cone(rng, rank=rank) for _ in range(2))
-    if _separated_face(a, b):
-        assert _common_face(a, b)
+def permuted_slab_fans(n):
+    """The slab fan of rank n+1 with x_1..x_n permuted, for each
+    permutation, as a set of cones."""
+    return {frozenset(Cone([(*(r[i] for i in perm), r[n]) for r in c.rays])
+                      for c in resolution_fan(n))
+            for perm in itertools.permutations(range(n))}
 
 
-def test_random_pairs_exercise_both_fan_axiom_outcomes():
-    # the property above is not vacuous: random pairs of each rank pass the
-    # fast test, and others fail the complete one
-    rng = random.Random(11)
-    for rank in (2, 3, 4):
-        pairs = [[random_unimodular_cone(rng, rank=rank) for _ in range(2)]
-                 for _ in range(100)]
-        assert any(_separated_face(a, b) for a, b in pairs), rank
-        assert not all(_common_face(a, b) for a, b in pairs), rank
+def test_partition_certificate_implies_the_fan_axiom():
+    # mixtures of permuted slab fans: at n = 3 every set of at most 4
+    # cones, at n = 4 the 24 permuted fans and 2,000 seeded sets of 4.
+    # Whenever the certificate passes, every pair meets in a common face.
+    rng = random.Random(22)
+    fans4 = permuted_slab_fans(4)
+    cones3, cones4 = (sorted(frozenset().union(*fans), key=lambda c: c.rays)
+                      for fans in (permuted_slab_fans(3), fans4))
+    assert (len(cones3), len(cones4)) == (12, 32)
+    mixtures = {3: [sub for size in range(1, 5) for sub in itertools.combinations(cones3, size)],
+                4: [*map(tuple, fans4), *(rng.sample(cones4, 4) for _ in range(2000))]}
+    meets = functools.lru_cache(maxsize=None)(_common_face)
+    outcomes = set()
+    for n, sets in mixtures.items():
+        parent = model_cone(n)
+        for cones in sets:
+            certified = _partition_failure(Fan(cones), parent) is None
+            fan_axiom = all(meets(a, b) for a, b in itertools.combinations(cones, 2))
+            assert fan_axiom or not certified, cones
+            outcomes.add((n, certified, fan_axiom))
+    assert {(3, True, True), (3, False, False), (4, True, True), (4, False, False)} <= outcomes
 
 
 def test_fan_rejects_mixed_rank():
