@@ -19,7 +19,6 @@ from sncdegen import (
     arrangement_class_closed,
     arrangement_class_inclusion_exclusion,
     arrangement_class_recursive,
-    binomial_congruence_check,
     proj_space_class,
     reduce_mod_L,
 )
@@ -53,23 +52,15 @@ for r, n in [(1, 3), (3, 2), (5, 3), (7, 4)]:
 ############################################################################
 # Reduction mod L
 # ---------------
-# The constant coefficient is the image in Z[L]/(L).  For r <= n + 1 the
-# residue is always 1; at the boundary r = n + 2 it flips to 1 + (-1)^n.
+# The constant coefficient is the image in Z[L]/(L).  In the closed form it
+# is the alternating sum of C(r, j+1) over j = 0..n, so for r <= n + 1 the
+# alternating binomial identity makes the residue 1; at the boundary
+# r = n + 2 it flips to 1 + (-1)^n.
 for n in range(2, 6):
     residues = [reduce_mod_L(arrangement_class_closed(r, n)) for r in range(1, n + 3)]
     print(f"n={n}: residues of P(r, n) for r=1..{n + 2}:", residues)
     assert residues[:-1] == [1] * (n + 1)
     assert residues[-1] == 1 + (-1) ** n
-
-############################################################################
-# The alternating binomial identity behind the residue
-# ----------------------------------------------------
-# binomial_congruence_check verifies the combinatorial identity that
-# forces the residue to be 1 in the stable range.
-for n in range(0, 8):
-    for r in range(1, n + 2):
-        assert binomial_congruence_check(r, n)
-print("alternating binomial identity holds for all r <= n + 1, n <= 7")
 
 ############################################################################
 # Round-tripping through JSON

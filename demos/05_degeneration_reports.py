@@ -18,7 +18,6 @@ import json
 from sncdegen import (
     DegenerationSpec,
     LocalModelSpec,
-    central_fiber_arrangement_class,
     full_degeneration_report,
     reduce_mod_L,
     resolve_local_model,
@@ -65,9 +64,8 @@ for n, k in [(3, 1), (3, 2), (3, 3), (5, 4)]:
 # the arrangement class P(d, n), congruent to 1 mod L in the stable range
 # d <= n + 1, and every stratum depth k = 1..min(d, n) is certified.
 deg = DegenerationSpec(n=3, d=4)
-print("central fiber class:",
-      central_fiber_arrangement_class(deg).render())
 full = full_degeneration_report(deg)
+print("central fiber class:", full.fiber_class_before.render())
 for check in full.checks:
     mark = "PASS" if check.passed else "FAIL"
     print(f"  [{mark}] {check.name}")

@@ -31,7 +31,7 @@ _EXPORTS = {
     "grothring": (
         "GrothClass", "L", "ONE", "ZERO", "proj_space_class", "reduce_mod_L",
         "arrangement_class_closed", "arrangement_class_recursive",
-        "arrangement_class_inclusion_exclusion", "binomial_congruence_check",
+        "arrangement_class_inclusion_exclusion",
     ),
     "toriclat": (
         "Cone", "Fan", "Coordinate", "ChartPresentation",
@@ -44,7 +44,7 @@ _EXPORTS = {
     "degeneration": (
         "LocalModelSpec", "DegenerationSpec", "CheckResult", "VerificationReport",
         "affine_coordinate_arrangement_class", "resolve_local_model",
-        "central_fiber_arrangement_class", "full_degeneration_report",
+        "full_degeneration_report",
     ),
 }
 

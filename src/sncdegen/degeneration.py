@@ -52,7 +52,6 @@ __all__ = [
     "render_checks",
     "affine_coordinate_arrangement_class",
     "resolve_local_model",
-    "central_fiber_arrangement_class",
     "full_degeneration_report",
 ]
 
@@ -296,13 +295,6 @@ def resolve_local_model(spec: LocalModelSpec) -> VerificationReport:
     )
 
 
-def central_fiber_arrangement_class(spec: DegenerationSpec) -> GrothClass:
-    """Class of the central fiber of the degeneration: the union of d
-    hyperplanes in general position in P^{n+1}, each a copy of P^n.
-    Its residue modulo L is 1 throughout the Fano range d <= n+1."""
-    return arrangement_class_closed(spec.d, spec.n)
-
-
 def full_degeneration_report(spec: DegenerationSpec) -> VerificationReport:
     """End-to-end certificate for the degeneration: the central fiber's
     class is congruent to 1 modulo L, and every local normal form that
@@ -314,8 +306,10 @@ def full_degeneration_report(spec: DegenerationSpec) -> VerificationReport:
 
     Per-stratum checks are flattened into the aggregate check list under
     a "stratum k=..." prefix.  The report's own before/after classes both
-    record the central fiber's arrangement class: the local resolutions
-    leave it untouched modulo L, which is the invariant being certified.
+    record the central fiber's class, the arrangement class P(d, n) of d
+    copies of P^n from `arrangement_class_closed`, whose residue is 1
+    throughout the Fano range d <= n+1: the local resolutions leave it
+    untouched modulo L, which is the invariant being certified.
     A deepest stratum min(d, n) above MAX_CERTIFIED_STRATUM raises
     ValueError before any stratum is resolved.
     """
@@ -326,7 +320,7 @@ def full_degeneration_report(spec: DegenerationSpec) -> VerificationReport:
     if depth > MAX_CERTIFIED_STRATUM:
         raise ValueError(f"the toric certificate is limited to strata of depth "
                          f"k <= {MAX_CERTIFIED_STRATUM}, got k={depth}")
-    cls = central_fiber_arrangement_class(spec)
+    cls = arrangement_class_closed(d, n)
     residue = reduce_mod_L(cls)
     checks = [CheckResult(
         "central fiber class = 1 mod L", residue == 1,

@@ -10,7 +10,9 @@ modulo L whenever r is at most the ambient dimension.
 
 Three independent derivations of the hyperplane-arrangement class are
 provided (closed formula, recursion, subset inclusion-exclusion) so that
-each can serve as an oracle for the others.
+each can serve as an oracle for the others.  The residue is read from the
+class itself: `reduce_mod_L(arrangement_class_closed(r, n))` is the
+alternating sum sum_{j=0}^{n} (-1)^j C(r, j+1), which is 1 for r <= n+1.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ __all__ = [
     "arrangement_class_closed",
     "arrangement_class_recursive",
     "arrangement_class_inclusion_exclusion",
-    "binomial_congruence_check",
 ]
 
 
@@ -225,7 +226,9 @@ def arrangement_class_closed(r: int, n: int) -> GrothClass:
     read coefficientwise: [P^{n-j}] reaches L^i exactly when j <= n-i, so
     the coefficient of L^i is the partial sum of the alternating binomials
     up to j = n-i, and one running sum gives all n+1 coefficients in O(n)
-    integer operations, with no arithmetic on classes.
+    integer operations, with no arithmetic on classes.  The constant
+    coefficient, the full alternating sum, is the residue modulo L: 1 for
+    r <= n+1, by the alternating-binomial identity.
 
     >>> arrangement_class_closed(3, 1).render()
     '3*L'
@@ -322,17 +325,3 @@ def arrangement_class_inclusion_exclusion(r: int, n: int) -> GrothClass:
             coeffs[i] += term
     return GrothClass(coeffs)
 
-
-def binomial_congruence_check(r: int, n: int) -> int:
-    """Exact value of sum_{j=0}^{n} (-1)^j C(r, j+1), the constant
-    coefficient of the closed arrangement formula.  For 1 <= r <= n+1 the
-    alternating-binomial identity makes this 1 — the arithmetic heart of
-    the congruence P(r, n) = 1 mod L.
-
-    >>> binomial_congruence_check(4, 3)
-    1
-    """
-    _validate_rn(r, n)
-    if r > n + 1:
-        raise ValueError(f"identity requires r <= n+1, got r={r}, n={n}")
-    return sum((-1) ** j * math.comb(r, j + 1) for j in range(n + 1))

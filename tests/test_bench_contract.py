@@ -1,18 +1,54 @@
 """The benchmark's tracer (perfbench/traced.py) wraps library functions by
 name.  Each name it lists must still resolve in the package, so that a
 rename or a deletion fails here and not only in a traced benchmark run.
-traced.py is read as text, never imported or changed."""
+traced.py is read as text, never imported or changed.  The benchmark's
+operations (perfbench/workloads.py) run here once each and must pass its
+own judge, so that an output change it would count as a failed operation
+fails here first; workloads.py is compiled from its text, so no bytecode
+is written next to it."""
 
 import ast
 import importlib
 import inspect
 import subprocess
 import sys
+import types
 from pathlib import Path
 
-from conftest import src_env
+import pytest
 
-TRACED = Path(__file__).resolve().parent.parent / "perfbench" / "traced.py"
+from conftest import src_env
+from sncdegen.cli import main
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACED = PERFBENCH / "traced.py"
+
+
+def load_workloads() -> types.ModuleType:
+    """perfbench/workloads.py as a module of a name of its own."""
+    path = PERFBENCH / "workloads.py"
+    module = types.ModuleType("perfbench_workloads")
+    module.__file__ = str(path)
+    sys.modules[module.__name__] = module  # its dataclass looks itself up there
+    exec(compile(path.read_text(), str(path), "exec"), vars(module))
+    return module
+
+
+WORKLOADS = load_workloads()
+
+
+@pytest.mark.parametrize("op", [op for _, ops in WORKLOADS.WORKLOADS.values() for op in ops],
+                         ids=lambda op: op.name)
+def test_benchmark_operation_passes_its_judge(capsys, op):
+    # the CLI operations run in process, `perfbench/orbit.py` as a child
+    if op.args[:2] == ("-m", "sncdegen"):
+        code = main(list(op.args[2:]))
+        stdout = capsys.readouterr().out.encode()
+    else:
+        proc = subprocess.run([sys.executable, *op.args], cwd=PERFBENCH.parent,
+                              env=src_env(), capture_output=True)
+        code, stdout = proc.returncode, proc.stdout
+    assert WORKLOADS.judge(op, code, stdout) is None
 
 
 def traced_constant(name: str):

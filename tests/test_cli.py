@@ -14,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import clear_certificates, src_env
-from sncdegen import cli, degeneration
+from sncdegen import cli, degeneration, toriclat
+from sncdegen._intmat import dot, primitive, vadd
 from sncdegen.cli import EXIT_FAILED, EXIT_OK, EXIT_USAGE, main
 from sncdegen.grothring import MAX_ENUMERATION_SIZE, _subset_sizes
 from sncdegen.toriclat import (
@@ -198,6 +199,22 @@ def test_dual_n1_claims_no_generator_check(capsys):
     assert json.loads(out)["canonical_generators"] is True
 
 
+def test_dual_runs_two_double_descriptions(capsys, monkeypatch):
+    # one for the model cone's facets, one for the dual's: the involution
+    # row compares the two and builds no third cone
+    calls = []
+    extreme_rays = toriclat.extreme_rays
+    monkeypatch.setattr(toriclat, "extreme_rays",
+                        lambda *args: calls.append(args) or extreme_rays(*args))
+    model_cone.cache_clear()
+    try:
+        code, _, _ = run_cli(capsys, "dual", "--n", "6", "--format", "json")
+    finally:
+        model_cone.cache_clear()
+    assert code == EXIT_OK
+    assert len(calls) == 2
+
+
 def test_dual_usage_error(capsys):
     code, _, _ = run_cli(capsys, "dual", "--n", "0")
     assert code == EXIT_USAGE
@@ -369,12 +386,28 @@ def test_verify_unimodular_and_semistable_rows_name_their_witness(
         assert rows[name]["detail"].endswith(witness), rows[name]
 
 
+def redundant_facet_model_cone(n):
+    """model_cone(n) with the primitive sum of its first two facets added
+    to its facet list: the same rays, so the same cone, and a facet list
+    that is not irredundant."""
+    sigma = model_cone(n)
+    facets = sorted({*sigma.inequalities, primitive(vadd(*sigma.inequalities[:2]))})
+    incidence = {ray: sum(1 << j for j, u in enumerate(facets) if dot(u, ray) == 0)
+                 for ray in sigma.rays}
+    return Cone.__new__(Cone)._store(sigma.rank, incidence, facets)
+
+
 VERIFY_N2 = ("verify", "--scope", "lemma-toric", "--max-n", "2")
 DUAL_N2 = ("dual", "--n", "2")
+VERIFY_N3 = ("verify", "--scope", "lemma-toric", "--max-n", "3")
+DUAL_N3 = ("dual", "--n", "3")
 EXTRA_RAY = (("dual_generators", lambda n: dual_generators(n)[:-1]),
              "ray [1, 1, -1] of the dual cone is not a canonical generator")
 MISSING_GENERATOR = (("dual_generators", lambda n: dual_generators(n) + [(1,) * (n + 1)]),
                      "canonical generator [1, 1, 1] is not a ray of the dual cone")
+REDUNDANT_FACET = (("model_cone",
+                    lambda n: redundant_facet_model_cone(n) if n == 3 else model_cone(n)),
+                   "dual(dual(sigma)) == sigma")
 
 
 @pytest.mark.parametrize("argv, row, mutant, witness", [
@@ -388,8 +421,11 @@ MISSING_GENERATOR = (("dual_generators", lambda n: dual_generators(n) + [(1,) * 
      "mismatch at chart 1: ray [-1, 0, 1] only in the chart cone"),
     (DUAL_N2, "dual generators", *EXTRA_RAY),
     (DUAL_N2, "dual generators", *MISSING_GENERATOR),
+    (VERIFY_N3, "duality involution n=3", *REDUNDANT_FACET),
+    (DUAL_N3, "duality involution", *REDUNDANT_FACET),
 ], ids=["extra-ray", "missing-generator", "dual-differs", "chart-differs",
-        "dual-extra-ray", "dual-missing-generator"])
+        "dual-extra-ray", "dual-missing-generator", "redundant-facet",
+        "dual-redundant-facet"])
 def test_verify_duality_rows_name_their_witness(capsys, monkeypatch, argv, row, mutant, witness):
     monkeypatch.setattr(cli, *mutant)
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
@@ -412,10 +448,21 @@ def test_verify_degeneration_scope(capsys):
                            "--max-n", "4", "--format", "json")
     assert code == EXIT_OK
     data = json.loads(out)
-    names = [row["name"] for row in data["checks"]]
-    assert "scissor oracle k<=10" in names
-    assert "degeneration n=4 d=5" in names
+    assert [row["name"] for row in data["checks"]] == [
+        f"degeneration n={n} d={d}" for n in range(2, 5) for d in range(1, n + 2)]
     assert all(row["pass"] for row in data["checks"])
+
+
+@pytest.mark.parametrize("max_n", [0, 1, 3, 5])
+def test_verify_rows_stay_inside_the_covered_range(capsys, max_n):
+    # a row may name only an n or a k that the run covered
+    code, out, _ = run_cli(capsys, "verify", "--scope", "all", "--max-n", str(max_n),
+                           "--format", "json")
+    assert code == EXIT_OK
+    top = min(max_n, cli.TORIC_MAX_N, cli.ARRANGEMENT_MAX_N)
+    beyond = [row["name"] for row in json.loads(out)["checks"]
+              if any(int(i) > top for i in re.findall(r"\b(?:n=|k<=)(\d+)", row["name"]))]
+    assert beyond == []
 
 
 def test_verify_text_summary(capsys):
@@ -601,6 +648,8 @@ def test_parser_dispatches_and_names_the_suites_once():
     (("dual", "--n", "3", "--format", "xml"), "'xml'"),
     (("verify", "--scope", "nope"), "'nope'"),
     (("verify", "--fo", "json"), "'--fo'"),
+    (("verify", "--scope", "lemma-toric", "--max-n", "0"), "checks nothing at max-n 0"),
+    (("verify", "--scope", "degeneration", "--max-n", "1"), "checks nothing at max-n 1"),
     (("report", "--n", "4"), "--d"),
 ], ids=lambda v: (" ".join(v)[:40] or "no subcommand") if isinstance(v, tuple) else None)
 def test_usage_error_is_one_stderr_line(capsys, argv, token):

@@ -13,7 +13,6 @@ from sncdegen.degeneration import (
     LocalModelSpec,
     VerificationReport,
     affine_coordinate_arrangement_class,
-    central_fiber_arrangement_class,
     full_degeneration_report,
     resolve_local_model,
 )
@@ -190,9 +189,12 @@ def test_resolved_fiber_class_check_can_fail(monkeypatch):
 
 
 def test_central_fiber_class_values():
-    assert central_fiber_arrangement_class(DegenerationSpec(n=2, d=1)) == proj_space_class(2)
-    assert reduce_mod_L(central_fiber_arrangement_class(DegenerationSpec(n=3, d=4))) == 1
-    assert reduce_mod_L(central_fiber_arrangement_class(DegenerationSpec(n=5, d=6))) == 1
+    def before(n, d):
+        return full_degeneration_report(DegenerationSpec(n=n, d=d)).fiber_class_before
+
+    assert before(2, 1) == proj_space_class(2)
+    assert reduce_mod_L(before(3, 4)) == 1
+    assert reduce_mod_L(before(5, 6)) == 1
 
 
 # -- aggregated reports -------------------------------------------------

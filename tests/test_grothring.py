@@ -21,7 +21,6 @@ from sncdegen.grothring import (
     arrangement_class_closed,
     arrangement_class_inclusion_exclusion,
     arrangement_class_recursive,
-    binomial_congruence_check,
     proj_space_class,
     reduce_mod_L,
 )
@@ -238,15 +237,6 @@ def test_congruence_boundary():
         assert residue == 1 + (-1) ** n, n
 
 
-def test_binomial_congruence_check():
-    assert binomial_congruence_check(1, 0) == 1
-    assert binomial_congruence_check(4, 3) == 1
-    assert binomial_congruence_check(7, 10) == 1
-    for n in range(0, 15):
-        for r in range(1, n + 2):
-            assert binomial_congruence_check(r, n) == 1
-
-
 def test_argument_validation():
     for bad in [(0, 2), (-1, 2), (2, -1)]:
         with pytest.raises(ValueError):
@@ -257,5 +247,3 @@ def test_argument_validation():
             arrangement_class_inclusion_exclusion(*bad)
     with pytest.raises(ValueError):
         arrangement_class_inclusion_exclusion(27, 2)
-    with pytest.raises(ValueError):
-        binomial_congruence_check(5, 3)

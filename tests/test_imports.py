@@ -82,7 +82,7 @@ def test_json_commands_run_without_json(argv):
 PUBLIC = [
     "GrothClass", "L", "ONE", "ZERO", "proj_space_class", "reduce_mod_L",
     "arrangement_class_closed", "arrangement_class_recursive",
-    "arrangement_class_inclusion_exclusion", "binomial_congruence_check",
+    "arrangement_class_inclusion_exclusion",
     "Cone", "Fan", "Coordinate", "ChartPresentation",
     "FiberCheck", "unit_vector", "dual_cone", "greedy_decompose",
     "is_smooth", "model_cone", "sigma_subcone", "resolution_fan",
@@ -91,7 +91,7 @@ PUBLIC = [
     "singular_model_chart",
     "LocalModelSpec", "DegenerationSpec", "CheckResult", "VerificationReport",
     "affine_coordinate_arrangement_class", "resolve_local_model",
-    "central_fiber_arrangement_class", "full_degeneration_report",
+    "full_degeneration_report",
     "__version__",
 ]
 
