@@ -68,13 +68,3 @@ try:
 except ValueError as exc:
     print("inconsistent relation rejected:", exc)
 assert bad is None
-
-############################################################################
-# JSON round trip
-# ---------------
-# Chart presentations serialize with coordinate names, monomials, and the
-# relation, and reconstruct to an equal object.
-d = charts[0].to_json_dict()
-print("JSON keys of U_1:", sorted(d.keys()))
-assert ChartPresentation.from_json_dict(d) == charts[0]
-print("round trip: OK")

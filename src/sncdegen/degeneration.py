@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple, Optional, Sequence, Union
 
-from ._intmat import dot
+from ._intmat import dot, unit
 from .grothring import (
     GrothClass,
     L,
@@ -40,7 +40,6 @@ from .toriclat import (
     model_cone,
     resolution_fan,
     semistable_fiber_check,
-    unit_vector,
     verify_partition,
 )
 
@@ -213,7 +212,7 @@ def _certified_local_core(k: int) -> LocalCertificate:
     witness, computed only when the row fails."""
     fan = resolution_fan(k)
     parent = model_cone(k)
-    direction = unit_vector(k + 1, k)
+    direction = unit(k + 1, k)
     failure = None if verify_partition(fan, parent) else _partition_failure(fan, parent)
     fiber = semistable_fiber_check(fan, direction)
     unimodular = f"{len(fan)} maximal cone(s) of the rank-{k + 1} subdivision"
@@ -243,7 +242,7 @@ def _resolved_fiber_class(k: int) -> Optional[GrothClass]:
     certificate = _certified_local_core(k)
     if not certificate.fiber.smooth:
         return None
-    return fiber_class(certificate.fan, unit_vector(k + 1, k))
+    return fiber_class(certificate.fan, unit(k + 1, k))
 
 
 def resolve_local_model(spec: LocalModelSpec) -> VerificationReport:

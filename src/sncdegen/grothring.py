@@ -176,10 +176,6 @@ class GrothClass:
     def to_json_dict(self) -> dict:
         return {"coeffs": list(self._coeffs)}
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "GrothClass":
-        return cls(data["coeffs"])
-
 
 ZERO = GrothClass()
 ONE = GrothClass([1])

@@ -231,10 +231,12 @@ def _exchange(c: Cone, out: Vec, new: Sequence[int]) -> Cone:
 class Fan:
     """A fan presented by its maximal cones, which must share one rank.
 
-    Construction checks only that shape: `verify_partition` proves that
-    every two cones meet in a common face, and every fan the library builds
-    passes it against its parent.  `from_json_dict`, whose data has no
-    parent, checks every pair with `_common_face` instead."""
+    Construction checks only that shape.  The fan axiom, that every two
+    cones meet in a common face, is proved by `verify_partition` against a
+    parent cone, the package's only check of it; every fan the library
+    builds passes it against its parent.  The pairwise test `_common_face`
+    checks no fan of the package: it is the tests' reference for that
+    proof."""
 
     __slots__ = ("_rank", "_max_cones")
 
@@ -266,16 +268,6 @@ class Fan:
     def __len__(self) -> int:
         return len(self._max_cones)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Fan):
-            return NotImplemented
-        return (self._rank == other._rank
-                and sorted(c.rays for c in self._max_cones)
-                == sorted(c.rays for c in other._max_cones))
-
-    def __hash__(self) -> int:
-        return hash(("Fan", self._rank, tuple(sorted(c.rays for c in self._max_cones))))
-
     def __repr__(self) -> str:
         return f"Fan(rank={self._rank}, max_cones={len(self._max_cones)})"
 
@@ -292,23 +284,11 @@ class Fan:
             "max_cones": [sorted(index[r] for r in c.rays) for c in self._max_cones],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Fan":
-        """The fan of `to_json_dict` data, refused unless every two of its
-        cones meet in a common face."""
-        rays = [tuple(r) for r in data["rays"]]
-        fan = cls(Cone([rays[i] for i in idxs]) for idxs in data["max_cones"])
-        if fan.rank != data["rank"]:
-            raise ValueError(f"rank {data['rank']} disagrees with rays of length {fan.rank}")
-        for a, b in itertools.combinations(fan, 2):
-            if not _common_face(a, b):
-                raise ValueError(f"cones do not meet in a common face: {a!r} and {b!r}")
-        return fan
-
 
 def _face_of(cone: Cone, face_rays: Sequence[Vec]) -> bool:
     """Is the cone spanned by face_rays a face of `cone`, i.e. are they all
-    the rays of `cone` on every facet that contains them?"""
+    the rays of `cone` on every facet that contains them?  Used only by
+    `_common_face`."""
     on = cone._incidence
     common = functools.reduce(operator.and_, (on.get(r, 0) for r in face_rays), -1)
     return {r for r, m in on.items() if m & common == common} == set(face_rays)
@@ -316,7 +296,11 @@ def _face_of(cone: Cone, face_rays: Sequence[Vec]) -> bool:
 
 def _common_face(a: Cone, b: Cone) -> bool:
     """The complete test: the extreme rays of a ∩ b, from one double
-    description on the facets of both, span a face of each."""
+    description on the facets of both, span a face of each.
+
+    No code of the package calls it: `verify_partition` proves the fan
+    axiom.  It stays as the reference that the tests hold that proof
+    against, and as a span of the benchmark's tracer."""
     meet = [r for r, _ in extreme_rays(a.inequalities + b.inequalities, a.rank)]
     return _face_of(a, meet) and _face_of(b, meet)
 
@@ -673,10 +657,10 @@ class Coordinate(NamedTuple("Coordinate", [("name", str), ("monomial", Vec)])):
 
 class ChartPresentation(NamedTuple("ChartPresentation", [
         ("coordinates", tuple[Coordinate, ...]),
-        ("relation", Optional[tuple[tuple[int, ...], tuple[int, ...]]])])):
+        ("relation", tuple[tuple[int, ...], tuple[int, ...]])])):
     """A symbolic affine chart: named coordinate monomials in the dual
-    lattice M, plus an optional binomial relation prod(left) = prod(right)
-    given by multisets of coordinate indices.
+    lattice M, plus a binomial relation prod(left) = prod(right) given by
+    multisets of coordinate indices.
 
     The relation is validated on construction as an identity of lattice
     vectors: the sum of the left monomials equals the sum of the right
@@ -686,27 +670,22 @@ class ChartPresentation(NamedTuple("ChartPresentation", [
     __slots__ = ()
 
     def __new__(cls, coordinates: Iterable[Coordinate],
-                relation: Optional[tuple[Sequence[int], Sequence[int]]] = None):
+                relation: tuple[Sequence[int], Sequence[int]]):
         coords = tuple(coordinates)
         if not coords:
             raise ValueError("a chart needs at least one coordinate")
         rank = len(coords[0].monomial)
         if any(len(c.monomial) != rank for c in coords):
             raise ValueError("all monomials must share the ambient rank")
-        if relation is not None:
-            left, right = relation
-            relation = left, right = tuple(left), tuple(right)
-            for idx in left + right:
-                if not 0 <= idx < len(coords):
-                    raise ValueError(f"relation index {idx} out of range")
-            lsum = functools.reduce(vadd, (coords[i].monomial for i in left),
-                                    (0,) * rank)
-            rsum = functools.reduce(vadd, (coords[i].monomial for i in right),
-                                    (0,) * rank)
-            if lsum != rsum:
-                raise ValueError(
-                    f"relation is not a lattice identity: {lsum} != {rsum}")
-        return super().__new__(cls, coords, relation)
+        left, right = map(tuple, relation)
+        for idx in left + right:
+            if not 0 <= idx < len(coords):
+                raise ValueError(f"relation index {idx} out of range")
+        lsum = functools.reduce(vadd, (coords[i].monomial for i in left), (0,) * rank)
+        rsum = functools.reduce(vadd, (coords[i].monomial for i in right), (0,) * rank)
+        if lsum != rsum:
+            raise ValueError(f"relation is not a lattice identity: {lsum} != {rsum}")
+        return super().__new__(cls, coords, (left, right))
 
     @property
     def rank(self) -> int:
@@ -719,31 +698,17 @@ class ChartPresentation(NamedTuple("ChartPresentation", [
         """The cone generated by the coordinate monomials (canonicalized)."""
         return Cone(self.monomials())
 
-    def render_relation(self) -> Optional[str]:
-        if self.relation is None:
-            return None
+    def render_relation(self) -> str:
         left, right = self.relation
         fmt = lambda idxs: "*".join(self.coordinates[i].name for i in idxs) or "1"
         return f"{fmt(left)} = {fmt(right)}"
 
     def to_json_dict(self) -> dict:
-        data: dict = {
+        return {
             "coords": [{"name": c.name, "monomial": list(c.monomial)}
                        for c in self.coordinates],
+            "relation": {"left": list(self.relation[0]), "right": list(self.relation[1])},
         }
-        if self.relation is not None:
-            data["relation"] = {"left": list(self.relation[0]),
-                                "right": list(self.relation[1])}
-        else:
-            data["relation"] = None
-        return data
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ChartPresentation":
-        coords = [Coordinate(c["name"], c["monomial"]) for c in data["coords"]]
-        rel = data.get("relation")
-        relation = None if rel is None else (rel["left"], rel["right"])
-        return cls(coordinates=coords, relation=relation)
 
 
 def singular_model_chart(n: int) -> ChartPresentation:

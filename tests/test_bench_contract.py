@@ -5,11 +5,14 @@ traced.py is read as text, never imported or changed.  The benchmark's
 operations (perfbench/workloads.py) run here once each and must pass its
 own judge, so that an output change it would count as a failed operation
 fails here first; workloads.py is compiled from its text, so no bytecode
-is written next to it."""
+is written next to it.  One `report` runs under traced.py as a child and
+must reach every layer that perfbench/selftest.py, also read as text,
+requires of it."""
 
 import ast
 import importlib
 import inspect
+import json
 import subprocess
 import sys
 import types
@@ -22,6 +25,7 @@ from sncdegen.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACED = PERFBENCH / "traced.py"
+SELFTEST = PERFBENCH / "selftest.py"
 
 
 def load_workloads() -> types.ModuleType:
@@ -104,3 +108,31 @@ def test_partition_counter_reads_parameters_of_verify_partition():
             and isinstance(node.slice, ast.Constant)}
     from sncdegen.toriclat import verify_partition
     assert keys and keys <= set(inspect.signature(verify_partition).parameters)
+
+
+def selftest_reach_counters() -> list[str]:
+    """The counter names that selftest.py's test_counts_repeat requires to
+    be > 0 on `report`: the string tuple its `for name in (...)` loop walks."""
+    tree = ast.parse(SELFTEST.read_text())
+    test = next(n for n in tree.body
+                if isinstance(n, ast.FunctionDef) and n.name == "test_counts_repeat")
+    loop = next(n for n in ast.walk(test) if isinstance(n, ast.For))
+    return list(ast.literal_eval(loop.iter))
+
+
+def test_traced_report_reaches_every_layer_the_selftest_needs():
+    # a change that zeroes one of these layers on `report` (say, a model
+    # cone with no double description) fails the self-test; this catches it
+    # in the tier-1 suite.  _common_face has no caller in the package (the
+    # partition certificate proves the fan axiom): its reading of 0 is the
+    # self-test's known failure, which ROADMAP item 1 retires.
+    counters = selftest_reach_counters()
+    assert "cli.main.calls" in counters and "intmat.mat_rank.calls" in counters
+    proc = subprocess.run(
+        [sys.executable, str(TRACED), "-m", "sncdegen", "report", "--n", "3", "--d", "4",
+         "--format", "json"],
+        cwd=PERFBENCH.parent, env=src_env(), capture_output=True, text=True, check=True)
+    layers = json.loads(proc.stdout.splitlines()[-1])["layers"]
+    exempt = {"toriclat._common_face.calls"}
+    assert [name for name in counters
+            if name not in exempt and not layers.get(name, 0) > 0] == []

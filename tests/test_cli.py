@@ -17,7 +17,7 @@ from conftest import clear_certificates, src_env
 from sncdegen import cli, degeneration, toriclat
 from sncdegen._intmat import dot, primitive, vadd
 from sncdegen.cli import EXIT_FAILED, EXIT_OK, EXIT_USAGE, main
-from sncdegen.grothring import MAX_ENUMERATION_SIZE, _subset_sizes
+from sncdegen.grothring import L, MAX_ENUMERATION_SIZE, ONE, _subset_sizes
 from sncdegen.toriclat import (
     Cone,
     Fan,
@@ -441,6 +441,58 @@ def test_verify_duality_rows_name_their_witness(capsys, monkeypatch, argv, row, 
     failed = [line for line in out.splitlines() if line.startswith("  [FAIL] ")]
     assert len(failed) == 1
     assert re.fullmatch(rf"  \[FAIL\] {re.escape(row)} +{re.escape(witness)}", failed[0])
+
+
+def plus_at(f, by, at=None):
+    """f, with `by` added to its value at the arguments `at`, or at every
+    argument when `at` is None."""
+    def mutant(*args):
+        value = f(*args)
+        return value + by if at in (None, args) else value
+    return mutant
+
+
+ARRANGEMENT_N3 = ("verify", "--scope", "lemma-arrangement", "--max-n", "3")
+REPORT_N3_D4 = ("report", "--n", "3", "--d", "4")
+DEGENERATION_N3 = ("verify", "--scope", "degeneration", "--max-n", "3")
+
+
+@pytest.mark.parametrize("argv, module, name, by, at, failing", [
+    (ARRANGEMENT_N3, cli, "arrangement_class_inclusion_exclusion", L, (2, 3),
+     {"triple agreement n=3": "first disagreement at r=2"}),
+    # the closed formula is one of the three routes, so its constant term
+    # flips the triple agreement too; past r = max-n it flips the boundary only
+    (ARRANGEMENT_N3, cli, "arrangement_class_closed", ONE, (2, 3),
+     {"triple agreement n=3": "first disagreement at r=2",
+      "residue 1 for r <= n+1, n=3": "fails at r=2"}),
+    (ARRANGEMENT_N3, cli, "arrangement_class_closed", ONE, (5, 3),
+     {"boundary residue r=n+2, n=3": "residue 1, expected 0"}),
+    (REPORT_N3_D4, degeneration, "arrangement_class_closed", ONE, None,
+     {"central fiber class = 1 mod L":
+      "[4 hyperplanes in P^4] = 2 + 2*L - 2*L^2 + 4*L^3, residue 2"}),
+    (REPORT_N3_D4, degeneration, "affine_coordinate_arrangement_class", L, (2,),
+     {"stratum k=2: singular fiber class":
+      "scissor oracle gives -L^2 + 3*L^3 = L^2*(L^2 - (L-1)^2)"}),
+    (DEGENERATION_N3, degeneration, "arrangement_class_closed", ONE, None,
+     {f"degeneration n={n} d={d}": "failing: central fiber class = 1 mod L"
+      for n in (2, 3) for d in range(1, n + 2)}),
+    (DEGENERATION_N3, degeneration, "affine_coordinate_arrangement_class", L, (2,),
+     {f"degeneration n={n} d={d}": "failing: stratum k=2: singular fiber class"
+      for n, d in [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4)]}),
+], ids=["triple-agreement", "residue", "boundary-residue", "central-fiber",
+        "singular-fiber", "degeneration-central-fiber", "degeneration-singular-fiber"])
+def test_class_rows_name_their_witness(capsys, monkeypatch, argv, module, name, by, at, failing):
+    # no certificate cache holds a class, so none needs clearing
+    monkeypatch.setattr(module, name, plus_at(getattr(module, name), by, at))
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == EXIT_FAILED
+    rows = json.loads(out)["checks"]
+    assert {r["name"]: r["detail"] for r in rows if not r["pass"]} == failing
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_FAILED
+    failed = [re.fullmatch(r"  \[FAIL\] (.+?)  +(.+)", line).groups()
+              for line in out.splitlines() if line.startswith("  [FAIL] ")]
+    assert dict(failed) == failing
 
 
 def test_verify_degeneration_scope(capsys):

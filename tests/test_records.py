@@ -54,7 +54,6 @@ def test_records_normalize_their_sequences():
         Coordinate("z", [1.0, 0])
     chart = ChartPresentation(list(CHART_COORDS), relation=([0, 1], [2]))
     assert chart.coordinates == CHART_COORDS and chart.relation == ((0, 1), (2,))
-    assert ChartPresentation(CHART_COORDS).relation is None
     report = VerificationReport(model=DegenerationSpec(n=2, d=3), checks=[ROW],
                                 fiber_class_before=L, fiber_class_after=L)
     assert report.checks == (ROW,) and report.passed

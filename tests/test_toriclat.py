@@ -2,7 +2,6 @@
 
 import functools
 import itertools
-import json
 import math
 import random
 import subprocess
@@ -448,10 +447,8 @@ def test_sigma_subcone_validation():
 
 
 def assert_refused_as_a_fan(a, b):
-    """Both checks of the fan axiom refuse the cones a and b: reading them
-    as outside data, and certifying them against a parent holding both."""
-    with pytest.raises(ValueError, match="do not meet in a common face"):
-        Fan.from_json_dict(Fan([a, b]).to_json_dict())
+    """The package's check of the fan axiom refuses the cones a and b:
+    certifying them against a parent holding both fails."""
     assert not verify_partition(Fan([a, b]), Cone(a.rays + b.rays))
 
 
@@ -485,7 +482,6 @@ def test_separated_face_holds_on_every_slab_pair():
 def test_fan_accepts_a_pair_with_no_shared_ray():
     a, b = Cone([(1, 0), (1, 1)]), Cone([(-1, 0), (-1, 1)])
     assert _common_face(a, b)
-    assert len(Fan.from_json_dict(Fan([a, b]).to_json_dict())) == 2
 
 
 def test_slab_fan_axiom_runs_no_double_description(monkeypatch):
@@ -581,23 +577,6 @@ def test_face_tests_read_the_stored_incidence(monkeypatch):
     monkeypatch.setattr(toriclat, "dot", None)  # any dot product would raise
     assert _unmatched_wall(fan, parent) is None
     assert all(_face_of(c, c.rays[:2]) for c in fan)
-
-
-def test_fan_json_round_trip():
-    for n in (1, 2, 4):
-        fan = resolution_fan(n)
-        data = fan.to_json_dict()
-        blob = json.dumps(data)
-        again = Fan.from_json_dict(json.loads(blob))
-        assert again == fan
-        assert again.to_json_dict() == data
-
-
-def test_fan_json_refuses_a_rank_that_disagrees_with_its_rays():
-    data = resolution_fan(2).to_json_dict()
-    for rank in (2, 4):
-        with pytest.raises(ValueError, match="rank"):
-            Fan.from_json_dict(dict(data, rank=rank))
 
 
 def test_fan_rays_sorted_dedup():
@@ -966,9 +945,9 @@ def test_chart_relation_validation():
     with pytest.raises(ValueError):
         ChartPresentation((z, w, p), relation=((3,), (0, 1)))
     with pytest.raises(ValueError):
-        ChartPresentation(())
+        ChartPresentation((), ((), ()))
     with pytest.raises(ValueError):
-        ChartPresentation((z, Coordinate("bad", (1, 0, 0))))
+        ChartPresentation((z, Coordinate("bad", (1, 0, 0))), ((), ()))
 
 
 def test_singular_model_chart():
@@ -1005,11 +984,3 @@ def test_blowup_charts_match_duals():
 def test_blowup_needs_n_at_least_2():
     with pytest.raises(ValueError):
         blowup_chart_sequence(1)
-
-
-def test_chart_json_round_trip():
-    for chart in blowup_chart_sequence(3) + [singular_model_chart(3)]:
-        blob = json.dumps(chart.to_json_dict())
-        again = ChartPresentation.from_json_dict(json.loads(blob))
-        assert again == chart
-        assert again.to_json_dict() == chart.to_json_dict()
