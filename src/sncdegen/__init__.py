@@ -26,7 +26,10 @@ import importlib
 
 __version__ = "0.1.0"
 
-#: The exported names of each submodule, in the order of `__all__`.
+#: The exported names of each submodule, in the order of `__all__`: the
+#: package's one list of public names.  The submodules keep none of their
+#: own, and names such as `degeneration.render_checks` that only `cli`
+#: imports are not exported.
 _EXPORTS = {
     "grothring": (
         "GrothClass", "L", "ONE", "ZERO", "proj_space_class", "reduce_mod_L",

@@ -13,9 +13,11 @@ all its rows are the start, and a singular one shows in the pivots of
 that inverse, so a simplicial cone costs one elimination (a slab after
 the first costs none: `toriclat._exchange` pivots it from the last).
 The Smith normal form in `invariant_factors` is a different algorithm (it
-works over Z, not Q) and keeps its own loop; it names the invariant
-factors of a cone that is not unimodular, while `toriclat.is_smooth`
-decides unimodularity without it.
+works over Z, not Q) and keeps its own loop; no code of the package calls
+it.  `toriclat.is_smooth` decides unimodularity, and a failed check names
+its witness, from the pairing of each ray with its opposite facet; the
+Smith form is the tests' oracle for both, and a span of the benchmark's
+tracer.
 
 `extreme_rays` returns each ray with its zero set over the input rows, a
 bitmask kept alongside the rays through the double description, so a

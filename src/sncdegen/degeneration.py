@@ -43,17 +43,6 @@ from .toriclat import (
     verify_partition,
 )
 
-__all__ = [
-    "LocalModelSpec",
-    "DegenerationSpec",
-    "CheckResult",
-    "VerificationReport",
-    "render_checks",
-    "affine_coordinate_arrangement_class",
-    "resolve_local_model",
-    "full_degeneration_report",
-]
-
 
 class LocalModelSpec(NamedTuple("LocalModelSpec", [("n", int), ("k", int)])):
     """Local normal form t*x_{n+1} = x_1*...*x_k on a depth-k stratum of
@@ -255,10 +244,11 @@ def resolve_local_model(spec: LocalModelSpec) -> VerificationReport:
     cone (exact whole-cone certificate), (c) the fiber direction is
     semistable, (d) the singular fiber class, L^{n-k+1} times the
     fibration recursion of `affine_coordinate_arrangement_class`, equals
-    L^{n-k+1}*(L^k - (L-1)^k), (e) the resolved fiber class,
-    the rank-(k+1) orbit count times L^{n-k}, has k components at L=1,
-    (f) the two classes agree modulo L.  Without unimodular cones there is
-    no orbit count: the class after is reported as 0 and (e) and (f) fail.
+    L^{n-k+1}*(L^k - (L-1)^k), (e) the resolved fiber class, the
+    rank-(k+1) orbit count times L^{n-k}, is L^{n-k} times the slab fan's
+    class k*L^k, (f) the two classes agree modulo L.  Without unimodular
+    cones there is no orbit count: the class after is reported as 0 and
+    (e) and (f) fail.
     """
     n, k = spec.n, spec.k
     certificate = _certified_local_core(k)
@@ -268,7 +258,14 @@ def resolve_local_model(spec: LocalModelSpec) -> VerificationReport:
     closed_form = L**k - (L - ONE) ** k
     before = L ** (n - k + 1) * scissor
     after = ZERO if after_core is None else L ** (n - k) * after_core
+    expected = k * L**n
     no_count = "no orbit count: the cones are not unimodular"
+    resolved = no_count
+    if after_core is not None:
+        resolved = (f"orbit count gives {after.render()}; "
+                    f"{after.evaluate(1)} component(s) at L=1")
+        if after != expected:
+            resolved += f"; expected {expected.render()}"
 
     checks = (
         *certificate.rows,
@@ -277,9 +274,7 @@ def resolve_local_model(spec: LocalModelSpec) -> VerificationReport:
             f"scissor oracle gives {before.render()} = "
             f"L^{n - k + 1}*(L^{k} - (L-1)^{k})"),
         CheckResult(
-            "resolved fiber class", after.evaluate(1) == k,
-            no_count if after_core is None
-            else f"orbit count gives {after.render()}; {k} component(s) at L=1"),
+            "resolved fiber class", after == expected, resolved),
         CheckResult(
             "mod-L invariance",
             after_core is not None and reduce_mod_L(before) == reduce_mod_L(after),

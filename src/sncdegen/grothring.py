@@ -22,18 +22,6 @@ import math
 import operator
 from typing import Iterable
 
-__all__ = [
-    "GrothClass",
-    "L",
-    "ONE",
-    "ZERO",
-    "proj_space_class",
-    "reduce_mod_L",
-    "arrangement_class_closed",
-    "arrangement_class_recursive",
-    "arrangement_class_inclusion_exclusion",
-]
-
 
 class GrothClass:
     """An element of Z[L]: an exact integer polynomial in the Lefschetz
@@ -239,24 +227,20 @@ def arrangement_class_closed(r: int, n: int) -> GrothClass:
 
 
 @functools.lru_cache(maxsize=None)
-def _arrangement_recursive_coeffs(r: int, n: int) -> tuple[int, ...]:
-    if n == 0:
-        return (r,)
-    if r == 1:
-        return proj_space_class(n).coeffs
-    prev = GrothClass(_arrangement_recursive_coeffs(r - 1, n))
-    drop = GrothClass(_arrangement_recursive_coeffs(r - 1, n - 1))
-    return (prev + proj_space_class(n) - drop).coeffs
-
-
 def arrangement_class_recursive(r: int, n: int) -> GrothClass:
     """Same class as arrangement_class_closed, derived instead from the
     recursion P(r, n) = P(r-1, n) + [P^n] - P(r-1, n-1): the r-th
     hyperplane contributes [P^n] minus its own trace arrangement of the
     first r-1 hyperplanes.  Base cases: P(r, 0) = r and P(1, n) = [P^n].
+    Classes are immutable, so each (r, n) is computed once and shared.
     """
     _validate_rn(r, n)
-    return GrothClass(_arrangement_recursive_coeffs(r, n))
+    if n == 0:
+        return GrothClass([r])
+    if r == 1:
+        return proj_space_class(n)
+    return (arrangement_class_recursive(r - 1, n) + proj_space_class(n)
+            - arrangement_class_recursive(r - 1, n - 1))
 
 
 #: Elements of the low block of `_subset_sizes`: its table of subset

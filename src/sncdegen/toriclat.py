@@ -50,27 +50,6 @@ from ._intmat import (
 )
 from .grothring import GrothClass, L, ONE, ZERO
 
-__all__ = [
-    "Cone",
-    "Fan",
-    "Coordinate",
-    "ChartPresentation",
-    "FiberCheck",
-    "unit_vector",
-    "dual_cone",
-    "greedy_decompose",
-    "is_smooth",
-    "model_cone",
-    "sigma_subcone",
-    "resolution_fan",
-    "dual_generators",
-    "verify_partition",
-    "semistable_fiber_check",
-    "toric_class",
-    "fiber_class",
-    "blowup_chart_sequence",
-    "singular_model_chart",
-]
 
 def unit_vector(rank: int, i: int) -> Vec:
     """Standard basis vector e_{i+1} (0-based index i) in Z^rank."""
@@ -323,16 +302,6 @@ def model_cone(n: int) -> Cone:
     return Cone(rays)
 
 
-@functools.lru_cache(maxsize=None)
-def _slabs(n: int) -> tuple[Cone, ...]:
-    """sigma_1, ..., sigma_n: sigma_1 by double description, the rest by `_exchange`."""
-    rank = n + 1
-    slabs = [Cone([_f_vector(rank, 0), *(unit(rank, i) for i in range(n))])]
-    for k in range(1, n):
-        slabs.append(_exchange(slabs[-1], unit(rank, k - 1), _f_vector(rank, k)))
-    return tuple(slabs)
-
-
 def sigma_subcone(n: int, k: int) -> Cone:
     """The k-th slab cone sigma_k = cone(f_1, ..., f_k, e_k, ..., e_n).
     Its facets are x_i >= 0 for i != k and
@@ -341,7 +310,7 @@ def sigma_subcone(n: int, k: int) -> Cone:
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return _slabs(n)[k - 1]
+    return resolution_fan(n).max_cones[k - 1]
 
 
 def _ones_partial(rank: int, count: int) -> Vec:
@@ -354,10 +323,15 @@ def resolution_fan(n: int) -> Fan:
     """The subdivision of the model cone into the slabs sigma_1, ..., sigma_n,
     certified by `verify_partition` against `model_cone(n)`.  Every
     maximal cone is unimodular, so the associated toric variety is a
-    resolution of the model hypersurface."""
+    resolution of the model hypersurface.  sigma_1 comes from one double
+    description, each later slab from the one before by `_exchange`."""
     if n < 1:
         raise ValueError(f"the model needs n >= 1, got {n}")
-    return Fan(_slabs(n))
+    rank = n + 1
+    slabs = [Cone([_f_vector(rank, 0), *(unit(rank, i) for i in range(n))])]
+    for k in range(1, n):
+        slabs.append(_exchange(slabs[-1], unit(rank, k - 1), _f_vector(rank, k)))
+    return Fan(slabs)
 
 
 def dual_generators(n: int) -> list[Vec]:
@@ -715,14 +689,9 @@ def singular_model_chart(n: int) -> ChartPresentation:
     """The starting presentation of the model: coordinates z_1, ..., z_n,
     t, y with monomials e_1*, ..., e_n*, e_{n+1}*, e_1*+...+e_n*-e_{n+1}*
     and the defining relation t*y = z_1*...*z_n."""
-    if n < 1:
-        raise ValueError(f"the model needs n >= 1, got {n}")
-    rank = n + 1
-    coords = [Coordinate(f"z{i + 1}", unit(rank, i)) for i in range(n)]
-    coords.append(Coordinate("t", unit(rank, n)))
-    coords.append(Coordinate("y", tuple([1] * n + [-1])))
+    names = [f"z{i + 1}" for i in range(n)] + ["t", "y"]
     return ChartPresentation(
-        coordinates=tuple(coords),
+        coordinates=tuple(map(Coordinate, names, dual_generators(n))),
         relation=((n, n + 1), tuple(range(n))),
     )
 
@@ -753,7 +722,7 @@ def blowup_chart_sequence(n: int) -> list[ChartPresentation]:
     if n < 2:
         raise ValueError(f"the blow-up sequence needs n >= 2, got {n}")
     rank = n + 1
-    y_mono = tuple([1] * n + [-1])
+    y_mono = dual_generators(n)[-1]
     charts = []
     for k in range(1, n):
         t_name = "t" if k == 1 else f"t{k - 1}"

@@ -361,6 +361,34 @@ def test_overlapping_cone_fails_the_partition_row(capsys, monkeypatch):
     assert not row["pass"] and row["detail"] == failing[0]["detail"]
 
 
+def test_wrong_fiber_direction_fails_the_resolved_fiber_class_row(capsys, monkeypatch):
+    # certify the fiber of z_1 (direction e_1*) instead of t: the fan, the
+    # reducedness and the residues 0 == 0 all pass, and only the class
+    # tells; k = 2 passes, as t*y = z_1*z_2 is symmetric in (t, y) <-> (z_1, z_2)
+    unit = degeneration.unit
+    monkeypatch.setattr(degeneration, "unit", lambda rank, i: unit(rank, 0))
+    clear_certificates()
+    try:
+        code, out, _ = run_cli(capsys, "report", "--n", "4", "--d", "5", "--format", "json")
+        text_code, text, _ = run_cli(capsys, "report", "--n", "4", "--d", "5")
+    finally:
+        clear_certificates()
+    failing = {
+        "stratum k=1: resolved fiber class":
+            "orbit count gives -L^3 + 2*L^4; 1 component(s) at L=1; expected L^4",
+        "stratum k=3: resolved fiber class":
+            "orbit count gives L^3 + 2*L^4; 3 component(s) at L=1; expected 3*L^4",
+        "stratum k=4: resolved fiber class":
+            "orbit count gives 2*L^3 + 2*L^4; 4 component(s) at L=1; expected 4*L^4",
+    }
+    assert code == text_code == EXIT_FAILED
+    rows = json.loads(out)["checks"]
+    assert {r["name"]: r["detail"] for r in rows if not r["pass"]} == failing
+    failed = [re.fullmatch(r"  \[FAIL\] (.+?)  +(.+)", line).groups()
+              for line in text.splitlines() if line.startswith("  [FAIL] ")]
+    assert dict(failed) == failing
+
+
 @pytest.mark.parametrize("fan, max_n, witnesses", [
     (lambda n: Fan([model_cone(n)]), 2, {
         "cones unimodular n=2": "is not unimodular: 4 rays in rank 3",

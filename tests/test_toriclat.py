@@ -977,7 +977,10 @@ def test_blowup_charts_match_duals():
         assert len(charts) == n
         for k, chart in enumerate(charts, start=1):
             assert chart.monomial_cone() == dual_cone(sigma_subcone(n, k)), (n, k)
-            assert chart.relation is not None
+            # the solved form of the docstring of blowup_chart_sequence
+            solved = (f"y = z{k}'" + "".join(f"*z{i}" for i in range(k + 1, n + 1))
+                      if k < n else f"t{n - 1}*y = z{n}")
+            assert chart.render_relation() == solved, (n, k)
             assert is_smooth(chart.monomial_cone()), (n, k)
 
 
