@@ -20,7 +20,11 @@ error, 2 verification failure.  Output goes to stdout (text or JSON via
 --format); a usage error is one ``sncdegen: error:`` line on stderr.  JSON
 output is a single document that re-serializes byte-for-byte under
 ``json.dumps(..., indent=2)``.  The module imports neither `argparse` nor
-`json`, whose loading and parser set-up cost a cold run about 14 ms.
+`json`, whose loading and parser set-up cost a cold run about 14 ms.  It
+reads the other modules of the package as lazy submodules (see
+`sncdegen.__getattr__`) and calls each function through its module, so a
+command executes only the modules it uses: `class`, the arrangement suite,
+``--help`` and a usage error compile no toric code.
 """
 
 from __future__ import annotations
@@ -30,27 +34,7 @@ import sys
 from collections import Counter
 from typing import Callable, Iterable, Optional, Sequence
 
-from ._intmat import Vec
-from .degeneration import (
-    CheckResult,
-    DegenerationSpec,
-    _certified_local_core,
-    full_degeneration_report,
-    render_checks,
-)
-from .grothring import (
-    arrangement_class_closed,
-    arrangement_class_inclusion_exclusion,
-    arrangement_class_recursive,
-    reduce_mod_L,
-)
-from .toriclat import (
-    blowup_chart_sequence,
-    dual_cone,
-    dual_generators,
-    model_cone,
-    sigma_subcone,
-)
+from . import _intmat, checks, degeneration, grothring, toriclat
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -130,13 +114,13 @@ def cmd_class(r: int, n: int, fmt: str) -> int:
         raise _UsageError(f"need r >= 1 and n >= 0, got r={r}, n={n}")
     _refuse_over_cap("class", n, CLASS_MAX_N)
     try:  # first, so an oversized r is refused before any other work
-        inclexcl = arrangement_class_inclusion_exclusion(r, n)
+        inclexcl = grothring.arrangement_class_inclusion_exclusion(r, n)
     except ValueError as exc:  # subset enumeration is capped
         raise _UsageError(str(exc))
-    closed = arrangement_class_closed(r, n)
-    recursive = arrangement_class_recursive(r, n)
+    closed = grothring.arrangement_class_closed(r, n)
+    recursive = grothring.arrangement_class_recursive(r, n)
     agree = closed == recursive == inclexcl
-    residue = reduce_mod_L(closed)
+    residue = grothring.reduce_mod_L(closed)
     payload = {
         "r": r,
         "n": n,
@@ -161,7 +145,7 @@ def cmd_dual(n: int, fmt: str) -> int:
     if n < 1:
         raise _UsageError(f"need n >= 1, got n={n}")
     _refuse_over_cap("dual", n, DUAL_MAX_N)
-    dual = dual_cone(model_cone(n))
+    dual = toriclat.dual_cone(toriclat.model_cone(n))
     rows = _duality_rows(n)
     *generators, involution = rows
     ok = all(row.passed for row in rows)
@@ -177,7 +161,7 @@ def cmd_dual(n: int, fmt: str) -> int:
     }
     lines = [f"dual of the model cone, n={n} (rank {dual.rank})"]
     lines += [f"  {list(r)}" for r in dual.rays]
-    lines += render_checks(rows)
+    lines += checks.render_checks(rows)
     _emit(fmt, lambda: payload, lambda: lines)
     return EXIT_OK if ok else EXIT_FAILED
 
@@ -186,8 +170,8 @@ def cmd_resolve(n: int, fmt: str) -> int:
     if n < 1:
         raise _UsageError(f"need n >= 1, got n={n}")
     _refuse_over_cap("resolve", n, RESOLVE_MAX_N)
-    certificate = _certified_local_core(n)
-    charts = blowup_chart_sequence(n) if n >= 2 else []
+    certificate = degeneration._certified_local_core(n)
+    charts = toriclat.blowup_chart_sequence(n) if n >= 2 else []
 
     def lines():
         product = "*".join(f"z{i}" for i in range(1, n + 1)) if n <= 3 else f"z1*...*z{n}"
@@ -199,7 +183,7 @@ def cmd_resolve(n: int, fmt: str) -> int:
             coords = ", ".join(f"{c.name}={list(c.monomial)}" for c in chart.coordinates)
             yield f"  chart U_{k}: {coords}"
             yield f"    relation: {chart.render_relation()}"
-        yield from render_checks(certificate.rows)
+        yield from checks.render_checks(certificate.rows)
 
     _emit(fmt, lambda: {
         "n": n,
@@ -226,7 +210,8 @@ ARRANGEMENT_MAX_N = 16
 # Each suite returns (top, rows): the largest n it ran, and its rows.
 
 
-def _first_difference(ours: Sequence[Vec], theirs: Sequence[Vec]) -> tuple[Vec, bool]:
+def _first_difference(ours: Sequence[_intmat.Vec],
+                      theirs: Sequence[_intmat.Vec]) -> tuple[_intmat.Vec, bool]:
     """The least vector on which two lists differ as multisets, and
     whether it is surplus in `ours` (else in `theirs`)."""
     surplus = Counter(ours) - Counter(theirs)
@@ -234,33 +219,35 @@ def _first_difference(ours: Sequence[Vec], theirs: Sequence[Vec]) -> tuple[Vec, 
     return first, first in surplus
 
 
-def _rows_arrangement(max_n: int) -> tuple[int, list[CheckResult]]:
+def _rows_arrangement(max_n: int) -> tuple[int, list[checks.CheckResult]]:
     rows = []
     top = min(max_n, ARRANGEMENT_MAX_N)
     max_r = max(1, top)
     for n in range(0, top + 1):
         bad = next((r for r in range(1, max_r + 1)
-                    if not (arrangement_class_closed(r, n)
-                            == arrangement_class_recursive(r, n)
-                            == arrangement_class_inclusion_exclusion(r, n))), None)
-        rows.append(CheckResult(
+                    if not (grothring.arrangement_class_closed(r, n)
+                            == grothring.arrangement_class_recursive(r, n)
+                            == grothring.arrangement_class_inclusion_exclusion(r, n))),
+                   None)
+        rows.append(checks.CheckResult(
             f"triple agreement n={n}", bad is None,
             f"r=1..{max_r} all agree" if bad is None
             else f"first disagreement at r={bad}"))
     for n in range(0, top + 1):
         bad = next((r for r in range(1, n + 2)
-                    if reduce_mod_L(arrangement_class_closed(r, n)) != 1), None)
-        rows.append(CheckResult(
+                    if grothring.reduce_mod_L(grothring.arrangement_class_closed(r, n)) != 1),
+                   None)
+        rows.append(checks.CheckResult(
             f"residue 1 for r <= n+1, n={n}", bad is None,
             "congruence holds" if bad is None else f"fails at r={bad}"))
-        residue = reduce_mod_L(arrangement_class_closed(n + 2, n))
-        rows.append(CheckResult(
+        residue = grothring.reduce_mod_L(grothring.arrangement_class_closed(n + 2, n))
+        rows.append(checks.CheckResult(
             f"boundary residue r=n+2, n={n}", residue == 1 + (-1) ** n,
             f"residue {residue}, expected {1 + (-1) ** n}"))
     return top, rows
 
 
-def _duality_rows(n: int) -> list[CheckResult]:
+def _duality_rows(n: int) -> list[checks.CheckResult]:
     """The duality rows of the model cone, with no ` n=` suffix: "dual
     generators" for n >= 2 (at n = 1 the dual has fewer rays than the
     canonical list) and "duality involution".  The involution is decided
@@ -268,11 +255,11 @@ def _duality_rows(n: int) -> list[CheckResult]:
     facets, which are the rays of dual(dual(sigma)), the cone's rays.  So
     it builds no third cone, and a redundant facet of the cone, which the
     dual drops from its rays, fails the row."""
-    sigma = model_cone(n)
-    dual = dual_cone(sigma)
+    sigma = toriclat.model_cone(n)
+    dual = toriclat.dual_cone(sigma)
     rows = []
     if n >= 2:
-        rays, canonical = dual.rays, dual_generators(n)
+        rays, canonical = dual.rays, toriclat.dual_generators(n)
         ok = sorted(rays) == sorted(canonical)
         if ok:
             detail = f"{n + 2} canonical generators"
@@ -281,20 +268,22 @@ def _duality_rows(n: int) -> list[CheckResult]:
             detail = (f"ray {list(ray)} of the dual cone is not a canonical generator"
                       if extra else
                       f"canonical generator {list(ray)} is not a ray of the dual cone")
-        rows.append(CheckResult("dual generators", ok, detail))
+        rows.append(checks.CheckResult("dual generators", ok, detail))
     involution = dual.rays == sigma.inequalities and dual.inequalities == sigma.rays
-    rows.append(CheckResult("duality involution", involution, "dual(dual(sigma)) == sigma"))
+    rows.append(checks.CheckResult("duality involution", involution,
+                                   "dual(dual(sigma)) == sigma"))
     return rows
 
 
-def _rows_toric(max_n: int) -> tuple[int, list[CheckResult]]:
+def _rows_toric(max_n: int) -> tuple[int, list[checks.CheckResult]]:
     rows = []
     top = min(max_n, TORIC_MAX_N)
     for n in range(1, top + 1):
-        local = [*_duality_rows(n), *_certified_local_core(n).rows]
+        local = [*_duality_rows(n), *degeneration._certified_local_core(n).rows]
         if n >= 2:
-            pairs = ((k, chart.monomial_cone(), dual_cone(sigma_subcone(n, k)))
-                     for k, chart in enumerate(blowup_chart_sequence(n), start=1))
+            pairs = ((k, chart.monomial_cone(),
+                      toriclat.dual_cone(toriclat.sigma_subcone(n, k)))
+                     for k, chart in enumerate(toriclat.blowup_chart_sequence(n), start=1))
             bad = next(((k, mine, dual) for k, mine, dual in pairs if mine != dual), None)
             if bad is None:
                 detail = "all charts"
@@ -303,19 +292,21 @@ def _rows_toric(max_n: int) -> tuple[int, list[CheckResult]]:
                 ray, in_chart = _first_difference(mine.rays, dual.rays)
                 detail = (f"mismatch at chart {k}: ray {list(ray)} only in the "
                           f"{'chart' if in_chart else 'dual'} cone")
-            local.append(CheckResult("charts match dual cones", bad is None, detail))
-        rows += [CheckResult(f"{row.name} n={n}", row.passed, row.detail) for row in local]
+            local.append(checks.CheckResult("charts match dual cones", bad is None, detail))
+        rows += [checks.CheckResult(f"{row.name} n={n}", row.passed, row.detail)
+                 for row in local]
     return top, rows
 
 
-def _rows_degeneration(max_n: int) -> tuple[int, list[CheckResult]]:
+def _rows_degeneration(max_n: int) -> tuple[int, list[checks.CheckResult]]:
     rows = []
     top = min(max_n, TORIC_MAX_N)
     for n in range(2, top + 1):
         for d in range(1, n + 2):
-            report = full_degeneration_report(DegenerationSpec(n=n, d=d))
+            report = degeneration.full_degeneration_report(
+                degeneration.DegenerationSpec(n=n, d=d))
             failing = [c.name for c in report.checks if not c.passed]
-            rows.append(CheckResult(
+            rows.append(checks.CheckResult(
                 f"degeneration n={n} d={d}", report.passed,
                 "all checks pass" if report.passed
                 else "failing: " + "; ".join(failing)))
@@ -332,7 +323,7 @@ def cmd_verify(scope: str, max_n: int, fmt: str) -> int:
     if max_n < 0:
         raise _UsageError(f"need max-n >= 0, got {max_n}")
     covered: dict[str, int] = {}
-    rows: list[CheckResult] = []
+    rows: list[checks.CheckResult] = []
     for name, suite in SUITES.items():
         if scope in (name, "all"):
             covered[name], suite_rows = suite(max_n)
@@ -344,7 +335,7 @@ def cmd_verify(scope: str, max_n: int, fmt: str) -> int:
                "checks": [row.to_json_dict() for row in rows], "pass": ok}
     ran = ", ".join(f"{name} n<={top}" for name, top in covered.items())
     lines = [f"verification suite: scope={scope}, max-n={max_n}",
-             f"covered: {ran}", *render_checks(rows)]
+             f"covered: {ran}", *checks.render_checks(rows)]
     passed = sum(1 for row in rows if row.passed)
     lines.append(f"  {passed}/{len(rows)} checks passed")
     _emit(fmt, lambda: payload, lambda: lines)
@@ -354,7 +345,8 @@ def cmd_verify(scope: str, max_n: int, fmt: str) -> int:
 def cmd_report(n: int, d: int, fmt: str) -> int:
     _refuse_over_cap("report", n, CLASS_MAX_N)
     try:
-        report = full_degeneration_report(DegenerationSpec(n=n, d=d))
+        report = degeneration.full_degeneration_report(
+            degeneration.DegenerationSpec(n=n, d=d))
     except ValueError as exc:
         raise _UsageError(str(exc))
     _emit(fmt, report.to_json_dict, lambda: [report.render_table()])

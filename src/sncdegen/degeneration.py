@@ -21,7 +21,8 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple, Optional, Sequence, Union
 
-from ._intmat import dot, unit
+from ._intmat import Vec, dot, unit
+from .checks import CheckResult, render_checks
 from .grothring import (
     GrothClass,
     L,
@@ -82,25 +83,6 @@ class DegenerationSpec(NamedTuple("DegenerationSpec", [("n", int), ("d", int)]))
 
     def to_json_dict(self) -> dict:
         return {"type": "degeneration", "n": self.n, "d": self.d}
-
-
-class CheckResult(NamedTuple):
-    """One named verification step with its outcome and a short detail."""
-
-    name: str
-    passed: bool
-    detail: str
-
-    def to_json_dict(self) -> dict:
-        return {"name": self.name, "pass": self.passed, "detail": self.detail}
-
-
-def render_checks(checks: Sequence[CheckResult]) -> list[str]:
-    """One fixed-width line per check: `  [PASS] name  detail`, with the
-    names padded to the longest."""
-    width = max((len(c.name) for c in checks), default=0)
-    return [f"  [{'PASS' if c.passed else 'FAIL'}] {c.name.ljust(width)}  {c.detail}"
-            for c in checks]
 
 
 class VerificationReport(NamedTuple("VerificationReport", [
@@ -185,11 +167,12 @@ MAX_CERTIFIED_STRATUM = 24
 
 
 class LocalCertificate(NamedTuple):
-    """The slab fan of rank k+1, its `FiberCheck` for the direction e_{k+1}*,
-    and the rows "cones unimodular", "partition of model cone" and
-    "semistable fiber"."""
+    """The slab fan of rank k+1, the fiber direction e_{k+1}*, the fan's
+    `FiberCheck` for it, and the rows "cones unimodular", "partition of
+    model cone" and "semistable fiber"."""
 
     fan: Fan
+    direction: Vec
     fiber: FiberCheck
     rows: tuple[CheckResult, CheckResult, CheckResult]
 
@@ -220,7 +203,7 @@ def _certified_local_core(k: int) -> LocalCertificate:
             CheckResult("partition of model cone", failure is None,
                         failure or "walls matched, generic point covered once"),
             CheckResult("semistable fiber", fiber.snc, semistable))
-    return LocalCertificate(fan, fiber, rows)
+    return LocalCertificate(fan, direction, fiber, rows)
 
 
 @functools.lru_cache(maxsize=None)
@@ -231,7 +214,7 @@ def _resolved_fiber_class(k: int) -> Optional[GrothClass]:
     certificate = _certified_local_core(k)
     if not certificate.fiber.smooth:
         return None
-    return fiber_class(certificate.fan, unit(k + 1, k))
+    return fiber_class(certificate.fan, certificate.direction)
 
 
 def resolve_local_model(spec: LocalModelSpec) -> VerificationReport:
@@ -262,8 +245,12 @@ def resolve_local_model(spec: LocalModelSpec) -> VerificationReport:
     no_count = "no orbit count: the cones are not unimodular"
     resolved = no_count
     if after_core is not None:
+        # one component D_rho per ray rho that pairs positively with the
+        # fiber direction; on the slab fan there are k, the class at L=1
+        fan, direction = certificate.fan, certificate.direction
+        components = sum(1 for r in fan.rays() if dot(direction, r) > 0)
         resolved = (f"orbit count gives {after.render()}; "
-                    f"{after.evaluate(1)} component(s) at L=1")
+                    f"{components} component(s) at L=1")
         if after != expected:
             resolved += f"; expected {expected.render()}"
 

@@ -7,7 +7,9 @@ own judge, so that an output change it would count as a failed operation
 fails here first; workloads.py is compiled from its text, so no bytecode
 is written next to it.  One `report` runs under traced.py as a child and
 must reach every layer that perfbench/selftest.py, also read as text,
-requires of it."""
+requires of it.  `class` and the arrangement suite, which leave the toric
+modules unexecuted, run under traced.py too, and must print what they print
+untraced with every span installed."""
 
 import ast
 import importlib
@@ -136,3 +138,22 @@ def test_traced_report_reaches_every_layer_the_selftest_needs():
     exempt = {"toriclat._common_face.calls"}
     assert [name for name in counters
             if name not in exempt and not layers.get(name, 0) > 0] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("class", "--r", "4", "--n", "3", "--format", "json"),
+    ("verify", "--scope", "lemma-arrangement", "--max-n", "3", "--format", "json"),
+], ids=lambda argv: argv[0])
+def test_tracer_wraps_the_commands_that_load_no_toric_code(capsys, argv):
+    # these commands leave the toric modules unexecuted; the tracer's own
+    # reads of them execute them, and every span is still installed
+    proc = subprocess.run([sys.executable, str(TRACED), "-m", "sncdegen", *argv],
+                          cwd=PERFBENCH.parent, env=src_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    envelope = json.loads(proc.stdout.splitlines()[-1])
+    assert main(list(argv)) == 0
+    assert envelope["stdout"] == capsys.readouterr().out
+    layers = envelope["layers"]
+    assert layers["cli.main.calls"] == 1
+    assert [f"{module}.{qualname}" for module, qualname in traced_constant("SPANS")
+            if f"{module.lstrip('_')}.{qualname}.calls" not in layers] == []

@@ -1,12 +1,15 @@
 """Tests for the command-line driver: exit codes, output formats,
 round-trip stability and determinism."""
 
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -14,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import clear_certificates, src_env
-from sncdegen import cli, degeneration, toriclat
+from sncdegen import checks, cli, degeneration, grothring, toriclat
 from sncdegen._intmat import dot, primitive, vadd
 from sncdegen.cli import EXIT_FAILED, EXIT_OK, EXIT_USAGE, main
 from sncdegen.grothring import L, MAX_ENUMERATION_SIZE, ONE, _subset_sizes
@@ -122,7 +125,7 @@ def test_each_format_builds_only_what_it_prints(capsys, monkeypatch):
         m.setattr(degeneration.VerificationReport, "to_json_dict", refuse)
         assert [run_cli(capsys, *argv)[0] for argv in argvs] == [EXIT_OK] * 2
     with monkeypatch.context() as m:
-        m.setattr(cli, "render_checks", refuse)
+        m.setattr(checks, "render_checks", refuse)
         m.setattr(degeneration.VerificationReport, "render_table", refuse)
         assert ([run_cli(capsys, *argv, "--format", "json")[0] for argv in argvs]
                 == [EXIT_OK] * 2)
@@ -364,7 +367,9 @@ def test_overlapping_cone_fails_the_partition_row(capsys, monkeypatch):
 def test_wrong_fiber_direction_fails_the_resolved_fiber_class_row(capsys, monkeypatch):
     # certify the fiber of z_1 (direction e_1*) instead of t: the fan, the
     # reducedness and the residues 0 == 0 all pass, and only the class
-    # tells; k = 2 passes, as t*y = z_1*z_2 is symmetric in (t, y) <-> (z_1, z_2)
+    # tells; k = 2 passes, as t*y = z_1*z_2 is symmetric in (t, y) <-> (z_1, z_2).
+    # The fiber of z_1 has two components at every k, D_rho for the rays e_1
+    # and f_1 = e_1 + e_(k+1), which are the rays that e_1* pairs positively
     unit = degeneration.unit
     monkeypatch.setattr(degeneration, "unit", lambda rank, i: unit(rank, 0))
     clear_certificates()
@@ -375,11 +380,11 @@ def test_wrong_fiber_direction_fails_the_resolved_fiber_class_row(capsys, monkey
         clear_certificates()
     failing = {
         "stratum k=1: resolved fiber class":
-            "orbit count gives -L^3 + 2*L^4; 1 component(s) at L=1; expected L^4",
+            "orbit count gives -L^3 + 2*L^4; 2 component(s) at L=1; expected L^4",
         "stratum k=3: resolved fiber class":
-            "orbit count gives L^3 + 2*L^4; 3 component(s) at L=1; expected 3*L^4",
+            "orbit count gives L^3 + 2*L^4; 2 component(s) at L=1; expected 3*L^4",
         "stratum k=4: resolved fiber class":
-            "orbit count gives 2*L^3 + 2*L^4; 4 component(s) at L=1; expected 4*L^4",
+            "orbit count gives 2*L^3 + 2*L^4; 2 component(s) at L=1; expected 4*L^4",
     }
     assert code == text_code == EXIT_FAILED
     rows = json.loads(out)["checks"]
@@ -455,7 +460,14 @@ REDUNDANT_FACET = (("model_cone",
         "dual-extra-ray", "dual-missing-generator", "redundant-facet",
         "dual-redundant-facet"])
 def test_verify_duality_rows_name_their_witness(capsys, monkeypatch, argv, row, mutant, witness):
-    monkeypatch.setattr(cli, *mutant)
+    # `cli` reads the toric functions through its binding `toriclat`, so the
+    # mutant replaces that binding by a copy of the module with one name
+    # changed: patching `toriclat` itself would reach its own callers too
+    # (`blowup_chart_sequence` reads `dual_generators`)
+    name, value = mutant
+    view = types.ModuleType(toriclat.__name__)
+    vars(view).update(vars(toriclat), **{name: value})
+    monkeypatch.setattr(cli, "toriclat", view)
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == EXIT_FAILED
     data = json.loads(out)
@@ -486,14 +498,14 @@ DEGENERATION_N3 = ("verify", "--scope", "degeneration", "--max-n", "3")
 
 
 @pytest.mark.parametrize("argv, module, name, by, at, failing", [
-    (ARRANGEMENT_N3, cli, "arrangement_class_inclusion_exclusion", L, (2, 3),
+    (ARRANGEMENT_N3, grothring, "arrangement_class_inclusion_exclusion", L, (2, 3),
      {"triple agreement n=3": "first disagreement at r=2"}),
     # the closed formula is one of the three routes, so its constant term
     # flips the triple agreement too; past r = max-n it flips the boundary only
-    (ARRANGEMENT_N3, cli, "arrangement_class_closed", ONE, (2, 3),
+    (ARRANGEMENT_N3, grothring, "arrangement_class_closed", ONE, (2, 3),
      {"triple agreement n=3": "first disagreement at r=2",
       "residue 1 for r <= n+1, n=3": "fails at r=2"}),
-    (ARRANGEMENT_N3, cli, "arrangement_class_closed", ONE, (5, 3),
+    (ARRANGEMENT_N3, grothring, "arrangement_class_closed", ONE, (5, 3),
      {"boundary residue r=n+2, n=3": "residue 1, expected 0"}),
     (REPORT_N3_D4, degeneration, "arrangement_class_closed", ONE, None,
      {"central fiber class = 1 mod L":
@@ -744,6 +756,60 @@ def test_usage_error_through_the_module_has_no_traceback():
                           capture_output=True, text=True, env=src_env(), timeout=60)
     assert proc.returncode == EXIT_USAGE and proc.stdout == ""
     assert proc.stderr == "sncdegen: error: argument --n: invalid int value: 'three'\n"
+
+
+#: Integer values: small sizes, spellings that are not integers, and huge
+#: values on either side, one past the interpreter's digit limit.  A
+#: positive huge value is refused by a size cap, except for `--max-n`,
+#: which clips it to the suites' largest n: that is a full run at the cap,
+#: which the tests above time, so here `--max-n` stays small or negative.
+SMALL_INT = st.integers(-2, 6).map(str)
+NOT_AN_INT = st.sampled_from(["", "x", "1.5", "0x10", " 3", "+4", "--n"])
+HUGE_INT = st.integers(10**6, 10**40).map(str) | st.just("9" * 5000)
+
+
+@st.composite
+def command_lines(draw):
+    """An argv for `main`: a subcommand of `COMMANDS` or not, then flags of
+    its own or not, with valid or invalid values, repeated, in the
+    `--flag value` or the `--flag=value` form, and perhaps a dangling flag
+    or a request for help."""
+    name = draw(st.sampled_from([*cli.COMMANDS, "frobnicate", "--help"]))
+    options = cli.COMMANDS[name][2] if name in cli.COMMANDS else {"--n": (int,)}
+    flags = st.sampled_from([*options, "--bound", "-n", "--N"])
+    argv = [name]
+    for flag in draw(st.lists(flags, max_size=5)):
+        kind = options.get(flag, (int,))[0]
+        if kind is int:
+            huge = HUGE_INT.map("-".__add__)
+            if flag != "--max-n":
+                huge |= HUGE_INT
+            value = draw(SMALL_INT if draw(st.booleans()) else NOT_AN_INT | huge)
+        else:
+            value = draw(st.sampled_from([*kind, "", "JSON", "nope"]))
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    argv += draw(st.sampled_from([[], [], ["--format"], ["--help"]]))
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(command_lines())
+@example(["class", "--r", "3", "--n=2", "--r", "4"])
+@example(["dual", "--n", "3", "--format=json"])
+@example(["resolve", "--n=3", "--format", "text"])
+@example(["verify", "--scope", "lemma-toric", "--max-n", "2", "--scope=all"])
+@example(["report", "--n", "3", "--d", "4", "--format", "json"])
+def test_any_command_line_exits_0_1_or_2(argv):
+    # in process, so a traceback would be an exception out of `main`
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_FAILED)
+    if code == EXIT_USAGE:
+        assert err.count("\n") == 1 and err.startswith("sncdegen: error: ")
+    else:
+        assert err == ""
 
 
 @pytest.mark.parametrize("argv", [("-h",), ("--help",),

@@ -1,7 +1,7 @@
 """Every module of the package references each name it imports, the
 command line runs without `dataclasses`, `inspect`, `argparse` or `json`,
-and the package namespace imports a submodule only when one of its names
-is used."""
+the package namespace imports a submodule only when one of its names is
+used, and a command executes only the modules it uses."""
 
 import ast
 import json
@@ -157,3 +157,33 @@ print(json.dumps([sorted(set(namespace) - {"__builtins__"}), unknown,
     assert bound == sorted(PUBLIC)
     assert unknown == "module 'sncdegen' has no attribute 'no_such_name'"
     assert submodules == ["sncdegen.cli", "sncdegen.degeneration"]
+
+
+# -- the command line's lazy submodules ---------------------------------
+
+TORIC = ["sncdegen._intmat", "sncdegen.degeneration", "sncdegen.toriclat"]
+
+
+LAZY_CASES = [
+    (["class", "--r", "18", "--n", "17"], 0, []),
+    (["verify", "--scope", "lemma-arrangement", "--max-n", "3"], 0, []),
+    (["--help"], 0, []),
+    (["class", "--r", "x", "--n", "1"], 1, []),
+    (["report", "--n", "3", "--d", "4"], 0, TORIC),
+    (["resolve", "--n", "3"], 0, TORIC),
+]
+
+
+@pytest.mark.parametrize("argv, code, executed", LAZY_CASES,
+                         ids=[" ".join(argv) for argv, _, _ in LAZY_CASES])
+def test_command_executes_only_the_modules_it_uses(argv, code, executed):
+    # `cli` registers every submodule it reads, unexecuted; `type` reads no
+    # attribute of a module, so it tells an unexecuted (lazy) module from
+    # an executed one without running it
+    assert run_fresh(f"""
+import contextlib, io, json, sys
+from sncdegen.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main({argv!r})
+print(json.dumps([code, [m for m in {TORIC!r} if type(sys.modules.get(m)) is type(sys)]]))
+""") == [code, executed]
