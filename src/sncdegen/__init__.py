@@ -30,33 +30,35 @@ import sys
 
 __version__ = "0.1.0"
 
-#: The exported names of each submodule, in the order of `__all__`: the
-#: package's one list of public names.  The submodules keep none of their
-#: own, and names such as `checks.render_checks` that only the package
-#: itself uses are not exported.  `CheckResult` is listed where it has
-#: always been exported from, `degeneration`, which binds it from `checks`.
-_EXPORTS = {
-    "grothring": (
+#: The exported names, in the order of `__all__`, each under the submodule
+#: that defines it: the package's one list of public names.  A submodule
+#: may head two groups: `CheckResult`, from `checks`, keeps its place in
+#: `__all__` among the names of `degeneration`.  The submodules keep no
+#: lists of their own, and names that only the package itself uses, such
+#: as `checks.render_checks`, are not exported.
+_EXPORTS = (
+    ("grothring", (
         "GrothClass", "L", "ONE", "ZERO", "proj_space_class", "reduce_mod_L",
         "arrangement_class_closed", "arrangement_class_recursive",
         "arrangement_class_inclusion_exclusion",
-    ),
-    "toriclat": (
+    )),
+    ("toriclat", (
         "Cone", "Fan", "Coordinate", "ChartPresentation",
         "FiberCheck", "unit_vector", "dual_cone", "greedy_decompose",
         "is_smooth", "model_cone", "sigma_subcone", "resolution_fan",
         "dual_generators", "verify_partition", "semistable_fiber_check",
         "toric_class", "fiber_class", "blowup_chart_sequence",
         "singular_model_chart",
-    ),
-    "degeneration": (
-        "LocalModelSpec", "DegenerationSpec", "CheckResult", "VerificationReport",
-        "affine_coordinate_arrangement_class", "resolve_local_model",
-        "full_degeneration_report",
-    ),
-}
+    )),
+    ("degeneration", ("LocalModelSpec", "DegenerationSpec")),
+    ("checks", ("CheckResult",)),
+    ("degeneration", (
+        "VerificationReport", "affine_coordinate_arrangement_class",
+        "resolve_local_model", "full_degeneration_report",
+    )),
+)
 
-_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+_SOURCE = {name: module for module, names in _EXPORTS for name in names}
 
 __all__ = [*_SOURCE, "__version__"]
 

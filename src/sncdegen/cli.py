@@ -24,7 +24,8 @@ output is a single document that re-serializes byte-for-byte under
 reads the other modules of the package as lazy submodules (see
 `sncdegen.__getattr__`) and calls each function through its module, so a
 command executes only the modules it uses: `class`, the arrangement suite,
-``--help`` and a usage error compile no toric code.
+``--help`` and a usage error compile no toric code, and `resolve`, `dual`
+and the toric suite no `degeneration` or `grothring`.
 """
 
 from __future__ import annotations
@@ -166,12 +167,24 @@ def cmd_dual(n: int, fmt: str) -> int:
     return EXIT_OK if ok else EXIT_FAILED
 
 
+def _charts(n: int) -> tuple[list[toriclat.ChartPresentation], Optional[str]]:
+    """The blow-up charts of the model of dimension n >= 2 and None, or no
+    charts and why one of them could not be built."""
+    try:
+        return toriclat.blowup_chart_sequence(n), None
+    except ValueError as exc:
+        return [], f"a chart could not be built: {exc}"
+
+
 def cmd_resolve(n: int, fmt: str) -> int:
     if n < 1:
         raise _UsageError(f"need n >= 1, got n={n}")
     _refuse_over_cap("resolve", n, RESOLVE_MAX_N)
-    certificate = degeneration._certified_local_core(n)
-    charts = toriclat.blowup_chart_sequence(n) if n >= 2 else []
+    certificate = toriclat.slab_certificate(n)
+    charts, broken = _charts(n) if n >= 2 else ([], None)
+    rows = certificate.rows
+    if broken is not None:
+        rows += (checks.CheckResult("blow-up charts", False, broken),)
 
     def lines():
         product = "*".join(f"z{i}" for i in range(1, n + 1)) if n <= 3 else f"z1*...*z{n}"
@@ -183,16 +196,16 @@ def cmd_resolve(n: int, fmt: str) -> int:
             coords = ", ".join(f"{c.name}={list(c.monomial)}" for c in chart.coordinates)
             yield f"  chart U_{k}: {coords}"
             yield f"    relation: {chart.render_relation()}"
-        yield from checks.render_checks(certificate.rows)
+        yield from checks.render_checks(rows)
 
     _emit(fmt, lambda: {
         "n": n,
         "fan": certificate.fan.to_json_dict(),
         "charts": [c.to_json_dict() for c in charts],
         "semistable": certificate.fiber.to_json_dict(),
-        "checks": [row.to_json_dict() for row in certificate.rows],
+        "checks": [row.to_json_dict() for row in rows],
     }, lines)
-    return EXIT_OK if all(row.passed for row in certificate.rows) else EXIT_FAILED
+    return EXIT_OK if all(row.passed for row in rows) else EXIT_FAILED
 
 
 # -- verify suites ------------------------------------------------------
@@ -279,20 +292,20 @@ def _rows_toric(max_n: int) -> tuple[int, list[checks.CheckResult]]:
     rows = []
     top = min(max_n, TORIC_MAX_N)
     for n in range(1, top + 1):
-        local = [*_duality_rows(n), *degeneration._certified_local_core(n).rows]
+        local = [*_duality_rows(n), *toriclat.slab_certificate(n).rows]
         if n >= 2:
+            charts, detail = _charts(n)
             pairs = ((k, chart.monomial_cone(),
                       toriclat.dual_cone(toriclat.sigma_subcone(n, k)))
-                     for k, chart in enumerate(toriclat.blowup_chart_sequence(n), start=1))
+                     for k, chart in enumerate(charts, start=1))
             bad = next(((k, mine, dual) for k, mine, dual in pairs if mine != dual), None)
-            if bad is None:
-                detail = "all charts"
-            else:
+            if bad is not None:
                 k, mine, dual = bad
                 ray, in_chart = _first_difference(mine.rays, dual.rays)
                 detail = (f"mismatch at chart {k}: ray {list(ray)} only in the "
                           f"{'chart' if in_chart else 'dual'} cone")
-            local.append(checks.CheckResult("charts match dual cones", bad is None, detail))
+            local.append(checks.CheckResult("charts match dual cones", detail is None,
+                                            detail or "all charts"))
         rows += [checks.CheckResult(f"{row.name} n={n}", row.passed, row.detail)
                  for row in local]
     return top, rows

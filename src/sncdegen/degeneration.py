@@ -10,7 +10,7 @@ A^{n-k} factor; that normal form is resolved by the fan machinery of
 Z[L] before and after, certifying that its residue modulo L never
 changes.  Before the resolution the singular fiber {x_1*...*x_k = 0}
 gets its class from a fibration recursion, O(k) operations in Z[L],
-checked against the closed form L^k - (L-1)^k; a report builds the toric
+checked against the closed form L^k - (L-1)^k; a report reads the toric
 certificate of every stratum up to depth MAX_CERTIFIED_STRATUM.  Reports
 are machine-checkable: a list of named pass/fail checks plus the two
 fiber classes, serializable to JSON and renderable as a table.
@@ -21,7 +21,8 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple, Optional, Sequence, Union
 
-from ._intmat import Vec, dot, unit
+from . import toriclat
+from ._intmat import dot
 from .checks import CheckResult, render_checks
 from .grothring import (
     GrothClass,
@@ -30,18 +31,6 @@ from .grothring import (
     ZERO,
     arrangement_class_closed,
     reduce_mod_L,
-)
-from .toriclat import (
-    Fan,
-    FiberCheck,
-    _opposite_facets,
-    _partition_failure,
-    fiber_class,
-    is_smooth,
-    model_cone,
-    resolution_fan,
-    semistable_fiber_check,
-    verify_partition,
 )
 
 
@@ -166,55 +155,15 @@ def affine_coordinate_arrangement_class(k: int) -> GrothClass:
 MAX_CERTIFIED_STRATUM = 24
 
 
-class LocalCertificate(NamedTuple):
-    """The slab fan of rank k+1, the fiber direction e_{k+1}*, the fan's
-    `FiberCheck` for it, and the rows "cones unimodular", "partition of
-    model cone" and "semistable fiber"."""
-
-    fan: Fan
-    direction: Vec
-    fiber: FiberCheck
-    rows: tuple[CheckResult, CheckResult, CheckResult]
-
-
-@functools.lru_cache(maxsize=None)
-def _certified_local_core(k: int) -> LocalCertificate:
-    """Certify the resolution of the model cone of t*y = z_1*...*z_k once
-    per k, for `resolve`, `verify` and `report` alike.  A row names its
-    witness, computed only when the row fails."""
-    fan = resolution_fan(k)
-    parent = model_cone(k)
-    direction = unit(k + 1, k)
-    failure = None if verify_partition(fan, parent) else _partition_failure(fan, parent)
-    fiber = semistable_fiber_check(fan, direction)
-    unimodular = f"{len(fan)} maximal cone(s) of the rank-{k + 1} subdivision"
-    if not fiber.smooth:
-        cone = next(c for c in fan if not is_smooth(c))
-        why = f"{len(cone.rays)} rays in rank {cone.rank}"
-        if len(cone.rays) == cone.rank:  # simplicial: a ray pairs > 1
-            why = next(f"ray {list(r)} pairs {dot(u, r)} with its opposite facet"
-                       for r, u in _opposite_facets(cone).items() if dot(u, r) != 1)
-        unimodular = f"{cone!r} is not unimodular: {why}"
-    semistable = f"reduced={fiber.reduced}, smooth={fiber.smooth}"
-    if not fiber.reduced:
-        ray = next(r for r in fan.rays() if dot(direction, r) > 1)
-        semistable += f"; ray {list(ray)} pairs {dot(direction, ray)} with the fiber direction"
-    rows = (CheckResult("cones unimodular", fiber.smooth, unimodular),
-            CheckResult("partition of model cone", failure is None,
-                        failure or "walls matched, generic point covered once"),
-            CheckResult("semistable fiber", fiber.snc, semistable))
-    return LocalCertificate(fan, direction, fiber, rows)
-
-
 @functools.lru_cache(maxsize=None)
 def _resolved_fiber_class(k: int) -> Optional[GrothClass]:
     """The orbit count of the central fiber of the certified slab fan of
     rank k+1, None without unimodular cones.  Kept out of the certificate,
     which `resolve` prints without this class."""
-    certificate = _certified_local_core(k)
+    certificate = toriclat.slab_certificate(k)
     if not certificate.fiber.smooth:
         return None
-    return fiber_class(certificate.fan, certificate.direction)
+    return toriclat.fiber_class(certificate.fan, certificate.direction)
 
 
 def resolve_local_model(spec: LocalModelSpec) -> VerificationReport:
@@ -234,7 +183,7 @@ def resolve_local_model(spec: LocalModelSpec) -> VerificationReport:
     (e) and (f) fail.
     """
     n, k = spec.n, spec.k
-    certificate = _certified_local_core(k)
+    certificate = toriclat.slab_certificate(k)
     after_core = _resolved_fiber_class(k)
 
     scissor = affine_coordinate_arrangement_class(k)

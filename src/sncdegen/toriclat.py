@@ -21,6 +21,11 @@ point, with an opt-in bounded lattice sweep as a cross-check) that also
 proves the fan axiom, semistability of the fiber direction, and orbit-cone
 class counting in Z[L].  Everything is integer-exact and pure Python.
 
+`certify_local(fan, parent, direction)` gives the rows of a strictly
+semistable model from its data alone; `slab_certificate(k)` is its cached
+call on the slab data.  `grothring` and `checks` are lazy submodules: a
+certificate runs no Z[L] code, and an orbit count no `checks`.
+
 Orbit counting needs only the f-vector of a smooth fan (cones by number
 of rays).  When the maximal cones form a chain, as the slabs do, it is a
 sum of binomials over the cones and their consecutive intersections,
@@ -48,7 +53,7 @@ from ._intmat import (
     vscale,
     vsub,
 )
-from .grothring import GrothClass, L, ONE, ZERO
+from . import checks, grothring
 
 
 def unit_vector(rank: int, i: int) -> Vec:
@@ -523,6 +528,50 @@ def semistable_fiber_check(f: Fan, direction: Sequence[int]) -> FiberCheck:
     return FiberCheck(reduced=reduced, smooth=smooth)
 
 
+class LocalCertificate(NamedTuple):
+    """What `certify_local` certified: the fan, the fiber direction, the
+    fan's `FiberCheck` for it and the three rows that every command prints."""
+
+    fan: Fan
+    direction: Vec
+    fiber: FiberCheck
+    rows: tuple[checks.CheckResult, checks.CheckResult, checks.CheckResult]
+
+
+def certify_local(fan: Fan, parent: Cone, direction: Sequence[int]) -> LocalCertificate:
+    """Certify that `fan` is a strictly semistable model of the toric
+    variety of `parent` over the monomial with exponent `direction`: rows
+    "cones unimodular", "partition of model cone" and "semistable fiber".
+    Pure, so a mutant is an argument; a witness is computed only on failure."""
+    failure = None if verify_partition(fan, parent) else _partition_failure(fan, parent)
+    fiber = semistable_fiber_check(fan, direction)
+    unimodular = f"{len(fan)} maximal cone(s) of the rank-{fan.rank} subdivision"
+    if not fiber.smooth:
+        cone = next(c for c in fan if not is_smooth(c))
+        why = f"{len(cone.rays)} rays in rank {cone.rank}"
+        if len(cone.rays) == cone.rank:  # simplicial: a ray pairs > 1
+            why = next(f"ray {list(r)} pairs {dot(u, r)} with its opposite facet"
+                       for r, u in _opposite_facets(cone).items() if dot(u, r) != 1)
+        unimodular = f"{cone!r} is not unimodular: {why}"
+    semistable = f"reduced={fiber.reduced}, smooth={fiber.smooth}"
+    if not fiber.reduced:
+        ray = next(r for r in fan.rays() if dot(direction, r) > 1)
+        semistable += f"; ray {list(ray)} pairs {dot(direction, ray)} with the fiber direction"
+    rows = (checks.CheckResult("cones unimodular", fiber.smooth, unimodular),
+            checks.CheckResult("partition of model cone", failure is None,
+                               failure or "walls matched, generic point covered once"),
+            checks.CheckResult("semistable fiber", fiber.snc, semistable))
+    return LocalCertificate(fan, direction, fiber, rows)
+
+
+@functools.lru_cache(maxsize=None)
+def slab_certificate(k: int) -> LocalCertificate:
+    """`certify_local` on the slab data of t*y = z_1*...*z_k: the slab fan
+    of rank k+1, the model cone and the fiber direction e_{k+1}* of t,
+    certified once per k for `resolve`, `verify` and `report` alike."""
+    return certify_local(resolution_fan(k), model_cone(k), unit(k + 1, k))
+
+
 def _is_chain(ray_sets: Sequence[frozenset[Vec]]) -> bool:
     """True iff S_i ∩ S_j ⊆ S_k for all i < k < j, i.e. the sets holding
     any one ray have consecutive indices.  O(sum |S|) lookups."""
@@ -584,14 +633,14 @@ def _face_counts(f: Fan, hot: Optional[Callable[[Vec], bool]] = None) -> list[in
     return count
 
 
-def _orbit_sum(rank: int, count: Sequence[int]) -> GrothClass:
+def _orbit_sum(rank: int, count: Sequence[int]) -> grothring.GrothClass:
     """sum_j count[j] * (L-1)^{rank-j}: each j-ray cone of a smooth fan is
     a torus orbit of dimension rank - j."""
-    torus = L - ONE
-    return sum((c * torus ** (rank - j) for j, c in enumerate(count) if c), ZERO)
+    torus = grothring.L - grothring.ONE
+    return sum((c * torus ** (rank - j) for j, c in enumerate(count) if c), grothring.ZERO)
 
 
-def toric_class(f: Fan) -> GrothClass:
+def toric_class(f: Fan) -> grothring.GrothClass:
     """Class in Z[L] of the toric variety of a smooth fan.
 
     By the orbit-cone correspondence (Cox-Little-Schenck, Toric Varieties,
@@ -605,7 +654,7 @@ def toric_class(f: Fan) -> GrothClass:
     return _orbit_sum(f.rank, _face_counts(f))
 
 
-def fiber_class(f: Fan, direction: Sequence[int]) -> GrothClass:
+def fiber_class(f: Fan, direction: Sequence[int]) -> grothring.GrothClass:
     """Class in Z[L] of the fiber over zero of the monomial with exponent
     `direction`: the orbit sum of `toric_class` restricted to the cones
     meeting the support of the monomial's zero divisor, i.e. those with a

@@ -1,13 +1,15 @@
 """Shared test plumbing: collects acceptance-criterion outcomes and prints
 one pass/fail line per criterion at the end of the run, counts Z[L]
-additions for the work-count tests, and sets up child Python processes."""
+additions for the work-count tests, certifies mutant slab data for the
+command-line tests, and sets up child Python processes."""
 
 import os
 from pathlib import Path
 
 import pytest
 
-from sncdegen import degeneration
+from sncdegen import degeneration, toriclat
+from sncdegen._intmat import unit
 from sncdegen.grothring import GrothClass
 
 ACCEPTANCE_RESULTS: list[tuple[int, str, bool, str]] = []
@@ -23,10 +25,28 @@ def src_env() -> dict:
 
 
 def clear_certificates() -> None:
-    """Empty the caches of certified local cores and of resolved fiber
-    classes, so that a mutant a test patches in reaches no other test."""
-    degeneration._certified_local_core.cache_clear()
+    """Empty the caches of slab certificates and of the resolved fiber
+    classes read from them, so that a mutant a test patches in reaches no
+    other test."""
+    toriclat.slab_certificate.cache_clear()
     degeneration._resolved_fiber_class.cache_clear()
+
+
+@pytest.fixture
+def slab_mutant(monkeypatch):
+    """`slab_mutant(fan=..., direction=...)` makes `toriclat.slab_certificate(k)`,
+    the one seam through which `resolve`, `verify` and `report` read a
+    certificate, run `certify_local(fan(k), model_cone(k), direction(k))`
+    uncached; each defaults to the slab data.  The certificate caches are
+    cleared on both sides of the test."""
+    def patch(fan=toriclat.resolution_fan, direction=lambda k: unit(k + 1, k)):
+        monkeypatch.setattr(toriclat, "slab_certificate", lambda k: toriclat.certify_local(
+            fan(k), toriclat.model_cone(k), direction(k)))
+
+    clear_certificates()
+    yield patch
+    monkeypatch.undo()
+    clear_certificates()
 
 
 def record_acceptance(num: int, description: str, ok: bool, detail: str = "") -> str:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import clear_certificates, src_env
 from sncdegen import checks, cli, degeneration, grothring, toriclat
-from sncdegen._intmat import dot, primitive, vadd
+from sncdegen._intmat import dot, primitive, unit, vadd
 from sncdegen.cli import EXIT_FAILED, EXIT_OK, EXIT_USAGE, main
 from sncdegen.grothring import L, MAX_ENUMERATION_SIZE, ONE, _subset_sizes
 from sncdegen.toriclat import (
@@ -248,17 +248,11 @@ def test_resolve_n1_has_no_charts(capsys):
     assert data["semistable"]["snc"] is True
 
 
-def test_resolve_fails_on_a_dropped_slab(capsys, monkeypatch):
+def test_resolve_fails_on_a_dropped_slab(capsys, slab_mutant):
     # sigma_n dropped: every cone is still unimodular and the fiber reduced,
-    # so only the partition row can catch it; the certificate caches
-    # are cleared so that no other test sees the mutant
-    monkeypatch.setattr(degeneration, "resolution_fan", lambda n: Fan(
-        [sigma_subcone(n, k) for k in range(1, n)]))
-    clear_certificates()
-    try:
-        code, out, _ = run_cli(capsys, "resolve", "--n", "4", "--format", "json")
-    finally:
-        clear_certificates()
+    # so only the partition row can catch it
+    slab_mutant(fan=lambda n: Fan([sigma_subcone(n, k) for k in range(1, n)]))
+    code, out, _ = run_cli(capsys, "resolve", "--n", "4", "--format", "json")
     assert code == EXIT_FAILED
     data = json.loads(out)
     assert len(data["fan"]["max_cones"]) == 3
@@ -321,17 +315,12 @@ def test_verify_toric_scope(capsys):
     assert all(row["pass"] for row in data["checks"])
 
 
-def test_verify_partition_row_names_its_witness(capsys, monkeypatch):
-    # drop sigma_n from every fan but the one-slab fan of n=1; the certificate
-    # caches are cleared so that no other test sees the mutant
-    monkeypatch.setattr(degeneration, "resolution_fan", lambda n: Fan(
+def test_verify_partition_row_names_its_witness(capsys, slab_mutant):
+    # drop sigma_n from every fan but the one-slab fan of n=1
+    slab_mutant(fan=lambda n: Fan(
         [sigma_subcone(n, k) for k in range(1, n)] or [sigma_subcone(n, n)]))
-    clear_certificates()
-    try:
-        code, out, _ = run_cli(capsys, "verify", "--scope", "lemma-toric",
-                               "--max-n", "3", "--format", "json")
-    finally:
-        clear_certificates()
+    code, out, _ = run_cli(capsys, "verify", "--scope", "lemma-toric",
+                           "--max-n", "3", "--format", "json")
     assert code == EXIT_FAILED
     rows = {row["name"]: row for row in json.loads(out)["checks"]}
     assert rows["partition of model cone n=1"]["pass"]
@@ -339,21 +328,16 @@ def test_verify_partition_row_names_its_witness(capsys, monkeypatch):
     assert rows["partition of model cone n=3"]["detail"].startswith("unmatched wall with rays")
 
 
-def test_overlapping_cone_fails_the_partition_row(capsys, monkeypatch):
+def test_overlapping_cone_fails_the_partition_row(capsys, slab_mutant):
     # the slab fan of n = 4 plus sigma_2 with x_1 and x_2 swapped, which
     # overlaps sigma_1 and sigma_2: a row fails, and nothing raises
-    slabs = degeneration.resolution_fan(4)
+    slabs = toriclat.resolution_fan(4)
     swapped = Cone([(r[1], r[0], *r[2:]) for r in sigma_subcone(4, 2).rays])
-    resolution_fan = degeneration.resolution_fan
-    monkeypatch.setattr(degeneration, "resolution_fan", lambda k: (
-        Fan([*slabs, swapped]) if k == 4 else resolution_fan(k)))
-    clear_certificates()
-    try:
-        code, out, _ = run_cli(capsys, "resolve", "--n", "4", "--format", "json")
-        report_code, report_out, _ = run_cli(capsys, "report", "--n", "4", "--d", "5",
-                                             "--format", "json")
-    finally:
-        clear_certificates()
+    slab_mutant(fan=lambda k: (
+        Fan([*slabs, swapped]) if k == 4 else toriclat.resolution_fan(k)))
+    code, out, _ = run_cli(capsys, "resolve", "--n", "4", "--format", "json")
+    report_code, report_out, _ = run_cli(capsys, "report", "--n", "4", "--d", "5",
+                                         "--format", "json")
     assert code == report_code == EXIT_FAILED
     failing = [row for row in json.loads(out)["checks"] if not row["pass"]]
     assert [row["name"] for row in failing] == ["partition of model cone"]
@@ -364,20 +348,15 @@ def test_overlapping_cone_fails_the_partition_row(capsys, monkeypatch):
     assert not row["pass"] and row["detail"] == failing[0]["detail"]
 
 
-def test_wrong_fiber_direction_fails_the_resolved_fiber_class_row(capsys, monkeypatch):
+def test_wrong_fiber_direction_fails_the_resolved_fiber_class_row(capsys, slab_mutant):
     # certify the fiber of z_1 (direction e_1*) instead of t: the fan, the
     # reducedness and the residues 0 == 0 all pass, and only the class
     # tells; k = 2 passes, as t*y = z_1*z_2 is symmetric in (t, y) <-> (z_1, z_2).
     # The fiber of z_1 has two components at every k, D_rho for the rays e_1
     # and f_1 = e_1 + e_(k+1), which are the rays that e_1* pairs positively
-    unit = degeneration.unit
-    monkeypatch.setattr(degeneration, "unit", lambda rank, i: unit(rank, 0))
-    clear_certificates()
-    try:
-        code, out, _ = run_cli(capsys, "report", "--n", "4", "--d", "5", "--format", "json")
-        text_code, text, _ = run_cli(capsys, "report", "--n", "4", "--d", "5")
-    finally:
-        clear_certificates()
+    slab_mutant(direction=lambda k: unit(k + 1, 0))
+    code, out, _ = run_cli(capsys, "report", "--n", "4", "--d", "5", "--format", "json")
+    text_code, text, _ = run_cli(capsys, "report", "--n", "4", "--d", "5")
     failing = {
         "stratum k=1: resolved fiber class":
             "orbit count gives -L^3 + 2*L^4; 2 component(s) at L=1; expected L^4",
@@ -404,19 +383,30 @@ def test_wrong_fiber_direction_fails_the_resolved_fiber_class_row(capsys, monkey
     }),
 ], ids=["model-cone", "index-2"])
 def test_verify_unimodular_and_semistable_rows_name_their_witness(
-        capsys, monkeypatch, fan, max_n, witnesses):
-    monkeypatch.setattr(degeneration, "resolution_fan", fan)
-    clear_certificates()
-    try:
-        code, out, _ = run_cli(capsys, "verify", "--scope", "lemma-toric",
-                               "--max-n", str(max_n), "--format", "json")
-    finally:
-        clear_certificates()
+        capsys, slab_mutant, fan, max_n, witnesses):
+    slab_mutant(fan=fan)
+    code, out, _ = run_cli(capsys, "verify", "--scope", "lemma-toric",
+                           "--max-n", str(max_n), "--format", "json")
     assert code == EXIT_FAILED
     rows = {row["name"]: row for row in json.loads(out)["checks"]}
     for name, witness in witnesses.items():
         assert not rows[name]["pass"]
         assert rows[name]["detail"].endswith(witness), rows[name]
+
+
+def test_non_unimodular_cones_leave_no_orbit_count(capsys, slab_mutant):
+    # the model cone itself as the fan of k = 3, 6 rays in rank 4: without
+    # unimodular cones there is no orbit count, so both class rows fail too
+    slab_mutant(fan=lambda k: Fan([model_cone(k)]) if k == 3 else toriclat.resolution_fan(k))
+    code, out, _ = run_cli(capsys, "report", "--n", "3", "--d", "4", "--format", "json")
+    assert code == EXIT_FAILED
+    no_count = "no orbit count: the cones are not unimodular"
+    assert {r["name"]: r["detail"] for r in json.loads(out)["checks"] if not r["pass"]} == {
+        "stratum k=3: cones unimodular": f"{model_cone(3)!r} is not unimodular: 6 rays in rank 4",
+        "stratum k=3: semistable fiber": "reduced=True, smooth=False",
+        "stratum k=3: resolved fiber class": no_count,
+        "stratum k=3: mod-L invariance": no_count,
+    }
 
 
 def redundant_facet_model_cone(n):
@@ -481,6 +471,28 @@ def test_verify_duality_rows_name_their_witness(capsys, monkeypatch, argv, row, 
     failed = [line for line in out.splitlines() if line.startswith("  [FAIL] ")]
     assert len(failed) == 1
     assert re.fullmatch(rf"  \[FAIL\] {re.escape(row)} +{re.escape(witness)}", failed[0])
+
+
+@pytest.mark.parametrize("argv, row", [(VERIFY_N2, "charts match dual cones n=2"),
+                                       (("resolve", "--n", "2"), "blow-up charts")],
+                         ids=["verify", "resolve"])
+def test_a_chart_that_cannot_be_built_fails_a_row(capsys, monkeypatch, argv, row):
+    # without its last generator the dual of the model has no y, so the
+    # relation of chart U_1 is no lattice identity: a row names the error,
+    # and nothing raises
+    dual_generators = toriclat.dual_generators
+    monkeypatch.setattr(toriclat, "dual_generators", lambda n: dual_generators(n)[:-1])
+    witness = ("a chart could not be built: "
+               "relation is not a lattice identity: (0, 0, 1) != (1, 1, -1)")
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == EXIT_FAILED
+    rows = {r["name"]: r for r in json.loads(out)["checks"]}
+    assert not rows[row]["pass"] and rows[row]["detail"] == witness
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_FAILED
+    failed = [re.fullmatch(r"  \[FAIL\] (.+?)  +(.+)", line).groups()
+              for line in out.splitlines() if line.startswith("  [FAIL] ")]
+    assert dict(failed)[row] == witness
 
 
 def plus_at(f, by, at=None):
@@ -628,13 +640,13 @@ def test_verify_usage_error(capsys):
 def test_verify_certifies_each_fan_once(capsys, monkeypatch):
     # the toric and degeneration suites share one certificate per rank
     ranks = []
-    verify_partition = degeneration.verify_partition
+    verify_partition = toriclat.verify_partition
 
     def counting(f, parent, bound=0):
         ranks.append(parent.rank)
         return verify_partition(f, parent, bound)
 
-    monkeypatch.setattr(degeneration, "verify_partition", counting)
+    monkeypatch.setattr(toriclat, "verify_partition", counting)
     clear_certificates()
     try:
         code, _, _ = run_cli(capsys, "verify", "--scope", "all", "--max-n", "8",

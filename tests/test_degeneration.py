@@ -6,7 +6,8 @@ import pytest
 
 from conftest import clear_certificates
 from oracles import affine_union_class_oracle, affine_union_point_count
-from sncdegen import degeneration
+from sncdegen import degeneration, toriclat
+from sncdegen._intmat import unit
 from sncdegen.degeneration import (
     CheckResult,
     DegenerationSpec,
@@ -17,7 +18,7 @@ from sncdegen.degeneration import (
     resolve_local_model,
 )
 from sncdegen.grothring import GrothClass, L, proj_space_class, reduce_mod_L
-from sncdegen.toriclat import Cone, Fan, model_cone, sigma_subcone
+from sncdegen.toriclat import Cone, Fan, certify_local, model_cone, sigma_subcone
 
 
 # -- specs --------------------------------------------------------------
@@ -121,60 +122,56 @@ def test_resolve_local_model_invariance_sweep():
             assert report.passed, (n, k)
 
 
-def test_partition_check_names_its_witness(monkeypatch):
-    # resolve with sigma_1 missing from every fan; the certificate
-    # caches are cleared so that no other test sees the mutant
-    monkeypatch.setattr(degeneration, "resolution_fan", lambda k: Fan(
-        [sigma_subcone(k, j) for j in range(2, k + 1)]))
-    clear_certificates()
-    try:
-        report = resolve_local_model(LocalModelSpec(n=3, k=3))
-    finally:
-        clear_certificates()
-    check = next(c for c in report.checks if c.name == "partition of model cone")
-    assert not check.passed and not report.passed
+def slab_rows(fan, k):
+    """The rows, by name, of `fan` certified against the model cone of
+    t*y = z_1*...*z_k in the fiber direction e_{k+1}* of t."""
+    return {row.name: row for row in certify_local(fan, model_cone(k), unit(k + 1, k)).rows}
+
+
+def test_certify_local_reads_only_its_arguments():
+    # equal arguments built apart give equal rows, whatever was certified in
+    # between, and the slab data give the cached rows that every command prints
+    for k in range(1, 6):
+        slabs = toriclat.resolution_fan(k)
+        first = certify_local(slabs, model_cone(k), unit(k + 1, k)).rows
+        certify_local(Fan(slabs.max_cones[1:] or slabs.max_cones), model_cone(k), unit(k + 1, 0))
+        again = certify_local(Fan(slabs.max_cones), Cone(model_cone(k).rays),
+                              list(unit(k + 1, k))).rows
+        assert first == again == toriclat.slab_certificate(k).rows, k
+
+
+def test_partition_check_names_its_witness():
+    # the slab fan of k = 3 with sigma_1 missing
+    check = slab_rows(Fan([sigma_subcone(3, j) for j in range(2, 4)]), 3)[
+        "partition of model cone"]
+    assert not check.passed
     assert check.detail.startswith("unmatched wall with rays")
 
 
-def checks_with_fan(monkeypatch, fan, spec):
-    """The checks of `resolve_local_model(spec)` with `fan` in place of
-    the slab fan; the certificate caches are cleared on both sides."""
-    monkeypatch.setattr(degeneration, "resolution_fan", lambda k: fan)
-    clear_certificates()
-    try:
-        report = resolve_local_model(spec)
-    finally:
-        clear_certificates()
-    assert not report.passed
-    return {c.name: c for c in report.checks}
-
-
-def test_unimodular_check_names_its_witness(monkeypatch):
-    checks = checks_with_fan(monkeypatch, Fan([model_cone(3)]), LocalModelSpec(n=3, k=3))
-    assert not checks["cones unimodular"].passed
-    assert checks["cones unimodular"].detail == (
+def test_unimodular_check_names_its_witness():
+    rows = slab_rows(Fan([model_cone(3)]), 3)
+    assert not rows["cones unimodular"].passed
+    assert rows["cones unimodular"].detail == (
         f"{model_cone(3)!r} is not unimodular: 6 rays in rank 4")
-    assert checks["semistable fiber"].detail == "reduced=True, smooth=False"
-    for name in ("resolved fiber class", "mod-L invariance"):
-        assert not checks[name].passed, name
-        assert checks[name].detail == "no orbit count: the cones are not unimodular"
+    assert not rows["semistable fiber"].passed
+    assert rows["semistable fiber"].detail == "reduced=True, smooth=False"
 
 
-def test_semistable_check_names_its_witness(monkeypatch):
+def test_semistable_check_names_its_witness():
     # the ray (1, 2) pairs 2 with the fiber direction e_2*
     index2 = Cone([(1, 0), (1, 2)])
-    checks = checks_with_fan(monkeypatch, Fan([index2]), LocalModelSpec(n=1, k=1))
-    assert not checks["semistable fiber"].passed
-    assert checks["semistable fiber"].detail == (
+    rows = slab_rows(Fan([index2]), 1)
+    assert not rows["semistable fiber"].passed
+    assert rows["semistable fiber"].detail == (
         "reduced=False, smooth=False; ray [1, 2] pairs 2 with the fiber direction")
-    assert checks["cones unimodular"].detail == (
+    assert rows["cones unimodular"].detail == (
         f"{index2!r} is not unimodular: ray [1, 0] pairs 2 with its opposite facet")
 
 
 def test_resolved_fiber_class_check_can_fail(monkeypatch):
     # one component too many at L=1
-    fiber_class = degeneration.fiber_class
-    monkeypatch.setattr(degeneration, "fiber_class",
+    fiber_class = toriclat.fiber_class
+    monkeypatch.setattr(toriclat, "fiber_class",
                         lambda f, direction: fiber_class(f, direction) + 1)
     clear_certificates()
     try:

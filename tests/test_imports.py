@@ -1,7 +1,8 @@
-"""Every module of the package references each name it imports, the
-command line runs without `dataclasses`, `inspect`, `argparse` or `json`,
-the package namespace imports a submodule only when one of its names is
-used, and a command executes only the modules it uses."""
+"""Every module of the package references each name it imports and reads
+no private name of another, the command line runs without `dataclasses`,
+`inspect`, `argparse` or `json`, the package namespace imports a submodule
+only when one of its names is used, and a command executes only the
+modules it uses."""
 
 import ast
 import json
@@ -49,6 +50,46 @@ def test_no_module_imports_dataclasses():
                 assert "dataclasses" not in {a.name.split(".")[0] for a in node.names}, path.name
             elif isinstance(node, ast.ImportFrom):
                 assert node.module != "dataclasses", path.name
+
+
+def private_reads(source: str) -> list[tuple[int, str]]:
+    """The reads, in a module of the package, of an underscore-prefixed
+    name of a sibling module: `from .x import _y`, or `x._y` where `x` is
+    bound to a sibling module.  Names of submodules, such as `_intmat`, and
+    dunder names are not private names."""
+    siblings = {p.stem for p in MODULES}
+
+    def private(name: str) -> bool:
+        return name.startswith("_") and not name.startswith("__") and name not in siblings
+
+    tree = ast.parse(source)
+    modules, reads = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module if node.level == 0 else ".".join(
+                filter(None, [SRC.name, node.module]))
+            if module == SRC.name:
+                modules |= {a.asname or a.name for a in node.names}
+            elif module and module.startswith(SRC.name + "."):
+                reads += [(a.lineno, f"{module.split('.')[1]}.{a.name}")
+                          for a in node.names if private(a.name)]
+    reads += [(node.lineno, f"{node.value.id}.{node.attr}") for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules and private(node.attr)]
+    return sorted(reads)
+
+
+def test_private_reads_are_found():
+    source = ("from . import _intmat, toriclat\nfrom .toriclat import Fan, _exchange\n"
+              "toriclat._sweep_box, toriclat.__name__, _intmat.dot, Fan._store\n")
+    assert private_reads(source) == [(2, "toriclat._exchange"), (3, "toriclat._sweep_box")]
+
+
+def test_no_module_reads_a_private_name_of_another():
+    """A module reaches another only through its public names, so that a
+    private helper can change without a second module changing with it."""
+    assert [f"{path.name}:{line} {name}" for path in MODULES
+            for line, name in private_reads(path.read_text())] == []
 
 
 def test_command_line_import_adds_no_dataclasses_or_inspect():
@@ -111,6 +152,17 @@ def package_modules_after(statement: str) -> list[str]:
                      "m for m in sys.modules if m.startswith('sncdegen.'))))")
 
 
+def package_modules_executed(statement: str) -> list[str]:
+    """The `sncdegen` submodules whose bodies have run after `statement`
+    runs in a fresh interpreter.  A lazy submodule is registered in
+    `sys.modules` before it runs; `type` reads no attribute of a module,
+    so it tells an unexecuted (lazy) module from an executed one without
+    running it."""
+    return run_fresh(f"import json, sys, types\n{statement}\nprint(json.dumps(sorted("
+                     "m for m, module in sys.modules.items() if m.startswith('sncdegen.')"
+                     " and type(module) is types.ModuleType)))")
+
+
 def test_package_import_loads_no_submodule():
     assert package_modules_after("import sncdegen") == []
 
@@ -124,6 +176,16 @@ def test_resolution_fan_does_not_load_degeneration():
     loaded = package_modules_after("import sncdegen; sncdegen.resolution_fan")
     assert "sncdegen.toriclat" in loaded
     assert "sncdegen.degeneration" not in loaded and "sncdegen.cli" not in loaded
+    # the orbit API counts classes in Z[L], and certifies nothing
+    assert package_modules_executed(
+        "import sncdegen\n"
+        "sncdegen.fiber_class(sncdegen.resolution_fan(4), sncdegen.unit_vector(5, 4))"
+    ) == ["sncdegen._intmat", "sncdegen.grothring", "sncdegen.toriclat"]
+
+
+def test_check_result_executes_only_checks():
+    assert package_modules_executed(
+        "import sncdegen; sncdegen.CheckResult") == ["sncdegen.checks"]
 
 
 def test_public_names_are_the_defining_modules_objects():
@@ -161,29 +223,30 @@ print(json.dumps([sorted(set(namespace) - {"__builtins__"}), unknown,
 
 # -- the command line's lazy submodules ---------------------------------
 
-TORIC = ["sncdegen._intmat", "sncdegen.degeneration", "sncdegen.toriclat"]
+TORIC = ["sncdegen._intmat", "sncdegen.checks", "sncdegen.toriclat"]
 
 
 LAZY_CASES = [
-    (["class", "--r", "18", "--n", "17"], 0, []),
-    (["verify", "--scope", "lemma-arrangement", "--max-n", "3"], 0, []),
+    (["class", "--r", "18", "--n", "17"], 0, ["sncdegen.grothring"]),
+    (["verify", "--scope", "lemma-arrangement", "--max-n", "3"], 0,
+     ["sncdegen.checks", "sncdegen.grothring"]),
     (["--help"], 0, []),
     (["class", "--r", "x", "--n", "1"], 1, []),
-    (["report", "--n", "3", "--d", "4"], 0, TORIC),
+    (["report", "--n", "3", "--d", "4"], 0,
+     [*TORIC, "sncdegen.degeneration", "sncdegen.grothring"]),
     (["resolve", "--n", "3"], 0, TORIC),
+    (["dual", "--n", "3"], 0, TORIC),
+    (["verify", "--scope", "lemma-toric", "--max-n", "3"], 0, TORIC),
 ]
 
 
 @pytest.mark.parametrize("argv, code, executed", LAZY_CASES,
                          ids=[" ".join(argv) for argv, _, _ in LAZY_CASES])
 def test_command_executes_only_the_modules_it_uses(argv, code, executed):
-    # `cli` registers every submodule it reads, unexecuted; `type` reads no
-    # attribute of a module, so it tells an unexecuted (lazy) module from
-    # an executed one without running it
-    assert run_fresh(f"""
-import contextlib, io, json, sys
+    # `cli` registers every submodule it reads, and runs only those it uses
+    assert package_modules_executed(f"""
+import contextlib, io
 from sncdegen.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    code = main({argv!r})
-print(json.dumps([code, [m for m in {TORIC!r} if type(sys.modules.get(m)) is type(sys)]]))
-""") == [code, executed]
+    assert main({argv!r}) == {code}
+""") == sorted(["sncdegen.cli", *executed])
