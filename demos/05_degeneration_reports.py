@@ -62,7 +62,8 @@ for n, k in [(3, 1), (3, 2), (3, 3), (5, 4)]:
 # -------------------
 # d hyperplanes degenerating inside P^(n+1): the central fiber class is
 # the arrangement class P(d, n), congruent to 1 mod L in the stable range
-# d <= n + 1, and every stratum depth k = 1..min(d, n) is certified.
+# d <= n + 1, and every stratum depth k = 1..min(d, n) is certified: the
+# deepest once, and each lower one by restricting that certificate to a face.
 deg = DegenerationSpec(n=3, d=4)
 full = full_degeneration_report(deg)
 print("central fiber class:", full.fiber_class_before.render())

@@ -10,19 +10,20 @@ A^{n-k} factor; that normal form is resolved by the fan machinery of
 Z[L] before and after, certifying that its residue modulo L never
 changes.  Before the resolution the singular fiber {x_1*...*x_k = 0}
 gets its class from a fibration recursion, O(k) operations in Z[L],
-checked against the closed form L^k - (L-1)^k; a report reads the toric
-certificate of every stratum up to depth MAX_CERTIFIED_STRATUM.  Reports
-are machine-checkable: a list of named pass/fail checks plus the two
-fiber classes, serializable to JSON and renderable as a table.
+checked against the closed form L^k - (L-1)^k.  A report certifies its
+deepest stratum, up to MAX_CERTIFIED_STRATUM, and restricts that one
+toric certificate to every lower stratum.  Reports are machine-checkable:
+a list of named pass/fail checks plus the two fiber classes,
+serializable to JSON and renderable as a table.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from . import toriclat
-from ._intmat import dot
+from ._intmat import Vec, dot
 from .checks import CheckResult, render_checks
 from .grothring import (
     GrothClass,
@@ -150,25 +151,26 @@ def affine_coordinate_arrangement_class(k: int) -> GrothClass:
 
 
 #: Deepest stratum k whose toric certificate `full_degeneration_report`
-#: builds (one slab fan of rank k+1 per stratum): a time budget of 0.24-0.43 s
-#: cold for the whole report at k = 24, not a bound of the mathematics.
+#: builds (one slab fan of rank k+1, restricted to every lower stratum): a
+#: time budget of 0.14-0.21 s cold for the whole report at k = 24, not a
+#: bound of the mathematics.
 MAX_CERTIFIED_STRATUM = 24
 
 
 @functools.lru_cache(maxsize=None)
-def _resolved_fiber_class(k: int) -> Optional[GrothClass]:
-    """The orbit count of the central fiber of the certified slab fan of
-    rank k+1, None without unimodular cones.  Kept out of the certificate,
-    which `resolve` prints without this class."""
-    certificate = toriclat.slab_certificate(k)
-    if not certificate.fiber.smooth:
-        return None
-    return toriclat.fiber_class(certificate.fan, certificate.direction)
+def _resolved_fiber(cones: tuple[toriclat.Cone, ...], direction: Vec) -> tuple[GrothClass, int]:
+    """The orbit count of the central fiber of a unimodular fan and its
+    components, one D_rho per ray rho pairing positively with the direction;
+    cached by the cones, which every depth K > k restricts to alike."""
+    fan = toriclat.Fan(cones)
+    return (toriclat.fiber_class(fan, direction),
+            sum(1 for r in fan.rays() if dot(direction, r) > 0))
 
 
 def resolve_local_model(spec: LocalModelSpec) -> VerificationReport:
     """Resolve the local normal form t*x_{n+1} = x_1*...*x_k and account
-    for the central-fiber class on both sides.
+    for the central-fiber class on both sides, from the certificate of the
+    slab fan of rank k+1, `toriclat.slab_certificate(k)`.
 
     The toric work happens in rank k+1 (the free A^{n-k} factor enters
     multiplicatively as L^{n-k}).  Checks: (a) all maximal cones of the
@@ -180,24 +182,31 @@ def resolve_local_model(spec: LocalModelSpec) -> VerificationReport:
     rank-(k+1) orbit count times L^{n-k}, is L^{n-k} times the slab fan's
     class k*L^k, (f) the two classes agree modulo L.  Without unimodular
     cones there is no orbit count: the class after is reported as 0 and
-    (e) and (f) fail.
+    (e) and (f) fail.  `full_degeneration_report` calls it for its deepest
+    stratum only.
     """
+    return _local_report(spec, toriclat.slab_certificate(spec.k))
+
+
+def _local_report(spec: LocalModelSpec,
+                  certificate: toriclat.LocalCertificate) -> VerificationReport:
+    """The six checks of `resolve_local_model` on a certificate of depth k."""
     n, k = spec.n, spec.k
-    certificate = toriclat.slab_certificate(k)
-    after_core = _resolved_fiber_class(k)
+    fan = certificate.fan
+    after_core, components = (_resolved_fiber(fan.max_cones, certificate.direction)
+                              if certificate.fiber.smooth else (None, 0))
 
     scissor = affine_coordinate_arrangement_class(k)
-    closed_form = L**k - (L - ONE) ** k
-    before = L ** (n - k + 1) * scissor
-    after = ZERO if after_core is None else L ** (n - k) * after_core
-    expected = k * L**n
-    no_count = "no orbit count: the cones are not unimodular"
+    power, free = L**k, L ** (n - k)  # free: the A^{n-k} factor
+    closed_form = power - (L - ONE) ** k
+    before = free * L * scissor
+    after = ZERO if after_core is None else free * after_core
+    expected = free * power * k
+    no_count = "no orbit count: " + (
+        "no fan was restricted" if fan is None else "the cones are not unimodular")
     resolved = no_count
     if after_core is not None:
-        # one component D_rho per ray rho that pairs positively with the
-        # fiber direction; on the slab fan there are k, the class at L=1
-        fan, direction = certificate.fan, certificate.direction
-        components = sum(1 for r in fan.rays() if dot(direction, r) > 0)
+        # on the slab fan there are k components, the class at L=1
         resolved = (f"orbit count gives {after.render()}; "
                     f"{components} component(s) at L=1")
         if after != expected:
@@ -234,6 +243,11 @@ def full_degeneration_report(spec: DegenerationSpec) -> VerificationReport:
     and exactly k of the H_i vanish it is t*x_{n+1} = x_1*...*x_k with
     x_{n+1} = F, for each k = 1..min(d, n).
 
+    Only the deepest stratum K = min(d, n) is certified, by
+    `resolve_local_model`; each k < K reads its rows off the restriction
+    `toriclat.restrict_certificate(slab_certificate(K), k)`, so a mutant of
+    the top certificate reaches every stratum.
+
     Per-stratum checks are flattened into the aggregate check list under
     a "stratum k=..." prefix.  The report's own before/after classes both
     record the central fiber's class, the arrangement class P(d, n) of d
@@ -255,8 +269,10 @@ def full_degeneration_report(spec: DegenerationSpec) -> VerificationReport:
     checks = [CheckResult(
         "central fiber class = 1 mod L", residue == 1,
         f"[{d} hyperplanes in P^{n + 1}] = {cls.render()}, residue {residue}")]
+    top = resolve_local_model(LocalModelSpec(n=n, k=depth))
     for k in range(1, depth + 1):
-        sub = resolve_local_model(LocalModelSpec(n=n, k=k))
+        sub = top if k == depth else _local_report(LocalModelSpec(n=n, k=k), (
+            toriclat.restrict_certificate(toriclat.slab_certificate(depth), k)))
         for c in sub.checks:
             checks.append(CheckResult(f"stratum k={k}: {c.name}", c.passed, c.detail))
     return VerificationReport(

@@ -23,8 +23,10 @@ class counting in Z[L].  Everything is integer-exact and pure Python.
 
 `certify_local(fan, parent, direction)` gives the rows of a strictly
 semistable model from its data alone; `slab_certificate(k)` is its cached
-call on the slab data.  `grothring` and `checks` are lazy submodules: a
-certificate runs no Z[L] code, and an orbit count no `checks`.
+call on the slab data, and `restrict_certificate(top, k)` restricts it to
+a face, the certificate of a lower depth.  `grothring` and `checks` are
+lazy submodules: a certificate runs no Z[L] code, and an orbit count no
+`checks`.
 
 Orbit counting needs only the f-vector of a smooth fan (cones by number
 of rays).  When the maximal cones form a chain, as the slabs do, it is a
@@ -183,8 +185,9 @@ def is_smooth(c: Cone) -> bool:
 
 def _opposite_facets(c: Cone) -> dict[Vec, Vec]:
     """Each ray of a simplicial cone with the facet its mask lacks."""
-    full = (1 << len(c.inequalities)) - 1
-    return {r: c.inequalities[(full & ~m).bit_length() - 1] for r, m in c._incidence.items()}
+    facets = c.inequalities
+    full = (1 << len(facets)) - 1
+    return {r: facets[(full & ~m).bit_length() - 1] for r, m in c._incidence.items()}
 
 
 def _exchange(c: Cone, out: Vec, new: Sequence[int]) -> Cone:
@@ -205,11 +208,17 @@ def _exchange(c: Cone, out: Vec, new: Sequence[int]) -> Cone:
         if x:
             opposite[r] = primitive([p * a - x * b for a, b in zip(u, u_out)])
     opposite[new] = u_out
+    return _simplicial(c.rank, opposite)
+
+
+def _simplicial(rank: int, opposite: dict[Vec, Vec]) -> Cone:
+    """The simplicial cone with these rays, each mapped to the primitive
+    facet normal opposite it, stored without a double description."""
     facets = sorted(opposite.values())
     bit = {u: 1 << j for j, u in enumerate(facets)}
-    full = (1 << c.rank) - 1
+    full = (1 << rank) - 1
     return Cone.__new__(Cone)._store(
-        c.rank, {r: full & ~bit[opposite[r]] for r in sorted(opposite)}, facets)
+        rank, {r: full & ~bit[opposite[r]] for r in sorted(opposite)}, facets)
 
 
 class Fan:
@@ -293,7 +302,13 @@ def _common_face(a: Cone, b: Cone) -> bool:
 
 
 def _f_vector(rank: int, i: int) -> Vec:
-    return vadd(unit(rank, i), unit(rank, rank - 1))
+    return unit(rank - 1, i) + (1,)  # e_{i+1} + e_rank
+
+
+def _model_rays(n: int) -> list[Vec]:
+    """e_1, ..., e_n, f_1, ..., f_n in Z^{n+1}: the rays of `model_cone(n)`."""
+    rank = n + 1
+    return [unit(rank, i) for i in range(n)] + [_f_vector(rank, i) for i in range(n)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -302,9 +317,7 @@ def model_cone(n: int) -> Cone:
     whose affine toric variety is the hypersurface t*y = z_1*...*z_n."""
     if n < 1:
         raise ValueError(f"the model needs n >= 1, got {n}")
-    rank = n + 1
-    rays = [unit(rank, i) for i in range(n)] + [_f_vector(rank, i) for i in range(n)]
-    return Cone(rays)
+    return Cone(_model_rays(n))
 
 
 def sigma_subcone(n: int, k: int) -> Cone:
@@ -529,10 +542,11 @@ def semistable_fiber_check(f: Fan, direction: Sequence[int]) -> FiberCheck:
 
 
 class LocalCertificate(NamedTuple):
-    """What `certify_local` certified: the fan, the fiber direction, the
+    """What `certify_local` or `restrict_certificate` certified: the fan
+    (None for a restriction of a fan that failed), the fiber direction, the
     fan's `FiberCheck` for it and the three rows that every command prints."""
 
-    fan: Fan
+    fan: Optional[Fan]
     direction: Vec
     fiber: FiberCheck
     rows: tuple[checks.CheckResult, checks.CheckResult, checks.CheckResult]
@@ -544,6 +558,14 @@ def certify_local(fan: Fan, parent: Cone, direction: Sequence[int]) -> LocalCert
     "cones unimodular", "partition of model cone" and "semistable fiber".
     Pure, so a mutant is an argument; a witness is computed only on failure."""
     failure = None if verify_partition(fan, parent) else _partition_failure(fan, parent)
+    return _certificate(fan, direction, failure, "walls matched, generic point covered once")
+
+
+def _certificate(fan: Fan, direction: Sequence[int], failure: Optional[str],
+                 covered: str) -> LocalCertificate:
+    """The rows of `fan` in `direction`, its partition's witness `failure`
+    (None if it holds) and the detail `covered` of a pass given."""
+    direction = _as_vec(direction)
     fiber = semistable_fiber_check(fan, direction)
     unimodular = f"{len(fan)} maximal cone(s) of the rank-{fan.rank} subdivision"
     if not fiber.smooth:
@@ -558,8 +580,7 @@ def certify_local(fan: Fan, parent: Cone, direction: Sequence[int]) -> LocalCert
         ray = next(r for r in fan.rays() if dot(direction, r) > 1)
         semistable += f"; ray {list(ray)} pairs {dot(direction, ray)} with the fiber direction"
     rows = (checks.CheckResult("cones unimodular", fiber.smooth, unimodular),
-            checks.CheckResult("partition of model cone", failure is None,
-                               failure or "walls matched, generic point covered once"),
+            checks.CheckResult("partition of model cone", failure is None, failure or covered),
             checks.CheckResult("semistable fiber", fiber.snc, semistable))
     return LocalCertificate(fan, direction, fiber, rows)
 
@@ -570,6 +591,51 @@ def slab_certificate(k: int) -> LocalCertificate:
     of rank k+1, the model cone and the fiber direction e_{k+1}* of t,
     certified once per k for `resolve`, `verify` and `report` alike."""
     return certify_local(resolution_fan(k), model_cone(k), unit(k + 1, k))
+
+
+@functools.lru_cache(maxsize=None)
+def restrict_certificate(top: LocalCertificate, k: int) -> LocalCertificate:
+    """The certificate of depth k read off `top`, one of depth K > k against
+    `model_cone(K)`, with no double description: the cones of top.fan in
+    the face F_k = {x_{k+1} = ... = x_K = 0} and the fiber direction, in the
+    coordinates x_1..x_k, x_{K+1}.  The depth-k model is the depth-K model
+    localized at z_{k+1}*...*z_K.  If top's cones are unimodular and
+    partition the model cone, this is sound: (1) the cones of a subdivision
+    that lie in a face subdivide it, and a simplicial cone meets F_k in the
+    face its rays there span, so the maximal ones have k+1 rays in F_k;
+    (2) a face of a unimodular cone is unimodular in its saturated
+    sublattice, with the projected opposite facets as its facets; (3)
+    e_{K+1}* restricts to e_{k+1}*.  The partition row also checks, in
+    O(K^2), that the projected rays in F_k are those of `model_cone(k)`.
+    A top that fails either condition restricts to no fan, and each row
+    names the top row that failed."""
+    depth = top.fan.rank - 1
+    if not 1 <= k < depth:
+        raise ValueError(f"need 1 <= k < {depth}, got k={k}")
+    proj = operator.itemgetter(*range(k), depth)
+    broken = next((row.name for row in top.rows[:2] if not row.passed), None)
+    if broken is not None:
+        why = f"no restriction from k={depth}: its row {broken!r} fails"
+        return LocalCertificate(None, proj(top.direction), FiberCheck(False, False), tuple(
+            checks.CheckResult(row.name, False, why) for row in top.rows))
+    cones, got = [], set()
+    for c in top.fan:
+        inside = [r for r in c.rays if not any(r[k:depth])]
+        got.update(inside)
+        if len(inside) == k + 1:
+            opposite = _opposite_facets(c)
+            face = _simplicial(k + 1, {proj(r): proj(opposite[r]) for r in inside})
+            face._smooth = True  # by (2)
+            cones.append(face)
+    zero = [f"x{i}" for i in range(k + 1, depth + 1)]
+    source = (f"restricted from k={depth} to "
+              f"{'='.join(zero if len(zero) < 3 else [zero[0], '...', zero[-1]])}=0")
+    got = set(map(proj, got))
+    ray = min(got.symmetric_difference(_model_rays(k)), default=None)
+    failure = None if ray is None else (
+        f"{source}: ray {list(ray)} is a ray of the "
+        f"{'restricted fan' if ray in got else 'model cone'} only")
+    return _certificate(Fan(cones), proj(top.direction), failure, source)
 
 
 def _is_chain(ray_sets: Sequence[frozenset[Vec]]) -> bool:
@@ -598,30 +664,27 @@ def _face_counts(f: Fan, hot: Optional[Callable[[Vec], bool]] = None) -> list[in
 
         count = sum_k w(S_k) - sum_k w(S_k ∩ S_{k+1}),
 
-    which costs O(c * rank) lookups and binomials.  Any other fan falls
+    which costs O(c * rank) lookups and one row of binomials C(m, .) per
+    distinct size m of a set or of its cold part.  Any other fan falls
     back to enumerating the distinct ray subsets, up to c * 2^rank.
     """
     for c in f:
         if not is_smooth(c):
             raise ValueError(f"orbit counting requires smooth cones, got {c!r}")
     ray_sets = [frozenset(c.rays) for c in f]
-    hot_rays = None if hot is None else frozenset(
-        r for rays in ray_sets for r in rays if hot(r))
+    hot_rays = None if hot is None else frozenset(filter(hot, frozenset().union(*ray_sets)))
     count = [0] * (f.rank + 1)
 
     if _is_chain(ray_sets):
-        def add_weight(rays: frozenset[Vec], sign: int) -> None:
-            for j in range(len(rays) + 1):
-                count[j] += sign * math.comb(len(rays), j)
-            if hot_rays is not None:  # less the subsets with no hot ray
-                cold = len(rays - hot_rays)
-                for j in range(cold + 1):
-                    count[j] -= sign * math.comb(cold, j)
-
-        for rays in ray_sets:
-            add_weight(rays, 1)
-        for a, b in zip(ray_sets, ray_sets[1:]):
-            add_weight(a & b, -1)
+        times: Counter = Counter()  # m -> signed number of terms C(m, j)
+        for sign, sets in ((1, ray_sets), (-1, map(operator.and_, ray_sets, ray_sets[1:]))):
+            for rays in sets:
+                times[len(rays)] += sign
+                if hot_rays is not None:  # less the subsets with no hot ray
+                    times[len(rays - hot_rays)] -= sign
+        for m, t in times.items():
+            for j in range(m + 1):
+                count[j] += t * math.comb(m, j)
         return count
 
     faces = {frozenset(sub) for rays in ray_sets
@@ -633,11 +696,14 @@ def _face_counts(f: Fan, hot: Optional[Callable[[Vec], bool]] = None) -> list[in
     return count
 
 
-def _orbit_sum(rank: int, count: Sequence[int]) -> grothring.GrothClass:
-    """sum_j count[j] * (L-1)^{rank-j}: each j-ray cone of a smooth fan is
-    a torus orbit of dimension rank - j."""
-    torus = grothring.L - grothring.ONE
-    return sum((c * torus ** (rank - j) for j, c in enumerate(count) if c), grothring.ZERO)
+def _orbit_sum(count: Sequence[int]) -> grothring.GrothClass:
+    """sum_j count[j] * (L-1)^{rank-j}, rank = len(count) - 1, by Horner's
+    rule on the coefficients: each j-ray cone of a smooth fan is a torus
+    orbit of dimension rank - j."""
+    coeffs: list[int] = []
+    for c in count:  # coeffs * (L-1) + c
+        coeffs = [a - b for a, b in zip([c, *coeffs], [*coeffs, 0])]
+    return grothring.GrothClass(coeffs)
 
 
 def toric_class(f: Fan) -> grothring.GrothClass:
@@ -651,7 +717,7 @@ def toric_class(f: Fan) -> grothring.GrothClass:
     `resolution_fan` do (polynomial in n), and by enumerating faces
     otherwise (exponential in the rank).
     """
-    return _orbit_sum(f.rank, _face_counts(f))
+    return _orbit_sum(_face_counts(f))
 
 
 def fiber_class(f: Fan, direction: Sequence[int]) -> grothring.GrothClass:
@@ -663,7 +729,7 @@ def fiber_class(f: Fan, direction: Sequence[int]) -> grothring.GrothClass:
     d = _as_vec(direction)
     if len(d) != f.rank:
         raise ValueError("direction must live in the dual lattice of the fan")
-    return _orbit_sum(f.rank, _face_counts(f, hot=lambda r: dot(d, r) >= 1))
+    return _orbit_sum(_face_counts(f, hot=lambda r: dot(d, r) >= 1))
 
 
 # -- chart presentations ------------------------------------------------

@@ -25,11 +25,12 @@ def src_env() -> dict:
 
 
 def clear_certificates() -> None:
-    """Empty the caches of slab certificates and of the resolved fiber
-    classes read from them, so that a mutant a test patches in reaches no
-    other test."""
+    """Empty the caches of slab certificates, of the certificates
+    restricted from them and of the fiber classes counted on their fans,
+    so that a mutant a test patches in reaches no other test."""
     toriclat.slab_certificate.cache_clear()
-    degeneration._resolved_fiber_class.cache_clear()
+    toriclat.restrict_certificate.cache_clear()
+    degeneration._resolved_fiber.cache_clear()
 
 
 @pytest.fixture

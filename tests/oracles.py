@@ -12,6 +12,7 @@ by term in class arithmetic.  Deliberately slow and simple.
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 from math import comb
@@ -230,6 +231,44 @@ def hyperplane_union_point_count(r, n, p):
     """Number of points of P^{n+1}(F_p) on at least one of the first r
     coordinate hyperplanes {x_i = 0}, by brute force over P^{n+1}(F_p)."""
     return sum(any(x[i] == 0 for i in range(r)) for x in projective_points(n + 1, p))
+
+
+def arrangement_point_count_oracle(r, n, p):
+    """Number of points of P^{n+1}(F_p) on at least one of r hyperplanes
+    in general position, by brute force over P^{n+1}(F_p).  The hyperplanes
+    are built, not assumed: their normals are (1, a, a^2, ..., a^{n+1}) for
+    a = 0, 1, ..., p-1, then (0, ..., 0, 1) for a = infinity, the first r
+    of these (r <= p+1).  Any n+2 of them are independent, since their
+    matrix is Vandermonde (or, with infinity, has a Vandermonde minor).
+
+    A point count shows only the image of a class under counting (L -> p):
+    counts that match P(r, n) at enough primes fix its polynomial in L,
+    but they do not show that the classes are equal in K_0."""
+    if not 1 <= r <= p + 1:
+        raise ValueError(f"need 1 <= r <= p+1, got r={r}, p={p}")
+    normals = [tuple(pow(a, i, p) for i in range(n + 2)) for a in range(min(r, p))]
+    normals += [(0,) * (n + 1) + (1,)] * (r - len(normals))
+    return sum(any(sum(map(operator.mul, u, x)) % p == 0 for u in normals)
+               for x in projective_points(n + 1, p))
+
+
+def lagrange_coefficients(points):
+    """The coefficients, constant term first and trailing zeros dropped, of
+    the polynomial of degree < len(points) through the points (x, y), by
+    exact Lagrange interpolation; it must have integer coefficients."""
+    coeffs = [Fraction(0)] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        basis, scale = [Fraction(1)], Fraction(yi)  # prod_{j != i} (x - xj)
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                basis = [a - xj * b for a, b in zip([Fraction(0)] + basis, basis + [Fraction(0)])]
+                scale /= xi - xj
+        coeffs = [c + scale * b for c, b in zip(coeffs, basis)]
+    if any(c.denominator != 1 for c in coeffs):
+        raise ValueError(f"the interpolating polynomial is not integral: {coeffs}")
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return [int(c) for c in coeffs]
 
 
 def random_unimodular_matrix(rng, rank, steps=20):

@@ -7,9 +7,10 @@ own judge, so that an output change it would count as a failed operation
 fails here first; workloads.py is compiled from its text, so no bytecode
 is written next to it.  One `report` runs under traced.py as a child and
 must reach every layer that perfbench/selftest.py, also read as text,
-requires of it.  `class` and the arrangement suite, which leave the toric
-modules unexecuted, run under traced.py too, and must print what they print
-untraced with every span installed."""
+requires of it; another must certify one fan.  `class` and the
+arrangement suite, which leave the toric modules unexecuted, run under
+traced.py too, and must print what they print untraced with every span
+installed."""
 
 import ast
 import importlib
@@ -138,6 +139,20 @@ def test_traced_report_reaches_every_layer_the_selftest_needs():
     exempt = {"toriclat._common_face.calls"}
     assert [name for name in counters
             if name not in exempt and not layers.get(name, 0) > 0] == []
+
+
+def test_traced_report_certifies_one_fan():
+    # report certifies its deepest stratum once and restricts it to every
+    # lower one: two double descriptions (the model cone and the first slab)
+    # and one partition certificate at any depth, where certifying each
+    # stratum would take 16 and 8 here.  A work count, so no timer
+    proc = subprocess.run(
+        [sys.executable, str(TRACED), "-m", "sncdegen", "report", "--n", "8", "--d", "9",
+         "--format", "json"],
+        cwd=PERFBENCH.parent, env=src_env(), capture_output=True, text=True, check=True)
+    layers = json.loads(proc.stdout.splitlines()[-1])["layers"]
+    assert layers["intmat.extreme_rays.calls"] == 2
+    assert layers["toriclat.verify_partition.calls"] == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -269,13 +269,18 @@ def test_resolve_report_and_verify_print_one_certificate(capsys):
         return {row["name"]: (row["pass"], row["detail"])
                 for row in json.loads(out)["checks"]}
 
+    # report certifies k = 6 and restricts it to each lower stratum, whose
+    # partition row says so and whose other two rows are resolve's
     names = ["cones unimodular", "partition of model cone", "semistable fiber"]
+    faces = {1: "x2=...=x6=0", 2: "x3=...=x6=0", 3: "x4=...=x6=0", 4: "x5=x6=0", 5: "x6=0"}
     verify = rows_of("verify", "--scope", "lemma-toric", "--max-n", "6")
     report = rows_of("report", "--n", "6", "--d", "7")
     for k in range(1, 7):
         resolve = rows_of("resolve", "--n", str(k))
         assert list(resolve) == names
         assert [verify[f"{name} n={k}"] for name in names] == list(resolve.values()), k
+        if k < 6:
+            resolve["partition of model cone"] = (True, f"restricted from k=6 to {faces[k]}")
         assert ([report[f"stratum k={k}: {name}"] for name in names]
                 == list(resolve.values())), k
         dual = rows_of("dual", "--n", str(k))
@@ -328,9 +333,20 @@ def test_verify_partition_row_names_its_witness(capsys, slab_mutant):
     assert rows["partition of model cone n=3"]["detail"].startswith("unmatched wall with rays")
 
 
+def unrestricted_rows(depth, broken, strata):
+    """The failing rows of the lower strata of a report whose certificate
+    of depth `depth` failed its row `broken`: no fan is restricted to them."""
+    why = f"no restriction from k={depth}: its row {broken!r} fails"
+    no_count = "no orbit count: no fan was restricted"
+    return {f"stratum k={k}: {name}": detail for k in strata for name, detail in [
+        ("cones unimodular", why), ("partition of model cone", why), ("semistable fiber", why),
+        ("resolved fiber class", no_count), ("mod-L invariance", no_count)]}
+
+
 def test_overlapping_cone_fails_the_partition_row(capsys, slab_mutant):
     # the slab fan of n = 4 plus sigma_2 with x_1 and x_2 swapped, which
-    # overlaps sigma_1 and sigma_2: a row fails, and nothing raises
+    # overlaps sigma_1 and sigma_2: a row fails, and nothing raises.  report
+    # restricts k = 4 to the lower strata, so it restricts no fan to them
     slabs = toriclat.resolution_fan(4)
     swapped = Cone([(r[1], r[0], *r[2:]) for r in sigma_subcone(4, 2).rays])
     slab_mutant(fan=lambda k: (
@@ -343,9 +359,11 @@ def test_overlapping_cone_fails_the_partition_row(capsys, slab_mutant):
     assert [row["name"] for row in failing] == ["partition of model cone"]
     assert failing[0]["detail"].startswith("unmatched wall with rays")
     rows = {row["name"]: row for row in json.loads(report_out)["checks"]}
-    assert all(row["pass"] for name, row in rows.items() if "k=4" not in name)
     row = rows["stratum k=4: partition of model cone"]
     assert not row["pass"] and row["detail"] == failing[0]["detail"]
+    assert {name: row["detail"] for name, row in rows.items()
+            if not row["pass"] and "k=4" not in name} == unrestricted_rows(
+        4, "partition of model cone", range(1, 4))
 
 
 def test_wrong_fiber_direction_fails_the_resolved_fiber_class_row(capsys, slab_mutant):
@@ -396,7 +414,8 @@ def test_verify_unimodular_and_semistable_rows_name_their_witness(
 
 def test_non_unimodular_cones_leave_no_orbit_count(capsys, slab_mutant):
     # the model cone itself as the fan of k = 3, 6 rays in rank 4: without
-    # unimodular cones there is no orbit count, so both class rows fail too
+    # unimodular cones there is no orbit count, so both class rows fail too,
+    # and no fan is restricted to k = 1, 2
     slab_mutant(fan=lambda k: Fan([model_cone(k)]) if k == 3 else toriclat.resolution_fan(k))
     code, out, _ = run_cli(capsys, "report", "--n", "3", "--d", "4", "--format", "json")
     assert code == EXIT_FAILED
@@ -406,6 +425,7 @@ def test_non_unimodular_cones_leave_no_orbit_count(capsys, slab_mutant):
         "stratum k=3: semistable fiber": "reduced=True, smooth=False",
         "stratum k=3: resolved fiber class": no_count,
         "stratum k=3: mod-L invariance": no_count,
+        **unrestricted_rows(3, "cones unimodular", (1, 2)),
     }
 
 

@@ -8,7 +8,9 @@ import pytest
 
 from oracles import (
     arrangement_class_termwise_oracle,
+    arrangement_point_count_oracle,
     hyperplane_union_point_count,
+    lagrange_coefficients,
     subset_size_counts_oracle,
 )
 from sncdegen.cli import CLASS_MAX_N
@@ -205,6 +207,17 @@ def test_arrangement_classes_match_point_counts():
                 for route in (arrangement_class_closed, arrangement_class_recursive,
                               arrangement_class_inclusion_exclusion):
                     assert route(r, n).evaluate(p) == count, (route.__name__, r, n, p)
+
+
+def test_arrangement_class_is_rebuilt_from_an_explicit_arrangement():
+    # P(r, n) has degree n in L, so its values at n+1 points fix it: count an
+    # explicit arrangement in general position over F_p for n+1 primes
+    # p >= r-1 and interpolate.  Past r = n+2 the coordinate hyperplanes are
+    # not in general position, and at r = p+1 the normal at infinity is used
+    for r, n in [(1, 1), (4, 1), (3, 2), (6, 2), (4, 3), (6, 3), (8, 3)]:
+        primes = [p for p in (2, 3, 5, 7, 11, 13, 17) if p >= r - 1][:n + 1]
+        counts = [(p, arrangement_point_count_oracle(r, n, p)) for p in primes]
+        assert lagrange_coefficients(counts) == list(arrangement_class_closed(r, n).coeffs), (r, n)
 
 
 def test_inclusion_exclusion_makes_no_arithmetic_per_subset(groth_additions):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import src_env
+from conftest import clear_certificates, src_env
 from oracles import (
     affine_union_class_oracle,
     dual_rays_brute,
@@ -25,8 +25,8 @@ from oracles import (
     slab_orbit_class_closed_form,
 )
 from oracles import _rank as oracle_rank
-from sncdegen import _intmat, toriclat
-from sncdegen._intmat import dot, invariant_factors, vadd, vscale
+from sncdegen import _intmat, checks, toriclat
+from sncdegen._intmat import dot, invariant_factors, unit, vadd, vscale
 from sncdegen.grothring import GrothClass, L, reduce_mod_L
 from sncdegen.toriclat import (
     ChartPresentation,
@@ -34,6 +34,7 @@ from sncdegen.toriclat import (
     Coordinate,
     Fan,
     blowup_chart_sequence,
+    certify_local,
     dual_cone,
     dual_generators,
     fiber_class,
@@ -41,6 +42,7 @@ from sncdegen.toriclat import (
     is_smooth,
     model_cone,
     resolution_fan,
+    restrict_certificate,
     semistable_fiber_check,
     sigma_subcone,
     singular_model_chart,
@@ -54,6 +56,7 @@ from sncdegen.toriclat import (
     _exchange,
     _face_of,
     _generic_point,
+    _orbit_sum,
     _partition_failure,
     _sweep_box,
     _sweep_uncovered,
@@ -929,6 +932,129 @@ def test_orbit_counting_rejects_singular_fan():
 def test_scissor_oracle_consistency():
     for k in range(1, 11):
         assert L**k - (L - 1) ** k == affine_union_class_oracle(k), k
+
+
+def test_orbit_sum_is_the_power_per_term_formula():
+    # Horner's rule against sum_j count[j] * (L-1)^{rank-j}, one power per term
+    rng = random.Random(28)
+    for rank in range(15):
+        count = [rng.randint(-60, 60) for _ in range(rank + 1)]
+        assert _orbit_sum(count) == sum(
+            (c * (L - 1) ** (rank - j) for j, c in enumerate(count)), GrothClass()), count
+
+
+# -- restriction to a face ----------------------------------------------
+
+
+def test_restriction_is_the_slab_certificate_of_each_stratum():
+    # the cones of the depth-K slab fan in x_{k+1} = ... = x_K = 0, written in
+    # x_1..x_k, x_{K+1}, are the slab fan of depth k: the same rays, and the
+    # projected opposite facets are the facets a double description finds
+    for K in range(2, 10):
+        top = toriclat.slab_certificate(K)
+        for k in range(1, K):
+            restricted, slab = restrict_certificate(top, k), toriclat.slab_certificate(k)
+            assert [(c.rays, c.inequalities, c._incidence) for c in restricted.fan] == [
+                (c.rays, c.inequalities, c._incidence) for c in slab.fan], (K, k)
+            if K <= 6:
+                assert [Cone(c.rays).inequalities for c in restricted.fan] == [
+                    c.inequalities for c in restricted.fan], (K, k)
+            assert restricted.direction == slab.direction == unit(k + 1, k)
+            assert restricted.fiber == slab.fiber
+            assert restricted.rows[0] == slab.rows[0] and restricted.rows[2] == slab.rows[2]
+            assert restricted.rows[1].passed, (K, k)
+            assert (fiber_class(restricted.fan, restricted.direction)
+                    == fiber_class(slab.fan, slab.direction)), (K, k)
+
+
+def test_restriction_names_its_face():
+    top = toriclat.slab_certificate(6)
+    assert [restrict_certificate(top, k).rows[1].detail for k in range(1, 6)] == [
+        "restricted from k=6 to x2=...=x6=0", "restricted from k=6 to x3=...=x6=0",
+        "restricted from k=6 to x4=...=x6=0", "restricted from k=6 to x5=x6=0",
+        "restricted from k=6 to x6=0"]
+
+
+def test_restriction_runs_no_double_description_and_no_partition(monkeypatch):
+    top = certify_local(resolution_fan(7), model_cone(7), unit(8, 7))  # not cached yet
+    calls = []
+    monkeypatch.setattr(toriclat, "extreme_rays", lambda *args: calls.append(args))
+    monkeypatch.setattr(toriclat, "verify_partition", lambda *args: calls.append(args))
+    assert all(restrict_certificate(top, k).rows[1].passed for k in range(1, 7))
+    assert calls == []
+
+
+def test_restriction_is_cached_until_the_certificates_are_cleared():
+    top = toriclat.slab_certificate(4)
+    assert restrict_certificate(top, 2) is restrict_certificate(top, 2)
+    clear_certificates()
+    assert restrict_certificate.cache_info().currsize == 0
+
+
+def test_restriction_needs_a_lower_stratum():
+    top = toriclat.slab_certificate(3)
+    for k in (0, 3, 4):
+        with pytest.raises(ValueError, match="need 1 <= k < 3"):
+            restrict_certificate(top, k)
+
+
+def star_with_determinant_2(K):
+    """The slab fan of depth K with sigma_1 split at f_1 + 2e_1 + e_2 + ...
+    + e_K: one piece has determinant 2, the fan still partitions the
+    model cone and its fiber stays reduced."""
+    sigma_1, *rest = resolution_fan(K)
+    w = (3,) + (1,) * K
+    return Fan([*(Cone([w if r == out else r for r in sigma_1.rays]) for out in sigma_1.rays),
+                *rest])
+
+
+@pytest.mark.parametrize("fan, failed", [
+    (lambda K: Fan(resolution_fan(K).max_cones[:-1]), "partition of model cone"),
+    (lambda K: Fan([model_cone(K)]), "cones unimodular"),
+    (star_with_determinant_2, "cones unimodular"),
+], ids=["dropped-slab", "model-cone", "determinant-2"])
+def test_a_failed_top_certificate_flips_every_row_derived_from_it(fan, failed):
+    # a top whose cones are not unimodular or do not partition the model cone
+    # restricts to no stratum: each derived row fails and names the top's row
+    K = 4
+    top = certify_local(fan(K), model_cone(K), unit(K + 1, K))
+    assert [row.name for row in top.rows if not row.passed][:1] == [failed]
+    why = f"no restriction from k={K}: its row {failed!r} fails"
+    for k in range(1, K):
+        restricted = restrict_certificate(top, k)
+        assert restricted.fan is None and not restricted.fiber.smooth
+        assert [(row.passed, row.detail) for row in restricted.rows] == [(False, why)] * 3
+
+
+def test_a_top_fiber_direction_reaches_every_derived_row():
+    # 2e_{K+1}* restricts to 2e_{k+1}*, which pairs 2 with f_1..f_k: the
+    # witness is the least of them, f_k
+    K = 4
+    top = certify_local(resolution_fan(K), model_cone(K), (0,) * K + (2,))
+    for k in range(1, K):
+        restricted = restrict_certificate(top, k)
+        assert restricted.direction == (0,) * k + (2,)
+        assert [row.passed for row in restricted.rows] == [True, True, False], k
+        assert restricted.rows[2].detail.endswith(
+            f"ray {list(unit(k, k - 1) + (1,))} pairs 2 with the fiber direction"), k
+
+
+def test_restriction_to_the_wrong_face_fails_with_its_witness():
+    # the slab fan of depth 3 with x_3 and x_4 swapped, certified against the
+    # swapped model cone in the swapped direction, passes every row; but its
+    # cones in x_2 = x_3 = 0 are those of the face x_2 = x_4 = 0 of the slab
+    # fan, whose rays are e_1 and e_3, not the model rays e_1 and f_1
+    swap = lambda v: (v[0], v[1], v[3], v[2])
+    top = certify_local(Fan([Cone(map(swap, c.rays)) for c in resolution_fan(3)]),
+                        Cone(map(swap, model_cone(3).rays)), swap(unit(4, 3)))
+    assert all(row.passed for row in top.rows)
+    assert [restrict_certificate(top, k).rows[1] for k in (1, 2)] == [
+        checks.CheckResult("partition of model cone", False,
+                           "restricted from k=3 to x2=x3=0: ray [0, 1] is a ray "
+                           "of the restricted fan only"),
+        checks.CheckResult("partition of model cone", False,
+                           "restricted from k=3 to x3=0: ray [0, 0, 1] is a ray "
+                           "of the restricted fan only")]
 
 
 # -- chart presentations ------------------------------------------------
