@@ -14,18 +14,15 @@ behind degenerating a smooth hypersurface to a hyperplane arrangement:
 * `checks`       — the pass/fail row of every report and its text table;
 * `cli`          — the `sncdegen` command-line driver.
 
-The namespace is lazy (PEP 562): `import sncdegen` imports no submodule,
-and the first use of an exported name imports only the submodule that
-defines it (and what that submodule imports), so a cold process compiles
-no more of the package than it uses.  A submodule read as an attribute of
-the package (`from . import toriclat`, `sncdegen.toriclat`) is lazy too:
-it is registered in `sys.modules` at once, and its body runs on the first
-use of one of its attributes.  So `cli`, which reads every other module
-that way, compiles only what the command it runs uses: `class` and
-`verify --scope lemma-arrangement` compile no toric code.
+The namespace is lazy (PEP 562), and a submodule loads in one of two
+ways.  `from .x import y` runs `x` at once.  `from . import x` and
+`sncdegen.<name>`, for a submodule `x` or for a name that `x` exports,
+register `x` in `sys.modules` and run its body on first use.  So
+`import sncdegen` runs no submodule, and a command, which reads every
+other module the lazy way, runs only the modules it uses;
+`tests/test_imports.py` pins which command runs which module.
 """
 
-import importlib
 import sys
 
 __version__ = "0.1.0"
@@ -64,27 +61,22 @@ __all__ = [*_SOURCE, "__version__"]
 
 
 def __getattr__(name: str):
-    """Import the submodule that defines an exported name on its first
-    use, or lazily load a submodule that `name` itself names, and bind
-    the value here so that later uses skip this hook.  Any other name
-    raises AttributeError."""
+    """The exported value `name`, read off the lazy submodule that
+    defines it, or the lazy submodule `name` itself, bound here so that
+    later uses skip this hook.  Any other name raises AttributeError."""
     module = _SOURCE.get(name)
-    if module is not None:
-        value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
-    else:
-        value = _lazy_submodule(name)
+    value = (_lazy_submodule(name) if module is None
+             else getattr(_lazy_submodule(module), name))
     globals()[name] = value
     return value
 
 
 def _lazy_submodule(name: str):
-    """The submodule `name` of this package, registered in `sys.modules`
-    but not yet executed: `importlib.util.LazyLoader` runs its body on the
-    first attribute access, `vars()` and `import` statements included.
-    A submodule already in `sys.modules` is returned as it is, since a
-    name has one module object.  Dunder names are never submodules here,
-    so that `__main__`, the entry point of `python -m sncdegen`, is only
-    ever run by `runpy`."""
+    """The submodule `name`, registered in `sys.modules` with an
+    `importlib.util.LazyLoader` that runs its body on the first attribute
+    access, or the module already there, since a name has one module
+    object.  Dunder names are never submodules here, so that `__main__`,
+    the entry point of `python -m sncdegen`, is only ever run by `runpy`."""
     from importlib.util import LazyLoader, find_spec, module_from_spec
     fullname = f"{__name__}.{name}"
     if fullname in sys.modules:

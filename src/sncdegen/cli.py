@@ -21,11 +21,9 @@ error, 2 verification failure.  Output goes to stdout (text or JSON via
 output is a single document that re-serializes byte-for-byte under
 ``json.dumps(..., indent=2)``.  The module imports neither `argparse` nor
 `json`, whose loading and parser set-up cost a cold run about 14 ms.  It
-reads the other modules of the package as lazy submodules (see
-`sncdegen.__getattr__`) and calls each function through its module, so a
-command executes only the modules it uses: `class`, the arrangement suite,
-``--help`` and a usage error compile no toric code, and `resolve`, `dual`
-and the toric suite no `degeneration` or `grothring`.
+reads the other modules by `from . import x`, which runs `x` on first
+use, and calls each function through its module, so a command runs only
+the modules it uses; `tests/test_imports.py` pins which.
 """
 
 from __future__ import annotations
@@ -306,8 +304,7 @@ def _rows_toric(max_n: int) -> tuple[int, list[checks.CheckResult]]:
                           f"{'chart' if in_chart else 'dual'} cone")
             local.append(checks.CheckResult("charts match dual cones", detail is None,
                                             detail or "all charts"))
-        rows += [checks.CheckResult(f"{row.name} n={n}", row.passed, row.detail)
-                 for row in local]
+        rows += [row._replace(name=f"{row.name} n={n}") for row in local]
     return top, rows
 
 

@@ -188,6 +188,15 @@ def resolve_local_model(spec: LocalModelSpec) -> VerificationReport:
     return _local_report(spec, toriclat.slab_certificate(spec.k))
 
 
+@functools.lru_cache(maxsize=None)
+def _depth_classes(k: int) -> tuple[GrothClass, GrothClass]:
+    """L^k and the singular fiber's closed form L^k - (L-1)^k, once per
+    depth; the recursion they check stays uncached, so a mutant of it
+    reaches every report."""
+    power = L**k
+    return power, power - (L - ONE) ** k
+
+
 def _local_report(spec: LocalModelSpec,
                   certificate: toriclat.LocalCertificate) -> VerificationReport:
     """The six checks of `resolve_local_model` on a certificate of depth k."""
@@ -197,8 +206,8 @@ def _local_report(spec: LocalModelSpec,
                               if certificate.fiber.smooth else (None, 0))
 
     scissor = affine_coordinate_arrangement_class(k)
-    power, free = L**k, L ** (n - k)  # free: the A^{n-k} factor
-    closed_form = power - (L - ONE) ** k
+    power, closed_form = _depth_classes(k)
+    free = L ** (n - k)  # the A^{n-k} factor
     before = free * L * scissor
     after = ZERO if after_core is None else free * after_core
     expected = free * power * k
@@ -273,8 +282,7 @@ def full_degeneration_report(spec: DegenerationSpec) -> VerificationReport:
     for k in range(1, depth + 1):
         sub = top if k == depth else _local_report(LocalModelSpec(n=n, k=k), (
             toriclat.restrict_certificate(toriclat.slab_certificate(depth), k)))
-        for c in sub.checks:
-            checks.append(CheckResult(f"stratum k={k}: {c.name}", c.passed, c.detail))
+        checks += [c._replace(name=f"stratum k={k}: {c.name}") for c in sub.checks]
     return VerificationReport(
         model=spec,
         checks=tuple(checks),

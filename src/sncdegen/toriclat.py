@@ -24,9 +24,9 @@ class counting in Z[L].  Everything is integer-exact and pure Python.
 `certify_local(fan, parent, direction)` gives the rows of a strictly
 semistable model from its data alone; `slab_certificate(k)` is its cached
 call on the slab data, and `restrict_certificate(top, k)` restricts it to
-a face, the certificate of a lower depth.  `grothring` and `checks` are
-lazy submodules: a certificate runs no Z[L] code, and an orbit count no
-`checks`.
+a face, the certificate of a lower depth.  It reads `grothring` and
+`checks` by `from . import x`, which runs `x` on first use, so a
+certificate runs no Z[L] code (`tests/test_imports.py` pins this).
 
 Orbit counting needs only the f-vector of a smooth fan (cones by number
 of rays).  When the maximal cones form a chain, as the slabs do, it is a
@@ -617,7 +617,7 @@ def restrict_certificate(top: LocalCertificate, k: int) -> LocalCertificate:
     if broken is not None:
         why = f"no restriction from k={depth}: its row {broken!r} fails"
         return LocalCertificate(None, proj(top.direction), FiberCheck(False, False), tuple(
-            checks.CheckResult(row.name, False, why) for row in top.rows))
+            row._replace(passed=False, detail=why) for row in top.rows))
     cones, got = [], set()
     for c in top.fan:
         inside = [r for r in c.rays if not any(r[k:depth])]

@@ -567,6 +567,19 @@ def test_class_rows_name_their_witness(capsys, monkeypatch, argv, module, name, 
     assert dict(failed) == failing
 
 
+def test_verify_degeneration_raises_each_power_of_L_minus_1_once(capsys, monkeypatch):
+    # (L-1)^k depends on the depth k alone: the 25 reports of n <= 6 resolve
+    # 75 strata, and raise it once for each of the 6 depths
+    powers = []
+    power = grothring.GrothClass.__pow__
+    monkeypatch.setattr(grothring.GrothClass, "__pow__",
+                        lambda self, k: powers.append((self, k)) or power(self, k))
+    degeneration._depth_classes.cache_clear()
+    code, _, _ = run_cli(capsys, "verify", "--scope", "degeneration", "--max-n", "6")
+    assert code == EXIT_OK
+    assert sorted(k for base, k in powers if base == L - ONE) == list(range(1, 7))
+
+
 def test_verify_degeneration_scope(capsys):
     code, out, _ = run_cli(capsys, "verify", "--scope", "degeneration",
                            "--max-n", "4", "--format", "json")

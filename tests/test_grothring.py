@@ -97,6 +97,24 @@ def test_basic_arithmetic():
     assert bool(ZERO) is False and bool(L) is True
 
 
+def test_pow_squares_only_while_bits_remain(monkeypatch):
+    # square-and-multiply: one squaring per bit after the first, one
+    # product per set bit (the first onto ONE), and no squaring past the top
+    calls = []
+    mul = GrothClass.__mul__
+    monkeypatch.setattr(GrothClass, "__mul__",
+                        lambda self, other: calls.append(other) or mul(self, other))
+    base = L - 2
+    for k in range(1, 41):
+        calls.clear()
+        power = base**k
+        assert len(calls) == k.bit_length() - 1 + bin(k).count("1"), k
+        repeated = ONE
+        for _ in range(k):
+            repeated = mul(repeated, base)
+        assert power == repeated, k
+
+
 def test_pow_rejects_negative():
     with pytest.raises(ValueError):
         L ** (-1)
