@@ -58,17 +58,29 @@ class LocalModelSpec(NamedTuple("LocalModelSpec", [("n", int), ("k", int)])):
         return {"type": "local", "n": self.n, "k": self.k, "equation": self.equation}
 
 
+#: Deepest stratum k whose toric certificate `full_degeneration_report`
+#: builds (one slab fan of rank k+1, restricted to every lower stratum): a
+#: time budget of 0.14-0.21 s cold for the whole report at k = 24, not a
+#: bound of the mathematics.
+MAX_CERTIFIED_STRATUM = 24
+
+
 class DegenerationSpec(NamedTuple("DegenerationSpec", [("n", int), ("d", int)])):
     """A pencil of degree-d hypersurfaces of dimension n degenerating to d
-    hyperplanes in general position; the Fano range requires d <= n+1."""
+    hyperplanes in general position, as `full_degeneration_report`, its
+    only consumer, certifies it: n >= 2, the Fano range d <= n+1, and a
+    deepest stratum min(d, n) of at most MAX_CERTIFIED_STRATUM."""
 
     __slots__ = ()
 
     def __new__(cls, n: int, d: int):
-        if n < 1:
-            raise ValueError(f"need n >= 1, got n={n}")
+        if n < 2:
+            raise ValueError(f"the degeneration model needs n >= 2, got n={n}")
         if not 1 <= d <= n + 1:
             raise ValueError(f"degree must satisfy 1 <= d <= n+1, got d={d}, n={n}")
+        if min(d, n) > MAX_CERTIFIED_STRATUM:
+            raise ValueError(f"the toric certificate is limited to strata of depth "
+                             f"k <= {MAX_CERTIFIED_STRATUM}, got k={min(d, n)}")
         return super().__new__(cls, n, d)
 
     def to_json_dict(self) -> dict:
@@ -148,13 +160,6 @@ def affine_coordinate_arrangement_class(k: int) -> GrothClass:
         power = power * L
         total = power + torus * total
     return total
-
-
-#: Deepest stratum k whose toric certificate `full_degeneration_report`
-#: builds (one slab fan of rank k+1, restricted to every lower stratum): a
-#: time budget of 0.14-0.21 s cold for the whole report at k = 24, not a
-#: bound of the mathematics.
-MAX_CERTIFIED_STRATUM = 24
 
 
 @functools.lru_cache(maxsize=None)
@@ -263,16 +268,9 @@ def full_degeneration_report(spec: DegenerationSpec) -> VerificationReport:
     copies of P^n from `arrangement_class_closed`, whose residue is 1
     throughout the Fano range d <= n+1: the local resolutions leave it
     untouched modulo L, which is the invariant being certified.
-    A deepest stratum min(d, n) above MAX_CERTIFIED_STRATUM raises
-    ValueError before any stratum is resolved.
     """
     n, d = spec.n, spec.d
-    if n < 2:
-        raise ValueError(f"the degeneration model needs n >= 2, got n={n}")
     depth = min(d, n)
-    if depth > MAX_CERTIFIED_STRATUM:
-        raise ValueError(f"the toric certificate is limited to strata of depth "
-                         f"k <= {MAX_CERTIFIED_STRATUM}, got k={depth}")
     cls = arrangement_class_closed(d, n)
     residue = reduce_mod_L(cls)
     checks = [CheckResult(

@@ -28,6 +28,11 @@ a face, the certificate of a lower depth.  It reads `grothring` and
 `checks` by `from . import x`, which runs `x` on first use, so a
 certificate runs no Z[L] code (`tests/test_imports.py` pins this).
 
+`blowup_chart_sequence(n)` replays the resolution from
+`singular_model_chart(n)` by substitution, with no reference to the fan,
+so its charts are an oracle for the slabs: the monomials of chart U_k
+generate the dual of sigma_k, whose rays are sigma_k's stored facets.
+
 Orbit counting needs only the f-vector of a smooth fan (cones by number
 of rays).  When the maximal cones form a chain, as the slabs do, it is a
 sum of binomials over the cones and their consecutive intersections,
@@ -329,11 +334,6 @@ def sigma_subcone(n: int, k: int) -> Cone:
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     return resolution_fan(n).max_cones[k - 1]
-
-
-def _ones_partial(rank: int, count: int) -> Vec:
-    """e_1* + ... + e_count* as a vector in Z^rank."""
-    return tuple(1 if i < count else 0 for i in range(rank))
 
 
 @functools.lru_cache(maxsize=None)
@@ -811,53 +811,35 @@ def singular_model_chart(n: int) -> ChartPresentation:
     )
 
 
-def _residual_monomial(rank: int, j: int) -> Vec:
-    """Monomial of the residual coordinate after j blow-up steps:
-    e_{n+1}* - e_1* - ... - e_j*."""
-    return vsub(unit(rank, rank - 1), _ones_partial(rank, j))
-
-
 def blowup_chart_sequence(n: int) -> list[ChartPresentation]:
-    """Replay the resolution as a sequence of n-1 blow-ups, returning the
-    n smooth charts U_1, ..., U_n.
+    """Replay the resolution as a sequence of n-1 blow-ups of
+    `singular_model_chart(n)`, returning the n smooth charts U_1, ..., U_n.
 
     Step k blows up the locus where the residual coordinate t_{k-1} (with
     t_0 = t) and z_k vanish together.  In the chart U_k the substitution
-    z_k = t_{k-1} * z_k' turns the running relation into the solved form
-    y = z_k' * z_{k+1} * ... * z_n; the residual chart keeps z_k and
-    continues with t_k = t_{k-1} / z_k.  After n-1 steps the residual
-    chart is itself smooth with relation t_{n-1} * y = z_n, and is
-    returned as U_n.
+    z_k = t_{k-1} * z_k' gives z_k' the monomial z_k - t_{k-1} and turns the
+    running relation into the solved form y = z_k' * z_{k+1} * ... * z_n;
+    the residual chart keeps z_k and continues with t_k = t_{k-1} / z_k,
+    monomial t_{k-1} - z_k.  After n-1 steps the residual chart is itself
+    smooth with relation t_{n-1} * y = z_n, and is returned as U_n.
 
     Coordinate naming: "t" (residual, step 0) then "t1", "t2", ...;
     original coordinates "z1", ..., "zn" and "y"; the substituted
-    coordinate at step k is "zk'".  The coordinate monomials of U_k
-    generate exactly the dual cone of sigma_k.
+    coordinate at step k is "zk'".  Every monomial comes from the
+    substitutions alone, so the charts are an oracle independent of the
+    fan: the coordinate monomials of U_k generate exactly the dual cone
+    of sigma_k, which the tests and `verify` check.
     """
     if n < 2:
         raise ValueError(f"the blow-up sequence needs n >= 2, got {n}")
-    rank = n + 1
-    y_mono = dual_generators(n)[-1]
+    *z, t, y = singular_model_chart(n).coordinates
     charts = []
-    for k in range(1, n):
-        t_name = "t" if k == 1 else f"t{k - 1}"
-        coords = [Coordinate(t_name, _residual_monomial(rank, k - 1))]
-        coords += [Coordinate(f"z{i}", unit(rank, i - 1)) for i in range(1, k)]
-        coords.append(Coordinate(f"z{k}'",
-                                 vsub(_ones_partial(rank, k), unit(rank, n))))
-        coords += [Coordinate(f"z{i}", unit(rank, i - 1)) for i in range(k + 1, n + 1)]
-        coords.append(Coordinate("y", y_mono))
+    for k, z_k in enumerate(z[:-1], start=1):
+        prime = Coordinate(f"z{k}'", vsub(z_k.monomial, t.monomial))
         # y = z_k' * z_{k+1} * ... * z_n ; coordinate k holds z_k'
-        charts.append(ChartPresentation(
-            coordinates=tuple(coords),
-            relation=((n + 1,), tuple(range(k, n + 1))),
-        ))
-    coords = [Coordinate(f"t{n - 1}", _residual_monomial(rank, n - 1))]
-    coords += [Coordinate(f"z{i}", unit(rank, i - 1)) for i in range(1, n + 1)]
-    coords.append(Coordinate("y", y_mono))
+        charts.append(ChartPresentation((t, *z[:k - 1], prime, *z[k:], y),
+                                        ((n + 1,), range(k, n + 1))))
+        t = Coordinate(f"t{k}", vsub(t.monomial, z_k.monomial))
     # t_{n-1} * y = z_n
-    charts.append(ChartPresentation(
-        coordinates=tuple(coords),
-        relation=((0, n + 1), (n,)),
-    ))
+    charts.append(ChartPresentation((t, *z, y), ((0, n + 1), (n,))))
     return charts

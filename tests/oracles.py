@@ -13,13 +13,12 @@ by term in class arithmetic.  Deliberately slow and simple.
 import itertools
 import math
 import operator
-import random
 from fractions import Fraction
 from math import comb
 from typing import Sequence
 
 from sncdegen._intmat import Vec, dot, primitive, vscale
-from sncdegen.grothring import GrothClass, L, ONE, ZERO, proj_space_class
+from sncdegen.grothring import L, ONE, ZERO, proj_space_class
 from sncdegen.toriclat import Cone
 
 

@@ -202,20 +202,33 @@ def test_dual_n1_claims_no_generator_check(capsys):
     assert json.loads(out)["canonical_generators"] is True
 
 
-def test_dual_runs_two_double_descriptions(capsys, monkeypatch):
-    # one for the model cone's facets, one for the dual's: the involution
-    # row compares the two and builds no third cone
+def clear_cones() -> None:
+    """Empty the caches of the model cones, the slab fans and the
+    certificates, so that a command builds every cone it reads."""
+    model_cone.cache_clear()
+    toriclat.resolution_fan.cache_clear()
+    clear_certificates()
+
+
+def double_descriptions(capsys, monkeypatch, *argv) -> tuple[int, int]:
+    """The exit code of a command run with cold cone caches, and the
+    number of double descriptions it ran."""
     calls = []
     extreme_rays = toriclat.extreme_rays
     monkeypatch.setattr(toriclat, "extreme_rays",
                         lambda *args: calls.append(args) or extreme_rays(*args))
-    model_cone.cache_clear()
+    clear_cones()
     try:
-        code, _, _ = run_cli(capsys, "dual", "--n", "6", "--format", "json")
+        code, _, _ = run_cli(capsys, *argv, "--format", "json")
     finally:
-        model_cone.cache_clear()
-    assert code == EXIT_OK
-    assert len(calls) == 2
+        clear_cones()
+    return code, len(calls)
+
+
+def test_dual_runs_two_double_descriptions(capsys, monkeypatch):
+    # one for the model cone's facets, one for the dual's: the involution
+    # row compares the two and builds no third cone
+    assert double_descriptions(capsys, monkeypatch, "dual", "--n", "6") == (EXIT_OK, 2)
 
 
 def test_dual_usage_error(capsys):
@@ -306,6 +319,16 @@ def test_verify_arrangement_scope(capsys):
     names = [row["name"] for row in data["checks"]]
     assert "triple agreement n=6" in names
     assert "boundary residue r=n+2, n=5" in names
+
+
+def test_verify_toric_runs_one_double_description_per_chart(capsys, monkeypatch):
+    # per n: the model cone, its dual and sigma_1 (each later slab comes by
+    # exchange), then for n >= 2 one per chart cone, whose rays are compared
+    # with the slab's stored facets and not with a built dual cone
+    code, count = double_descriptions(capsys, monkeypatch,
+                                      "verify", "--scope", "lemma-toric", "--max-n", "6")
+    assert code == EXIT_OK
+    assert count == sum(3 + (n if n >= 2 else 0) for n in range(1, 7)) == 38
 
 
 def test_verify_toric_scope(capsys):
@@ -448,6 +471,18 @@ EXTRA_RAY = (("dual_generators", lambda n: dual_generators(n)[:-1]),
              "ray [1, 1, -1] of the dual cone is not a canonical generator")
 MISSING_GENERATOR = (("dual_generators", lambda n: dual_generators(n) + [(1,) * (n + 1)]),
                      "canonical generator [1, 1, 1] is not a ray of the dual cone")
+
+
+def shifted_first_chart(n):
+    """blowup_chart_sequence(n) with e_1* added to the monomials of z2 and
+    y in chart U_1: its relation y = z1'*z2 still holds, so the chart is
+    built, and its cone loses the ray e_2*."""
+    first, *rest = blowup_chart_sequence(n)
+    coords = [toriclat.Coordinate(c.name, vadd(c.monomial, unit(n + 1, 0)))
+              if c.name in ("z2", "y") else c for c in first.coordinates]
+    return [toriclat.ChartPresentation(coords, first.relation), *rest]
+
+
 REDUNDANT_FACET = (("model_cone",
                     lambda n: redundant_facet_model_cone(n) if n == 3 else model_cone(n)),
                    "dual(dual(sigma)) == sigma")
@@ -462,11 +497,14 @@ REDUNDANT_FACET = (("model_cone",
     (VERIFY_N2, "charts match dual cones n=2",
      ("blowup_chart_sequence", lambda n: blowup_chart_sequence(n)[::-1]),
      "mismatch at chart 1: ray [-1, 0, 1] only in the chart cone"),
+    (VERIFY_N2, "charts match dual cones n=2",
+     ("blowup_chart_sequence", shifted_first_chart),
+     "mismatch at chart 1: ray [0, 1, 0] only in the dual cone"),
     (DUAL_N2, "dual generators", *EXTRA_RAY),
     (DUAL_N2, "dual generators", *MISSING_GENERATOR),
     (VERIFY_N3, "duality involution n=3", *REDUNDANT_FACET),
     (DUAL_N3, "duality involution", *REDUNDANT_FACET),
-], ids=["extra-ray", "missing-generator", "dual-differs", "chart-differs",
+], ids=["extra-ray", "missing-generator", "dual-differs", "chart-differs", "chart-monomial",
         "dual-extra-ray", "dual-missing-generator", "redundant-facet",
         "dual-redundant-facet"])
 def test_verify_duality_rows_name_their_witness(capsys, monkeypatch, argv, row, mutant, witness):
@@ -498,12 +536,13 @@ def test_verify_duality_rows_name_their_witness(capsys, monkeypatch, argv, row, 
                          ids=["verify", "resolve"])
 def test_a_chart_that_cannot_be_built_fails_a_row(capsys, monkeypatch, argv, row):
     # without its last generator the dual of the model has no y, so the
-    # relation of chart U_1 is no lattice identity: a row names the error,
-    # and nothing raises
+    # relation t*y of the singular chart, which every blow-up chart is
+    # replayed from, names a coordinate that is not there: a row names the
+    # error, and nothing raises
     dual_generators = toriclat.dual_generators
     monkeypatch.setattr(toriclat, "dual_generators", lambda n: dual_generators(n)[:-1])
     witness = ("a chart could not be built: "
-               "relation is not a lattice identity: (0, 0, 1) != (1, 1, -1)")
+               "relation index 3 out of range")
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == EXIT_FAILED
     rows = {r["name"]: r for r in json.loads(out)["checks"]}
@@ -717,6 +756,20 @@ def test_report_rejects_outside_fano_range(capsys):
     assert "d <= n+1" in err
 
 
+def test_report_internal_error_is_no_usage_error(capsys, monkeypatch):
+    # only the spec's refusals are usage errors: a fault inside the
+    # certificate propagates from `report` as it does from `verify`
+    def broken(top, k):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(toriclat, "restrict_certificate", broken)
+    for argv in (("report", "--n", "3", "--d", "4"),
+                 ("verify", "--scope", "degeneration", "--max-n", "3")):
+        with pytest.raises(ValueError, match="internal fault"):
+            main(list(argv))
+    assert capsys.readouterr().err == ""
+
+
 def test_report_oversized_stratum_fails_fast(capsys):
     # strata k = 1..24 would build a slab fan each before refusing k=31
     start = time.perf_counter()
@@ -740,6 +793,18 @@ def test_oversized_size_fails_fast(capsys, argv, cap):
     assert time.perf_counter() - start < 2.0
     assert code == EXIT_USAGE and out == ""
     assert err.count("\n") == 1 and cap in err
+
+
+def test_each_command_passes_at_its_cap(capsys):
+    # the largest input each admits, `resolve` being the replay's largest
+    for argv in (("resolve", "--n", str(cli.RESOLVE_MAX_N)),
+                 ("dual", "--n", str(cli.DUAL_MAX_N)),
+                 ("report", "--n", str(degeneration.MAX_CERTIFIED_STRATUM),
+                  "--d", str(degeneration.MAX_CERTIFIED_STRATUM + 1))):
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == EXIT_OK, argv
+        rows = json.loads(out)["checks"]
+        assert rows and all(row["pass"] for row in rows), argv
 
 
 def test_size_caps_admit_the_benchmark_sizes():

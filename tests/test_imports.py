@@ -14,7 +14,8 @@ import pytest
 
 from conftest import src_env
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "sncdegen"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "sncdegen"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -36,7 +37,13 @@ def test_unused_imports_are_found():
     assert unused_imports(source) == ["Sequence"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+#: The package's modules, then the tests' and the demos' own files.
+LINTED = MODULES + [path for folder in ("tests", "demos")
+                    for path in sorted((ROOT / folder).glob("*.py"))]
+
+
+@pytest.mark.parametrize("path", LINTED, ids=lambda p: p.name if p.parent == SRC
+                         else f"{p.parent.name}/{p.name}")
 def test_module_uses_its_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -284,6 +284,16 @@ def test_dual_cone_runs_one_double_description(monkeypatch):
     assert len(calls) == 1
 
 
+def test_slab_facets_are_the_rays_of_its_dual():
+    # `verify` compares each chart with its slab's stored facets, not with a
+    # built dual cone; the double description is the reference for that
+    for n in range(1, 17):
+        for k, slab in enumerate(resolution_fan(n), start=1):
+            dual = dual_cone(slab)
+            assert dual.rays == slab.inequalities, (n, k)
+            assert dual.inequalities == slab.rays, (n, k)
+
+
 def test_orthant_self_dual():
     for rank in range(1, 5):
         assert dual_cone(orthant(rank)) == orthant(rank)
