@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Iterable, Sequence
+from collections import Counter
+from typing import Iterable, Optional, Sequence
 
 Vec = tuple[int, ...]
 
@@ -65,6 +66,15 @@ def primitive(v: Sequence[int]) -> Vec:
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(v) if g == 1 else tuple(a // g for a in v)
+
+
+def first_difference(ours: Iterable[Vec], theirs: Iterable[Vec]) -> Optional[tuple[Vec, bool]]:
+    """The least vector on which two lists differ as multisets, and whether
+    it is surplus in `ours` (else in `theirs`); None if they agree."""
+    mine, other = Counter(ours), Counter(theirs)
+    surplus = mine - other
+    first = min(surplus + (other - mine), default=None)
+    return None if first is None else (first, first in surplus)
 
 
 def rref(rows: Iterable[Sequence[int]]) -> tuple[list[list[int]], list[int]]:

@@ -194,24 +194,27 @@ def resolve_local_model(spec: LocalModelSpec) -> VerificationReport:
 
 
 @functools.lru_cache(maxsize=None)
-def _depth_classes(k: int) -> tuple[GrothClass, GrothClass]:
-    """L^k and the singular fiber's closed form L^k - (L-1)^k, once per
-    depth; the recursion they check stays uncached, so a mutant of it
-    reaches every report."""
+def _depth_classes(k: int) -> tuple[GrothClass, GrothClass, GrothClass]:
+    """L^k, the singular fiber's closed form L^k - (L-1)^k and the
+    fibration recursion `affine_coordinate_arrangement_class(k)` that
+    checks it: the classes of a stratum that depend on its depth alone,
+    once per depth.  The recursion is looked up in the module on each
+    cache miss, so a mutant patched in after the cache is cleared reaches
+    every report."""
     power = L**k
-    return power, power - (L - ONE) ** k
+    return power, power - (L - ONE) ** k, affine_coordinate_arrangement_class(k)
 
 
 def _local_report(spec: LocalModelSpec,
                   certificate: toriclat.LocalCertificate) -> VerificationReport:
-    """The six checks of `resolve_local_model` on a certificate of depth k."""
+    """The six checks of `resolve_local_model` on a certificate of depth k,
+    the classes of depth k read from `_depth_classes(k)`."""
     n, k = spec.n, spec.k
     fan = certificate.fan
     after_core, components = (_resolved_fiber(fan.max_cones, certificate.direction)
                               if certificate.fiber.smooth else (None, 0))
 
-    scissor = affine_coordinate_arrangement_class(k)
-    power, closed_form = _depth_classes(k)
+    power, closed_form, scissor = _depth_classes(k)
     free = L ** (n - k)  # the A^{n-k} factor
     before = free * L * scissor
     after = ZERO if after_core is None else free * after_core

@@ -53,6 +53,7 @@ from ._intmat import (
     Vec,
     dot,
     extreme_rays,
+    first_difference,
     mat_rank,
     primitive,
     unit,
@@ -630,11 +631,10 @@ def restrict_certificate(top: LocalCertificate, k: int) -> LocalCertificate:
     zero = [f"x{i}" for i in range(k + 1, depth + 1)]
     source = (f"restricted from k={depth} to "
               f"{'='.join(zero if len(zero) < 3 else [zero[0], '...', zero[-1]])}=0")
-    got = set(map(proj, got))
-    ray = min(got.symmetric_difference(_model_rays(k)), default=None)
-    failure = None if ray is None else (
-        f"{source}: ray {list(ray)} is a ray of the "
-        f"{'restricted fan' if ray in got else 'model cone'} only")
+    difference = first_difference(map(proj, got), _model_rays(k))
+    failure = None if difference is None else (
+        f"{source}: ray {list(difference[0])} is a ray of the "
+        f"{'restricted fan' if difference[1] else 'model cone'} only")
     return _certificate(Fan(cones), proj(top.direction), failure, source)
 
 

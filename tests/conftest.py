@@ -1,14 +1,18 @@
 """Shared test plumbing: collects acceptance-criterion outcomes and prints
-one pass/fail line per criterion at the end of the run, counts Z[L]
+one pass/fail line per criterion at the end of the run, empties the
+package's caches around the tests that patch it or count work, counts Z[L]
 additions for the work-count tests, certifies mutant slab data for the
 command-line tests, and sets up child Python processes."""
 
+import importlib
 import os
+import pkgutil
 from pathlib import Path
 
 import pytest
 
-from sncdegen import degeneration, toriclat
+import sncdegen
+from sncdegen import toriclat
 from sncdegen._intmat import unit
 from sncdegen.grothring import GrothClass
 
@@ -24,30 +28,46 @@ def src_env() -> dict:
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
 
 
-def clear_certificates() -> None:
-    """Empty the caches of slab certificates, of the certificates
-    restricted from them and of the fiber classes counted on their fans,
-    so that a mutant a test patches in reaches no other test."""
-    toriclat.slab_certificate.cache_clear()
-    toriclat.restrict_certificate.cache_clear()
-    degeneration._resolved_fiber.cache_clear()
+def _package_caches() -> tuple:
+    """Every `functools.lru_cache` function that a module of the package
+    defines, gathered once, before any test patches a module."""
+    modules = [importlib.import_module(f"sncdegen.{info.name}")
+               for info in pkgutil.iter_modules(sncdegen.__path__) if info.name != "__main__"]
+    return tuple(value for module in modules for value in vars(module).values()
+                 if hasattr(value, "cache_info") and value.__module__ == module.__name__)
+
+
+PACKAGE_CACHES = _package_caches()
+
+
+def clear_caches() -> None:
+    """Empty every cache of the package, so that a test builds all that it
+    counts, and a mutant that it patches in reaches no other test."""
+    for cached in PACKAGE_CACHES:
+        cached.cache_clear()
 
 
 @pytest.fixture
-def slab_mutant(monkeypatch):
+def cold_caches():
+    """Every cache of the package empty on both sides of the test: for a
+    test that patches a package function or counts work."""
+    clear_caches()
+    yield
+    clear_caches()
+
+
+@pytest.fixture
+def slab_mutant(monkeypatch, cold_caches):
     """`slab_mutant(fan=..., direction=...)` makes `toriclat.slab_certificate(k)`,
     the one seam through which `resolve`, `verify` and `report` read a
     certificate, run `certify_local(fan(k), model_cone(k), direction(k))`
-    uncached; each defaults to the slab data.  The certificate caches are
-    cleared on both sides of the test."""
+    uncached; each defaults to the slab data.  The caches are cleared on
+    both sides of the test."""
     def patch(fan=toriclat.resolution_fan, direction=lambda k: unit(k + 1, k)):
         monkeypatch.setattr(toriclat, "slab_certificate", lambda k: toriclat.certify_local(
             fan(k), toriclat.model_cone(k), direction(k)))
 
-    clear_certificates()
-    yield patch
-    monkeypatch.undo()
-    clear_certificates()
+    return patch
 
 
 def record_acceptance(num: int, description: str, ok: bool, detail: str = "") -> str:
@@ -70,10 +90,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 @pytest.fixture
-def groth_additions(monkeypatch):
+def groth_additions(monkeypatch, cold_caches):
     """The list of right operands of every `GrothClass.__add__` call made
-    while the test runs (subtraction adds too): a work count that does not
-    depend on the machine."""
+    while the test runs (subtraction adds too), from cold caches: a work
+    count that does not depend on the machine."""
     calls = []
     add = GrothClass.__add__
 

@@ -9,25 +9,31 @@ import re
 import subprocess
 import sys
 import time
-import types
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import clear_certificates, src_env
+from conftest import clear_caches, src_env
 from sncdegen import checks, cli, degeneration, grothring, toriclat
-from sncdegen._intmat import dot, primitive, unit, vadd
+from sncdegen._intmat import unit
 from sncdegen.cli import EXIT_FAILED, EXIT_OK, EXIT_USAGE, main
 from sncdegen.grothring import L, MAX_ENUMERATION_SIZE, ONE, _subset_sizes
 from sncdegen.toriclat import (
     Cone,
     Fan,
     blowup_chart_sequence,
-    dual_generators,
     model_cone,
     sigma_subcone,
+)
+from test_mutations import (
+    in_cli,
+    plus,
+    redundant_facet_at_3,
+    shifted_first_chart,
+    with_extra_generator,
+    without_last_generator,
 )
 
 
@@ -115,7 +121,7 @@ def test_json_output_reserializes_byte_for_byte(capsys, argv):
     assert_json_round_trips(out)
 
 
-def test_each_format_builds_only_what_it_prints(capsys, monkeypatch):
+def test_each_format_builds_only_what_it_prints(capsys, monkeypatch, cold_caches):
     def refuse(*args):
         raise AssertionError("built output for a format that is not printed")
 
@@ -202,14 +208,6 @@ def test_dual_n1_claims_no_generator_check(capsys):
     assert json.loads(out)["canonical_generators"] is True
 
 
-def clear_cones() -> None:
-    """Empty the caches of the model cones, the slab fans and the
-    certificates, so that a command builds every cone it reads."""
-    model_cone.cache_clear()
-    toriclat.resolution_fan.cache_clear()
-    clear_certificates()
-
-
 def double_descriptions(capsys, monkeypatch, *argv) -> tuple[int, int]:
     """The exit code of a command run with cold cone caches, and the
     number of double descriptions it ran."""
@@ -217,11 +215,11 @@ def double_descriptions(capsys, monkeypatch, *argv) -> tuple[int, int]:
     extreme_rays = toriclat.extreme_rays
     monkeypatch.setattr(toriclat, "extreme_rays",
                         lambda *args: calls.append(args) or extreme_rays(*args))
-    clear_cones()
+    clear_caches()
     try:
         code, _, _ = run_cli(capsys, *argv, "--format", "json")
     finally:
-        clear_cones()
+        clear_caches()
     return code, len(calls)
 
 
@@ -452,40 +450,17 @@ def test_non_unimodular_cones_leave_no_orbit_count(capsys, slab_mutant):
     }
 
 
-def redundant_facet_model_cone(n):
-    """model_cone(n) with the primitive sum of its first two facets added
-    to its facet list: the same rays, so the same cone, and a facet list
-    that is not irredundant."""
-    sigma = model_cone(n)
-    facets = sorted({*sigma.inequalities, primitive(vadd(*sigma.inequalities[:2]))})
-    incidence = {ray: sum(1 << j for j, u in enumerate(facets) if dot(u, ray) == 0)
-                 for ray in sigma.rays}
-    return Cone.__new__(Cone)._store(sigma.rank, incidence, facets)
-
-
 VERIFY_N2 = ("verify", "--scope", "lemma-toric", "--max-n", "2")
 DUAL_N2 = ("dual", "--n", "2")
 VERIFY_N3 = ("verify", "--scope", "lemma-toric", "--max-n", "3")
 DUAL_N3 = ("dual", "--n", "3")
-EXTRA_RAY = (("dual_generators", lambda n: dual_generators(n)[:-1]),
+EXTRA_RAY = (("dual_generators", without_last_generator),
              "ray [1, 1, -1] of the dual cone is not a canonical generator")
-MISSING_GENERATOR = (("dual_generators", lambda n: dual_generators(n) + [(1,) * (n + 1)]),
+MISSING_GENERATOR = (("dual_generators", with_extra_generator),
                      "canonical generator [1, 1, 1] is not a ray of the dual cone")
 
 
-def shifted_first_chart(n):
-    """blowup_chart_sequence(n) with e_1* added to the monomials of z2 and
-    y in chart U_1: its relation y = z1'*z2 still holds, so the chart is
-    built, and its cone loses the ray e_2*."""
-    first, *rest = blowup_chart_sequence(n)
-    coords = [toriclat.Coordinate(c.name, vadd(c.monomial, unit(n + 1, 0)))
-              if c.name in ("z2", "y") else c for c in first.coordinates]
-    return [toriclat.ChartPresentation(coords, first.relation), *rest]
-
-
-REDUNDANT_FACET = (("model_cone",
-                    lambda n: redundant_facet_model_cone(n) if n == 3 else model_cone(n)),
-                   "dual(dual(sigma)) == sigma")
+REDUNDANT_FACET = (("model_cone", redundant_facet_at_3), "dual(dual(sigma)) == sigma")
 
 
 @pytest.mark.parametrize("argv, row, mutant, witness", [
@@ -507,15 +482,9 @@ REDUNDANT_FACET = (("model_cone",
 ], ids=["extra-ray", "missing-generator", "dual-differs", "chart-differs", "chart-monomial",
         "dual-extra-ray", "dual-missing-generator", "redundant-facet",
         "dual-redundant-facet"])
-def test_verify_duality_rows_name_their_witness(capsys, monkeypatch, argv, row, mutant, witness):
-    # `cli` reads the toric functions through its binding `toriclat`, so the
-    # mutant replaces that binding by a copy of the module with one name
-    # changed: patching `toriclat` itself would reach its own callers too
-    # (`blowup_chart_sequence` reads `dual_generators`)
-    name, value = mutant
-    view = types.ModuleType(toriclat.__name__)
-    vars(view).update(vars(toriclat), **{name: value})
-    monkeypatch.setattr(cli, "toriclat", view)
+def test_verify_duality_rows_name_their_witness(capsys, monkeypatch, cold_caches,
+                                                 argv, row, mutant, witness):
+    in_cli(*mutant)(monkeypatch)
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == EXIT_FAILED
     data = json.loads(out)
@@ -534,13 +503,12 @@ def test_verify_duality_rows_name_their_witness(capsys, monkeypatch, argv, row, 
 @pytest.mark.parametrize("argv, row", [(VERIFY_N2, "charts match dual cones n=2"),
                                        (("resolve", "--n", "2"), "blow-up charts")],
                          ids=["verify", "resolve"])
-def test_a_chart_that_cannot_be_built_fails_a_row(capsys, monkeypatch, argv, row):
+def test_a_chart_that_cannot_be_built_fails_a_row(capsys, monkeypatch, cold_caches, argv, row):
     # without its last generator the dual of the model has no y, so the
     # relation t*y of the singular chart, which every blow-up chart is
     # replayed from, names a coordinate that is not there: a row names the
     # error, and nothing raises
-    dual_generators = toriclat.dual_generators
-    monkeypatch.setattr(toriclat, "dual_generators", lambda n: dual_generators(n)[:-1])
+    monkeypatch.setattr(toriclat, "dual_generators", without_last_generator)
     witness = ("a chart could not be built: "
                "relation index 3 out of range")
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
@@ -552,15 +520,6 @@ def test_a_chart_that_cannot_be_built_fails_a_row(capsys, monkeypatch, argv, row
     failed = [re.fullmatch(r"  \[FAIL\] (.+?)  +(.+)", line).groups()
               for line in out.splitlines() if line.startswith("  [FAIL] ")]
     assert dict(failed)[row] == witness
-
-
-def plus_at(f, by, at=None):
-    """f, with `by` added to its value at the arguments `at`, or at every
-    argument when `at` is None."""
-    def mutant(*args):
-        value = f(*args)
-        return value + by if at in (None, args) else value
-    return mutant
 
 
 ARRANGEMENT_N3 = ("verify", "--scope", "lemma-arrangement", "--max-n", "3")
@@ -592,9 +551,9 @@ DEGENERATION_N3 = ("verify", "--scope", "degeneration", "--max-n", "3")
       for n, d in [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4)]}),
 ], ids=["triple-agreement", "residue", "boundary-residue", "central-fiber",
         "singular-fiber", "degeneration-central-fiber", "degeneration-singular-fiber"])
-def test_class_rows_name_their_witness(capsys, monkeypatch, argv, module, name, by, at, failing):
-    # no certificate cache holds a class, so none needs clearing
-    monkeypatch.setattr(module, name, plus_at(getattr(module, name), by, at))
+def test_class_rows_name_their_witness(capsys, monkeypatch, cold_caches,
+                                       argv, module, name, by, at, failing):
+    plus(module, name, by, at)(monkeypatch)
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == EXIT_FAILED
     rows = json.loads(out)["checks"]
@@ -606,14 +565,14 @@ def test_class_rows_name_their_witness(capsys, monkeypatch, argv, module, name, 
     assert dict(failed) == failing
 
 
-def test_verify_degeneration_raises_each_power_of_L_minus_1_once(capsys, monkeypatch):
+def test_verify_degeneration_raises_each_power_of_L_minus_1_once(capsys, monkeypatch,
+                                                                 cold_caches):
     # (L-1)^k depends on the depth k alone: the 25 reports of n <= 6 resolve
     # 75 strata, and raise it once for each of the 6 depths
     powers = []
     power = grothring.GrothClass.__pow__
     monkeypatch.setattr(grothring.GrothClass, "__pow__",
                         lambda self, k: powers.append((self, k)) or power(self, k))
-    degeneration._depth_classes.cache_clear()
     code, _, _ = run_cli(capsys, "verify", "--scope", "degeneration", "--max-n", "6")
     assert code == EXIT_OK
     assert sorted(k for base, k in powers if base == L - ONE) == list(range(1, 7))
@@ -683,8 +642,7 @@ def test_verify_oversized_max_n_fails_fast(capsys):
         "lemma-arrangement": 16, "lemma-toric": 16, "degeneration": 16}
 
 
-def test_verify_arrangement_tallies_subsets_once_per_r(capsys):
-    _subset_sizes.cache_clear()
+def test_verify_arrangement_tallies_subsets_once_per_r(capsys, cold_caches):
     code, _, _ = run_cli(capsys, "verify", "--scope", "lemma-arrangement", "--max-n", "12")
     assert code == EXIT_OK
     assert _subset_sizes.cache_info().misses == 12
@@ -709,7 +667,7 @@ def test_verify_usage_error(capsys):
     assert code == EXIT_USAGE
 
 
-def test_verify_certifies_each_fan_once(capsys, monkeypatch):
+def test_verify_certifies_each_fan_once(capsys, monkeypatch, cold_caches):
     # the toric and degeneration suites share one certificate per rank
     ranks = []
     verify_partition = toriclat.verify_partition
@@ -719,12 +677,7 @@ def test_verify_certifies_each_fan_once(capsys, monkeypatch):
         return verify_partition(f, parent, bound)
 
     monkeypatch.setattr(toriclat, "verify_partition", counting)
-    clear_certificates()
-    try:
-        code, _, _ = run_cli(capsys, "verify", "--scope", "all", "--max-n", "8",
-                             "--format", "json")
-    finally:
-        clear_certificates()
+    code, _, _ = run_cli(capsys, "verify", "--scope", "all", "--max-n", "8", "--format", "json")
     assert code == EXIT_OK
     assert sorted(ranks) == list(range(2, 10))
 
@@ -756,7 +709,7 @@ def test_report_rejects_outside_fano_range(capsys):
     assert "d <= n+1" in err
 
 
-def test_report_internal_error_is_no_usage_error(capsys, monkeypatch):
+def test_report_internal_error_is_no_usage_error(capsys, monkeypatch, cold_caches):
     # only the spec's refusals are usage errors: a fault inside the
     # certificate propagates from `report` as it does from `verify`
     def broken(top, k):

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from conftest import clear_certificates
 from oracles import affine_union_class_oracle, affine_union_point_count
+from test_mutations import plus
 from sncdegen import degeneration, toriclat
 from sncdegen._intmat import unit
 from sncdegen.degeneration import (
@@ -168,16 +168,10 @@ def test_semistable_check_names_its_witness():
         f"{index2!r} is not unimodular: ray [1, 0] pairs 2 with its opposite facet")
 
 
-def test_resolved_fiber_class_check_can_fail(monkeypatch):
+def test_resolved_fiber_class_check_can_fail(monkeypatch, cold_caches):
     # one component too many at L=1
-    fiber_class = toriclat.fiber_class
-    monkeypatch.setattr(toriclat, "fiber_class",
-                        lambda f, direction: fiber_class(f, direction) + 1)
-    clear_certificates()
-    try:
-        report = resolve_local_model(LocalModelSpec(n=3, k=2))
-    finally:
-        clear_certificates()
+    plus(toriclat, "fiber_class", 1)(monkeypatch)
+    report = resolve_local_model(LocalModelSpec(n=3, k=2))
     check = next(c for c in report.checks if c.name == "resolved fiber class")
     assert not check.passed and not report.passed
 
@@ -232,7 +226,7 @@ def test_full_report_needs_n_at_least_2():
         full_degeneration_report(DegenerationSpec(n=1, d=2))
 
 
-def test_full_report_caps_the_deepest_stratum(monkeypatch):
+def test_full_report_caps_the_deepest_stratum(monkeypatch, cold_caches):
     # refused before any stratum is resolved
     monkeypatch.setattr(degeneration, "resolve_local_model", None)
     top = degeneration.MAX_CERTIFIED_STRATUM

@@ -97,7 +97,7 @@ def test_basic_arithmetic():
     assert bool(ZERO) is False and bool(L) is True
 
 
-def test_pow_squares_only_while_bits_remain(monkeypatch):
+def test_pow_squares_only_while_bits_remain(monkeypatch, cold_caches):
     # square-and-multiply: one squaring per bit after the first, one
     # product per set bit (the first onto ONE), and no squaring past the top
     calls = []
@@ -244,9 +244,8 @@ def test_inclusion_exclusion_makes_no_arithmetic_per_subset(groth_additions):
     assert len(groth_additions) <= 2 * 16
 
 
-def test_inclusion_exclusion_memory_is_flat():
+def test_inclusion_exclusion_memory_is_flat(cold_caches):
     # a table of all 2^22 subset sizes would take 4 MB
-    _subset_sizes.cache_clear()
     tracemalloc.start()
     try:
         arrangement_class_inclusion_exclusion(22, 2)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import clear_certificates, src_env
+from conftest import clear_caches, src_env
 from oracles import (
     affine_union_class_oracle,
     dual_rays_brute,
@@ -171,7 +171,7 @@ def test_stored_incidence_matches_the_pairings():
         assert list(c._incidence.items()) == list(zip(c.rays, incidence_by_pairings(c))), c
 
 
-def test_simplicial_cone_builds_with_no_pairing(monkeypatch):
+def test_simplicial_cone_builds_with_no_pairing(monkeypatch, cold_caches):
     # a slab's double description stops at the simplicial start, whose
     # zero sets hold by construction, and Cone reads its incidence off them
     slab = sigma_subcone(6, 3)
@@ -272,7 +272,7 @@ def test_contains_model_generator():
 # -- duality ------------------------------------------------------------
 
 
-def test_dual_cone_runs_one_double_description(monkeypatch):
+def test_dual_cone_runs_one_double_description(monkeypatch, cold_caches):
     # the dual's generators are the stored facets; only the dual's own
     # facets need a double description
     c = Cone(model_cone(5).rays)  # a fresh cone, with no dual cached
@@ -497,7 +497,7 @@ def test_fan_accepts_a_pair_with_no_shared_ray():
     assert _common_face(a, b)
 
 
-def test_slab_fan_axiom_runs_no_double_description(monkeypatch):
+def test_slab_fan_axiom_runs_no_double_description(monkeypatch, cold_caches):
     # the partition certificate proves the fan axiom, so `Fan` pairs nothing
     slabs = [sigma_subcone(12, k) for k in range(1, 13)]
     monkeypatch.setattr(toriclat, "dot", None)  # any pairing would raise
@@ -505,7 +505,7 @@ def test_slab_fan_axiom_runs_no_double_description(monkeypatch):
     assert len(Fan(slabs)) == 12
 
 
-def test_slab_fan_checks_run_no_smith_form(monkeypatch):
+def test_slab_fan_checks_run_no_smith_form(monkeypatch, cold_caches):
     # unimodularity is read off the stored incidence; the Smith form is
     # left to the failure witness and the tests' oracle
     smith = _intmat.invariant_factors
@@ -585,7 +585,7 @@ def test_face_of_against_facet_oracle():
                 assert _face_of(c, sub) == (frozenset(sub) in faces), (c, sub)
 
 
-def test_face_tests_read_the_stored_incidence(monkeypatch):
+def test_face_tests_read_the_stored_incidence(monkeypatch, cold_caches):
     fan, parent = resolution_fan(4), model_cone(4)
     monkeypatch.setattr(toriclat, "dot", None)  # any dot product would raise
     assert _unmatched_wall(fan, parent) is None
@@ -739,7 +739,7 @@ def test_opt_in_sweep_finds_uncovered_point():
         assert _sweep_uncovered(resolution_fan(n), parent, _sweep_box(parent, 3)) is None
 
 
-def test_opt_in_sweep_catches_what_walls_miss(monkeypatch):
+def test_opt_in_sweep_catches_what_walls_miss(monkeypatch, cold_caches):
     # with wall matching disabled, a dropped slab that the generic point
     # misses passes at bound 0 and is caught by the sweep at bound 2
     monkeypatch.setattr(toriclat, "_unmatched_wall", lambda f, parent: None)
@@ -902,7 +902,7 @@ def test_is_chain_agrees_with_the_triple_loop_on_set_families(ray_sets):
     assert toriclat._is_chain(ray_sets) == is_chain_by_triples(ray_sets)
 
 
-def test_chain_guard_is_load_bearing(monkeypatch):
+def test_chain_guard_is_load_bearing(monkeypatch, cold_caches):
     fan = slab_fan(5, (1, 3, 2, 4, 5))
     monkeypatch.setattr(toriclat, "_is_chain", lambda ray_sets: True)
     assert toric_class(fan) != orbit_class_oracle(fan)
@@ -985,7 +985,7 @@ def test_restriction_names_its_face():
         "restricted from k=6 to x6=0"]
 
 
-def test_restriction_runs_no_double_description_and_no_partition(monkeypatch):
+def test_restriction_runs_no_double_description_and_no_partition(monkeypatch, cold_caches):
     top = certify_local(resolution_fan(7), model_cone(7), unit(8, 7))  # not cached yet
     calls = []
     monkeypatch.setattr(toriclat, "extreme_rays", lambda *args: calls.append(args))
@@ -994,10 +994,10 @@ def test_restriction_runs_no_double_description_and_no_partition(monkeypatch):
     assert calls == []
 
 
-def test_restriction_is_cached_until_the_certificates_are_cleared():
+def test_restriction_is_cached_until_the_certificates_are_cleared(cold_caches):
     top = toriclat.slab_certificate(4)
     assert restrict_certificate(top, 2) is restrict_certificate(top, 2)
-    clear_certificates()
+    clear_caches()
     assert restrict_certificate.cache_info().currsize == 0
 
 
