@@ -90,31 +90,28 @@ def _json(value, indent: str = "\n") -> str:
 
 #: Largest n of `class` and `report`, whose classes have degree about n;
 #: the recursion memoises about r^2 * n coefficients.  A resource limit:
-#: `class --r 26 --n 10000` takes 2.1-3.6 s cold and 46 MB.
+#: `class --r 26 --n 10000` takes 1.41-1.70 s cold and 43 MB (10 runs, 2 vCPUs).
 CLASS_MAX_N = 10**4
 
-#: Largest n of `resolve` and of `dual`: resource limits.  Cold, on 2 shared
-#: vCPUs, `resolve --n 42` takes 0.16-0.28 s, about 0.02-0.03 s of it the
-#: partition certificate and 0.01-0.02 s each the model cone and the slabs;
-#: `dual --n 192` takes 0.39-0.44 s, mostly pairing inserted rows in its
-#: two double descriptions.
+#: Largest n of `resolve` and of `dual`, resource limits: `resolve --n 42` takes
+#: 0.10-0.11 s cold and `dual --n 192` 0.35-0.57 s (10 runs each, 2 vCPUs).
 RESOLVE_MAX_N = 42
 DUAL_MAX_N = 192
 
 
-def _refuse_over_cap(what: str, n: int, cap: int) -> None:
-    if n > cap:
-        raise _UsageError(f"{what} is limited to n <= {cap}, got n={n}")
+def _refuse(command: str, flag: str, value: int, lo: Optional[int] = None,
+            hi: Optional[int] = None) -> None:
+    """Refuse `value` of `flag` below `lo` or above `hi`, a usage error."""
+    if lo is not None and value < lo:
+        raise _UsageError(f"need {flag} >= {lo}, got {flag}={value}")
+    if hi is not None and value > hi:
+        raise _UsageError(f"{command} is limited to {flag} <= {hi}, got {flag}={value}")
 
 
 def cmd_class(r: int, n: int, fmt: str) -> int:
-    if r < 1 or n < 0:
-        raise _UsageError(f"need r >= 1 and n >= 0, got r={r}, n={n}")
-    _refuse_over_cap("class", n, CLASS_MAX_N)
-    try:  # first, so an oversized r is refused before any other work
-        inclexcl = grothring.arrangement_class_inclusion_exclusion(r, n)
-    except ValueError as exc:  # subset enumeration is capped
-        raise _UsageError(str(exc))
+    _refuse("class", "r", r, 1, grothring.MAX_ENUMERATION_SIZE)
+    _refuse("class", "n", n, 0, CLASS_MAX_N)
+    inclexcl = grothring.arrangement_class_inclusion_exclusion(r, n)
     closed = grothring.arrangement_class_closed(r, n)
     recursive = grothring.arrangement_class_recursive(r, n)
     agree = closed == recursive == inclexcl
@@ -139,9 +136,7 @@ def cmd_class(r: int, n: int, fmt: str) -> int:
 
 
 def cmd_dual(n: int, fmt: str) -> int:
-    if n < 1:
-        raise _UsageError(f"need n >= 1, got n={n}")
-    _refuse_over_cap("dual", n, DUAL_MAX_N)
+    _refuse("dual", "n", n, 1, DUAL_MAX_N)
     dual = toriclat.dual_cone(toriclat.model_cone(n))
     rows = _duality_rows(n)
     *generators, involution = rows
@@ -170,9 +165,7 @@ def _charts(n: int) -> tuple[list[toriclat.ChartPresentation], Optional[str]]:
 
 
 def cmd_resolve(n: int, fmt: str) -> int:
-    if n < 1:
-        raise _UsageError(f"need n >= 1, got n={n}")
-    _refuse_over_cap("resolve", n, RESOLVE_MAX_N)
+    _refuse("resolve", "n", n, 1, RESOLVE_MAX_N)
     certificate = toriclat.slab_certificate(n)
     charts, broken = _charts(n) if n >= 2 else ([], None)
     rows = certificate.rows
@@ -205,7 +198,7 @@ def cmd_resolve(n: int, fmt: str) -> int:
 
 
 #: Largest n of the toric and degeneration suites, whatever --max-n asks:
-#: `verify --scope all --max-n 16` takes 0.21-0.28 s cold on 2 shared vCPUs.
+#: `verify --scope all --max-n 16` takes 0.21-0.34 s cold (10 runs, 2 vCPUs).
 TORIC_MAX_N = 16
 
 #: Largest n of the arrangement suite, whatever --max-n asks: it tallies
@@ -245,30 +238,10 @@ def _rows_arrangement(max_n: int) -> tuple[int, list[checks.CheckResult]]:
 
 
 def _duality_rows(n: int) -> list[checks.CheckResult]:
-    """The duality rows of the model cone, with no ` n=` suffix: "dual
-    generators" for n >= 2 (at n = 1 the dual has fewer rays than the
-    canonical list) and "duality involution".  The involution is decided
-    by exchange: the dual's rays must be the cone's facets, and the dual's
-    facets, which are the rays of dual(dual(sigma)), the cone's rays.  So
-    it builds no third cone, and a redundant facet of the cone, which the
-    dual drops from its rays, fails the row."""
-    sigma = toriclat.model_cone(n)
-    dual = toriclat.dual_cone(sigma)
-    rows = []
-    if n >= 2:
-        difference = _intmat.first_difference(dual.rays, toriclat.dual_generators(n))
-        if difference is None:
-            detail = f"{n + 2} canonical generators"
-        else:
-            ray, extra = difference
-            detail = (f"ray {list(ray)} of the dual cone is not a canonical generator"
-                      if extra else
-                      f"canonical generator {list(ray)} is not a ray of the dual cone")
-        rows.append(checks.CheckResult("dual generators", difference is None, detail))
-    involution = dual.rays == sigma.inequalities and dual.inequalities == sigma.rays
-    rows.append(checks.CheckResult("duality involution", involution,
-                                   "dual(dual(sigma)) == sigma"))
-    return rows
+    """`toriclat.certify_duality` on the model cone, with the canonical
+    generators for n >= 2: at n = 1 the dual has fewer rays than the list."""
+    return toriclat.certify_duality(toriclat.model_cone(n),
+                                    toriclat.dual_generators(n) if n >= 2 else None)
 
 
 def _rows_toric(max_n: int) -> tuple[int, list[checks.CheckResult]]:
@@ -316,8 +289,7 @@ SUITES = {"lemma-arrangement": _rows_arrangement,
 
 
 def cmd_verify(scope: str, max_n: int, fmt: str) -> int:
-    if max_n < 0:
-        raise _UsageError(f"need max-n >= 0, got {max_n}")
+    _refuse("verify", "max-n", max_n, 0)
     covered: dict[str, int] = {}
     rows: list[checks.CheckResult] = []
     for name, suite in SUITES.items():
@@ -337,7 +309,7 @@ def cmd_verify(scope: str, max_n: int, fmt: str) -> int:
 
 
 def cmd_report(n: int, d: int, fmt: str) -> int:
-    _refuse_over_cap("report", n, CLASS_MAX_N)
+    _refuse("report", "n", n, hi=CLASS_MAX_N)
     try:  # the spec refuses what the report cannot certify; nothing else is usage
         spec = degeneration.DegenerationSpec(n=n, d=d)
     except ValueError as exc:

@@ -60,8 +60,8 @@ class LocalModelSpec(NamedTuple("LocalModelSpec", [("n", int), ("k", int)])):
 
 #: Deepest stratum k whose toric certificate `full_degeneration_report`
 #: builds (one slab fan of rank k+1, restricted to every lower stratum): a
-#: time budget of 0.14-0.21 s cold for the whole report at k = 24, not a
-#: bound of the mathematics.
+#: time budget of 0.10-0.14 s cold for the whole report at k = 24 (10
+#: runs, 2 vCPUs), not a bound of the mathematics.
 MAX_CERTIFIED_STRATUM = 24
 
 

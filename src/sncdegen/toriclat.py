@@ -22,11 +22,12 @@ proves the fan axiom, semistability of the fiber direction, and orbit-cone
 class counting in Z[L].  Everything is integer-exact and pure Python.
 
 `certify_local(fan, parent, direction)` gives the rows of a strictly
-semistable model from its data alone; `slab_certificate(k)` is its cached
-call on the slab data, and `restrict_certificate(top, k)` restricts it to
-a face, the certificate of a lower depth.  It reads `grothring` and
-`checks` by `from . import x`, which runs `x` on first use, so a
-certificate runs no Z[L] code (`tests/test_imports.py` pins this).
+semistable model from its data alone, and `certify_duality(sigma,
+generators)` the duality rows of a cone; `slab_certificate(k)` is the
+first's cached call on the slab data, and `restrict_certificate(top, k)`
+restricts that to a face, the certificate of a lower depth.  It reads
+`grothring` and `checks` by `from . import x`, which runs `x` on first
+use, so a certificate runs no Z[L] code (`tests/test_imports.py` pins this).
 
 `blowup_chart_sequence(n)` replays the resolution from
 `singular_model_chart(n)` by substitution, with no reference to the fan,
@@ -170,6 +171,33 @@ def dual_cone(c: Cone) -> Cone:
     if c._dual is None:
         c._dual = Cone(c.inequalities)
     return c._dual
+
+
+def certify_duality(sigma: Cone, generators: Optional[Sequence[Vec]]
+                    ) -> list[checks.CheckResult]:
+    """The duality rows of `sigma`: "dual generators", whether the rays of
+    its dual are the list `generators` (no row when it is None), and
+    "duality involution", decided by exchange: the dual's rays must be
+    sigma's stored facets, and the dual's facets, the rays of
+    dual(dual(sigma)), sigma's rays.  So it builds no third cone, and a
+    redundant facet of sigma, which the dual drops from its rays, fails
+    the row.  Pure, so a mutant is an argument."""
+    dual = dual_cone(sigma)
+    rows = []
+    if generators is not None:
+        difference = first_difference(dual.rays, generators)
+        if difference is None:
+            detail = f"{len(generators)} canonical generators"
+        else:
+            ray, extra = difference
+            detail = (f"ray {list(ray)} of the dual cone is not a canonical generator"
+                      if extra else
+                      f"canonical generator {list(ray)} is not a ray of the dual cone")
+        rows.append(checks.CheckResult("dual generators", difference is None, detail))
+    involution = dual.rays == sigma.inequalities and dual.inequalities == sigma.rays
+    rows.append(checks.CheckResult("duality involution", involution,
+                                   "dual(dual(sigma)) == sigma"))
+    return rows
 
 
 def is_smooth(c: Cone) -> bool:

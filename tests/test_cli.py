@@ -723,6 +723,19 @@ def test_report_internal_error_is_no_usage_error(capsys, monkeypatch, cold_cache
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("r", [1, MAX_ENUMERATION_SIZE])
+def test_class_internal_error_is_no_usage_error(capsys, monkeypatch, r):
+    # `class` refuses r and n itself: an error raised inside a derivation
+    # propagates, as it does from `report`
+    def broken(r, n):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(grothring, "arrangement_class_inclusion_exclusion", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["class", "--r", str(r), "--n", "3"])
+    assert capsys.readouterr().err == ""
+
+
 def test_report_oversized_stratum_fails_fast(capsys):
     # strata k = 1..24 would build a slab fan each before refusing k=31
     start = time.perf_counter()

@@ -2,7 +2,7 @@
 no private name of another, the command line runs without `dataclasses`,
 `inspect`, `argparse` or `json`, the package namespace imports a submodule
 only when one of its names is used, and a command executes only the
-modules it uses."""
+modules it uses: a refusal, only the one that holds its bound."""
 
 import ast
 import json
@@ -256,4 +256,37 @@ import contextlib, io
 from sncdegen.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     assert main({argv!r}) == {code}
+""") == sorted(["sncdegen.cli", *executed])
+
+
+#: Out-of-range values, each refused by `cli` before any work, with the
+#: refusal and the package modules it executes besides `cli`: `class`
+#: reads its cap on r from `grothring`.
+REFUSALS = [
+    (["class", "--r", "0", "--n", "0"], "need r >= 1, got r=0", ["sncdegen.grothring"]),
+    (["class", "--r", "27", "--n", "3"], "class is limited to r <= 26, got r=27",
+     ["sncdegen.grothring"]),
+    (["class", "--r", "2", "--n", "-1"], "need n >= 0, got n=-1", ["sncdegen.grothring"]),
+    (["class", "--r", "2", "--n", "10001"], "class is limited to n <= 10000, got n=10001",
+     ["sncdegen.grothring"]),
+    (["dual", "--n", "0"], "need n >= 1, got n=0", []),
+    (["dual", "--n", "193"], "dual is limited to n <= 192, got n=193", []),
+    (["resolve", "--n", "0"], "need n >= 1, got n=0", []),
+    (["resolve", "--n", "43"], "resolve is limited to n <= 42, got n=43", []),
+    (["verify", "--max-n", "-1"], "need max-n >= 0, got max-n=-1", []),
+    (["report", "--n", "10001", "--d", "3"], "report is limited to n <= 10000, got n=10001", []),
+]
+
+
+@pytest.mark.parametrize("argv, refusal, executed", REFUSALS,
+                         ids=[" ".join(argv) for argv, _, _ in REFUSALS])
+def test_refusal_is_one_line_and_executes_only_what_it_reads(argv, refusal, executed):
+    assert package_modules_executed(f"""
+import contextlib, io
+from sncdegen.cli import main
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    assert main({argv!r}) == 1
+assert out.getvalue() == "", out.getvalue()
+assert err.getvalue() == "sncdegen: error: {refusal}\\n", err.getvalue()
 """) == sorted(["sncdegen.cli", *executed])

@@ -4,11 +4,15 @@
 to `certify_local` as data, with the rows each must flip at k = 3 and the
 witness each must name.  "semistable fiber" is reduced and smooth together,
 so a cone that is not unimodular flips it with "cones unimodular"; the
-doubled fiber direction flips it alone.
+doubled fiber direction flips it alone.  `DUALITY_MUTANTS` does the same
+for the model cone and its canonical dual generators, passed to
+`certify_duality`.
 
-`FLIPS` maps the name of every check that `report` and `verify` print to a
-mutant of the package that flips it.  Each runs between two
-`clear_caches()` calls, so that no cache carries a mutant into another run.
+`FLIPS` maps the name of every check that `report`, `verify`, `dual` and
+`resolve` print to a mutant of the package that flips it, and the
+triple-agreement mutant also flips the verdict of `class`.  Each runs
+between two `clear_caches()` calls, so that no cache carries a mutant into
+another run.
 """
 
 import json
@@ -20,12 +24,13 @@ import pytest
 from conftest import clear_caches
 from sncdegen import cli, degeneration, grothring, toriclat
 from sncdegen._intmat import dot, primitive, unit, vadd
-from sncdegen.cli import main
+from sncdegen.cli import EXIT_FAILED, main
 from sncdegen.grothring import L, ONE
 from sncdegen.toriclat import (
     Cone,
     Fan,
     blowup_chart_sequence,
+    certify_duality,
     certify_local,
     dual_generators,
     model_cone,
@@ -145,6 +150,36 @@ def shifted_first_chart(n):
     return [toriclat.ChartPresentation(coords, first.relation), *rest]
 
 
+# mutant -> (n, model cone, canonical generators, {row it flips at n: its detail})
+DUALITY_MUTANTS = {
+    "without-last-generator": (2, model_cone, without_last_generator, {
+        "dual generators": "ray [1, 1, -1] of the dual cone is not a canonical generator"}),
+    "with-extra-generator": (2, model_cone, with_extra_generator, {
+        "dual generators": "canonical generator [1, 1, 1] is not a ray of the dual cone"}),
+    "redundant-facet": (3, redundant_facet_model_cone, dual_generators, {
+        "duality involution": "dual(dual(sigma)) == sigma"}),
+}
+
+
+@pytest.mark.parametrize("name", DUALITY_MUTANTS)
+def test_duality_mutant_flips_exactly_its_row_and_names_its_witness(name):
+    n, sigma, generators, flipped = DUALITY_MUTANTS[name]
+    rows = certify_duality(sigma(n), generators(n))
+    assert {row.name: row.detail for row in rows if not row.passed} == flipped
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_every_duality_row_has_a_mutant_that_flips_it(n):
+    rows = certify_duality(model_cone(n), dual_generators(n))
+    assert all(row.passed for row in rows)
+    assert {row.name for row in rows} == {
+        name for _, _, _, flipped in DUALITY_MUTANTS.values() for name in flipped}
+
+
+def test_no_generators_no_generator_row():
+    assert [row.name for row in certify_duality(model_cone(1), None)] == ["duality involution"]
+
+
 # -- patches: each a function of `monkeypatch` that puts a mutant in place --
 
 
@@ -178,7 +213,7 @@ def certified(mutant):
         certify_local(fan(k), model_cone(k), direction(k)) if k >= K else slab_certificate(k)))
 
 
-#: The name of each check that `report` and `verify` print, without its
+#: The name of each check that the commands of `COMMANDS` print, without its
 #: "stratum k=...: " prefix or its ", n=...", " n=..." or " n=... d=..."
 #: suffix -> a patch of a mutant that flips it.  One orbit too many flips
 #: "mod-L invariance" at k = n, where no factor L^{n-k} hides its residue.
@@ -199,7 +234,8 @@ FLIPS = {
     "degeneration": plus(degeneration, "arrangement_class_closed", ONE),
 }
 
-COMMANDS = [("report", "--n", "4", "--d", "5"), ("verify", "--scope", "all", "--max-n", "4")]
+COMMANDS = [("report", "--n", "4", "--d", "5"), ("verify", "--scope", "all", "--max-n", "4"),
+            ("dual", "--n", "3"), ("resolve", "--n", "4")]
 
 
 def check_name(printed):
@@ -228,3 +264,13 @@ def test_every_printed_check_has_a_mutant_that_flips_it(capsys, monkeypatch, arg
                        if not row["pass"]}
         clear_caches()
         assert name in failing, name
+
+
+def test_triple_agreement_mutant_fails_class(capsys, monkeypatch):
+    clear_caches()
+    with monkeypatch.context() as patched:
+        FLIPS["triple agreement"](patched)
+        code = main(["class", "--r", "2", "--n", "3", "--format", "json"])
+    clear_caches()
+    assert code == EXIT_FAILED
+    assert '"agree": false' in capsys.readouterr().out
