@@ -227,21 +227,31 @@ def arrangement_class_closed(r: int, n: int) -> GrothClass:
     return GrothClass(reversed(sums))
 
 
-@functools.lru_cache(maxsize=None)
 def arrangement_class_recursive(r: int, n: int) -> GrothClass:
     """Same class as arrangement_class_closed, derived instead from the
     recursion P(r, n) = P(r-1, n) + [P^n] - P(r-1, n-1): the r-th
     hyperplane contributes [P^n] minus its own trace arrangement of the
     first r-1 hyperplanes.  Base cases: P(r, 0) = r and P(1, n) = [P^n].
+    The recursion visits the band r' <= r, n - (r - r') <= n' <= n, which
+    is filled into the cache of `_recursive` with r' increasing, so that no
+    call nests more than one level and the depth stays flat in r.
     Classes are immutable, so each (r, n) is computed once and shared.
     """
     _validate_rn(r, n)
+    for r_ in range(2, r):
+        for n_ in range(max(1, n - (r - r_)), n + 1):
+            _recursive(r_, n_)
+    return _recursive(r, n)
+
+
+@functools.lru_cache(maxsize=None)
+def _recursive(r: int, n: int) -> GrothClass:
+    """P(r, n) by one step of the recursion of `arrangement_class_recursive`."""
     if n == 0:
         return GrothClass([r])
     if r == 1:
         return proj_space_class(n)
-    return (arrangement_class_recursive(r - 1, n) + proj_space_class(n)
-            - arrangement_class_recursive(r - 1, n - 1))
+    return _recursive(r - 1, n) + proj_space_class(n) - _recursive(r - 1, n - 1)
 
 
 #: Elements of the low block of `_subset_sizes`: its table of subset

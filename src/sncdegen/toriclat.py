@@ -34,11 +34,12 @@ use, so a certificate runs no Z[L] code (`tests/test_imports.py` pins this).
 so its charts are an oracle for the slabs: the monomials of chart U_k
 generate the dual of sigma_k, whose rays are sigma_k's stored facets.
 
-Orbit counting needs only the f-vector of a smooth fan (cones by number
-of rays).  When the maximal cones form a chain, as the slabs do, it is a
-sum of binomials over the cones and their consecutive intersections,
-polynomial in n; any other fan falls back to enumerating its faces,
-exponential in the rank.
+Orbit counting reads one table of a smooth fan: its faces by number of
+rays and by number of rays that pair positively with the fiber direction.
+When the maximal cones form a chain, as the slabs do, it is a sum of
+binomials over the cones and their consecutive intersections, polynomial
+in n; any other fan falls back to enumerating its faces, exponential in
+the rank.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import itertools
 import math
 import operator
 from collections import Counter
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from ._intmat import (
     Vec,
@@ -678,50 +679,52 @@ def _is_chain(ray_sets: Sequence[frozenset[Vec]]) -> bool:
     return True
 
 
-def _face_counts(f: Fan, hot: Optional[Callable[[Vec], bool]] = None) -> list[int]:
-    """The f-vector of a smooth fan: count[j] is the number of distinct
-    faces with j rays, j = 0..rank.  With `hot`, only faces containing a
-    ray r with hot(r) are counted.
+def _face_table(f: Fan, direction: Sequence[int]) -> list[list[int]]:
+    """table[j][h] is the number of distinct faces of a smooth fan with j
+    rays, h of them fiber rays, those pairing positively with `direction`.
 
     Smooth cones are simplicial, so the faces of a maximal cone are the
-    subsets of its ray set S.  Those with j rays, at least one hot, number
-    w(S)[j] = C(|S|, j) - C(|S| - p, j), p the hot rays in S (w(S)[j] =
-    C(|S|, j) without a filter).  When the ray sets, in the fan's order,
-    pass `_is_chain`, the cones containing a given face have consecutive
-    indices, so inclusion-exclusion collapses to
+    subsets of its ray set S, w(S)[j][h] = C(p, h) * C(|S| - p, j - h) of
+    them with j rays, h among the p fiber rays of S.  When the ray sets, in
+    the fan's order, pass `_is_chain`, the cones containing a given face
+    have consecutive indices, so inclusion-exclusion collapses to
 
-        count = sum_k w(S_k) - sum_k w(S_k ∩ S_{k+1}),
+        table = sum_k w(S_k) - sum_k w(S_k ∩ S_{k+1}),
 
-    which costs O(c * rank) lookups and one row of binomials C(m, .) per
-    distinct size m of a set or of its cold part.  Any other fan falls
-    back to enumerating the distinct ray subsets, up to c * 2^rank.
+    O(c * rank) additions to sum the rows C(|S| - p, .) of each p, then
+    O(p * rank) per distinct p.  Any other fan falls back to enumerating
+    the distinct ray subsets, up to c * 2^rank.
     """
+    d = _as_vec(direction)
+    if len(d) != f.rank:
+        raise ValueError("direction must live in the dual lattice of the fan")
     for c in f:
         if not is_smooth(c):
             raise ValueError(f"orbit counting requires smooth cones, got {c!r}")
     ray_sets = [frozenset(c.rays) for c in f]
-    hot_rays = None if hot is None else frozenset(filter(hot, frozenset().union(*ray_sets)))
-    count = [0] * (f.rank + 1)
-
+    fiber = frozenset(r for r in frozenset().union(*ray_sets) if dot(d, r) > 0)
+    table = [[0] * (f.rank + 1) for _ in range(f.rank + 1)]
     if _is_chain(ray_sets):
-        times: Counter = Counter()  # m -> signed number of terms C(m, j)
+        cold: dict[int, list[int]] = {}  # p -> signed sum of C(|S| - p, i), by i
         for sign, sets in ((1, ray_sets), (-1, map(operator.and_, ray_sets, ray_sets[1:]))):
             for rays in sets:
-                times[len(rays)] += sign
-                if hot_rays is not None:  # less the subsets with no hot ray
-                    times[len(rays - hot_rays)] -= sign
-        for m, t in times.items():
-            for j in range(m + 1):
-                count[j] += t * math.comb(m, j)
-        return count
+                p = len(rays & fiber)
+                row = cold.setdefault(p, [0] * (f.rank + 1 - p))
+                for i in range(len(rays) - p + 1):
+                    row[i] += sign * math.comb(len(rays) - p, i)
+        for p, row in cold.items():
+            for h in range(p + 1):
+                hot = math.comb(p, h)
+                for j, c in enumerate(row, start=h):
+                    table[j][h] += hot * c
+        return table
 
     faces = {frozenset(sub) for rays in ray_sets
              for size in range(len(rays) + 1)
              for sub in itertools.combinations(rays, size)}
     for face in faces:
-        if hot_rays is None or face & hot_rays:
-            count[len(face)] += 1
-    return count
+        table[len(face)][len(face & fiber)] += 1
+    return table
 
 
 def _orbit_sum(count: Sequence[int]) -> grothring.GrothClass:
@@ -740,24 +743,18 @@ def toric_class(f: Fan) -> grothring.GrothClass:
     By the orbit-cone correspondence (Cox-Little-Schenck, Toric Varieties,
     §3.2) each j-ray cone, the zero cone included, contributes a torus
     orbit (L-1)^{rank-j}, so the class is sum_j count[j] * (L-1)^{rank-j}
-    over the fan's f-vector.  `_face_counts` gets the f-vector from the
-    chain formula when the maximal cones form a chain, as the slabs of
-    `resolution_fan` do (polynomial in n), and by enumerating faces
-    otherwise (exponential in the rank).
+    over the fan's f-vector, the row sums of `_face_table` (zero direction).
     """
-    return _orbit_sum(_face_counts(f))
+    return _orbit_sum([sum(row) for row in _face_table(f, (0,) * f.rank)])
 
 
 def fiber_class(f: Fan, direction: Sequence[int]) -> grothring.GrothClass:
     """Class in Z[L] of the fiber over zero of the monomial with exponent
     `direction`: the orbit sum of `toric_class` restricted to the cones
     meeting the support of the monomial's zero divisor, i.e. those with a
-    ray r pairing dot(direction, r) >= 1.  Same f-vector computation and
-    cost as `toric_class`, with that filter."""
-    d = _as_vec(direction)
-    if len(d) != f.rank:
-        raise ValueError("direction must live in the dual lattice of the fan")
-    return _orbit_sum(_face_counts(f, hot=lambda r: dot(d, r) >= 1))
+    ray that pairs positively with `direction`: the sums over h >= 1 of
+    `_face_table`."""
+    return _orbit_sum([sum(row[1:]) for row in _face_table(f, direction)])
 
 
 # -- chart presentations ------------------------------------------------

@@ -10,6 +10,7 @@ points), subset sizes mask by mask, and the closed arrangement formula term
 by term in class arithmetic.  Deliberately slow and simple.
 """
 
+import functools
 import itertools
 import math
 import operator
@@ -118,6 +119,24 @@ def orbit_class_oracle(fan, direction=None):
             continue
         total = total + (L - ONE) ** (fan.rank - _rank(list(face), fan.rank))
     return total
+
+
+def face_table_oracle(fan, direction):
+    """table[j][h]: the faces of a smooth fan with j rays, h of them pairing
+    positively with `direction`, by facet-derived face enumeration, with j
+    the face's dimension by matrix rank rather than its number of rays."""
+    table = [[0] * (fan.rank + 1) for _ in range(fan.rank + 1)]
+    for face, dim in _faces_with_dimension(fan.max_cones):
+        table[dim][sum(dot(direction, r) > 0 for r in face)] += 1
+    return table
+
+
+@functools.lru_cache(maxsize=None)
+def _faces_with_dimension(cones):
+    """Each face of the fan of `cones` with its dimension, shared by the
+    directions that a test holds one fan's table against."""
+    rank = cones[0].rank
+    return [(face, _rank(list(face), rank)) for face in fan_faces_via_facets(cones)]
 
 
 def slab_orbit_class_closed_form(n, fiber=False):

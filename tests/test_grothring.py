@@ -181,6 +181,21 @@ def test_recursive_base_cases():
     assert arrangement_class_recursive(2, 1) == GrothClass([1, 2])
 
 
+def test_recursion_depth_is_flat_in_r(cold_caches):
+    # a recursion nesting once per hyperplane would pass the interpreter's
+    # recursion limit here, from a cold cache
+    for r, n in ((1200, 2), (1000, 5)):
+        assert arrangement_class_recursive(r, n) == arrangement_class_closed(r, n), (r, n)
+
+
+def test_recursion_computes_each_cell_of_its_band_once(groth_additions):
+    # one addition and one subtraction (itself an addition) for each
+    # (r', n') with 2 <= r' <= 18 and r' - 1 <= n' <= 17, of which there
+    # are 17 + 16 + ... + 1 = 153
+    assert arrangement_class_recursive(18, 17) == arrangement_class_closed(18, 17)
+    assert len(groth_additions) == 2 * 153
+
+
 def test_triple_agreement():
     for r in range(1, 13):
         for n in range(0, 13):

@@ -16,6 +16,7 @@ from oracles import (
     affine_union_class_oracle,
     dual_rays_brute,
     extreme_rays_brute,
+    face_table_oracle,
     faces_via_facets,
     is_chain_by_triples,
     orbit_class_oracle,
@@ -851,11 +852,11 @@ def fiber_directions(n):
     return [E(n + 1, n), E(n + 1, 0), tuple([1] * n + [0])]
 
 
-def face_counts_both_ways(fan, hot=None):
-    chain = toriclat._face_counts(fan, hot)
+def face_table_both_ways(fan, direction):
+    chain = toriclat._face_table(fan, direction)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(toriclat, "_is_chain", lambda ray_sets: False)
-        enumerated = toriclat._face_counts(fan, hot)
+        enumerated = toriclat._face_table(fan, direction)
     return chain, enumerated
 
 
@@ -863,13 +864,24 @@ def test_face_counts_chain_matches_enumeration():
     for n in range(1, 11):
         fan = resolution_fan(n)
         assert toriclat._is_chain([frozenset(c.rays) for c in fan]), n
-        chain, enumerated = face_counts_both_ways(fan)
+        chain, enumerated = face_table_both_ways(fan, (0,) * (n + 1))
         assert chain == enumerated, n
-        assert chain[0] == 1 and chain[n + 1] == n, n
+        f_vector = [sum(row) for row in chain]
+        assert f_vector[0] == 1 and f_vector[n + 1] == n, n
         for d in fiber_directions(n):
-            chain, enumerated = face_counts_both_ways(fan, lambda r: dot(d, r) >= 1)
+            chain, enumerated = face_table_both_ways(fan, d)
             assert chain == enumerated, (n, d)
-            assert chain[0] == 0, (n, d)
+            assert [sum(row) for row in chain] == f_vector, (n, d)
+            assert sum(chain[0][1:]) == 0, (n, d)
+
+
+def test_face_table_against_oracle_on_slab_fans():
+    for n in range(1, 11):
+        fan = resolution_fan(n)
+        wide = (2, *[1] * (n - 1), -3)  # pairs 2 with e_1, -1 with f_1
+        assert {2, -1} <= {dot(wide, r) for r in fan.rays()}
+        for d in [*fiber_directions(n), wide]:
+            assert toriclat._face_table(fan, d) == face_table_oracle(fan, d), (n, d)
 
 
 @pytest.mark.parametrize("order, chain", [
@@ -884,6 +896,41 @@ def test_orbit_counting_cone_orders_against_oracle(order, chain):
     assert toric_class(fan) == orbit_class_oracle(fan)
     for d in fiber_directions(5):
         assert fiber_class(fan, d) == orbit_class_oracle(fan, d), d
+        assert toriclat._face_table(fan, d) == face_table_oracle(fan, d), d
+
+
+def slab_star(k):
+    """The slab fan of depth k, star-subdivided at v = a + b, a the first
+    ray in sorted order that pairs 0 with e_{k+1}* and b the last that
+    pairs 1: each slab holding both splits in two, one of a, b exchanged
+    for v.  The pieces alternate, so the cones holding b are not
+    consecutive."""
+    fan, d = resolution_fan(k), E(k + 1, k)
+    rays = sorted(fan.rays())
+    a = next(r for r in rays if dot(d, r) == 0)
+    b = [r for r in rays if dot(d, r) == 1][-1]
+    v, cones = vadd(a, b), []
+    for c in fan:
+        split = {a, b} <= set(c.rays)
+        cones += [Cone([v if r == out else r for r in c.rays]) for out in (a, b)] if split else [c]
+    return Fan(cones)
+
+
+#: The fiber classes of `slab_star(k)` in the direction e_{k+1}*, k = 2..4.
+STAR_FIBER_CLASSES = {2: L + 3 * L**2, 3: 2 * L**2 + 4 * L**3, 4: 3 * L**3 + 5 * L**4}
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_face_table_against_oracle_on_star_subdivisions(k):
+    fan = slab_star(k)
+    assert len(fan) == 2 * k and all(is_smooth(c) for c in fan)
+    assert not toriclat._is_chain([frozenset(c.rays) for c in fan])
+    for d in [(0,) * (k + 1), *fiber_directions(k)]:
+        assert toriclat._face_table(fan, d) == face_table_oracle(fan, d), d
+    fiber = fiber_class(fan, E(k + 1, k))
+    assert fiber == orbit_class_oracle(fan, E(k + 1, k))
+    if k in STAR_FIBER_CLASSES:
+        assert fiber == STAR_FIBER_CLASSES[k]
 
 
 @settings(max_examples=60, deadline=None)
