@@ -12,14 +12,17 @@ behind degenerating a smooth hypersurface to a hyperplane arrangement:
 * `degeneration` — local normal forms on arrangement strata and
   machine-checkable verification reports;
 * `checks`       — the pass/fail row of every report and its text table;
-* `cli`          — the `sncdegen` command-line driver.
+* `cli`          — the `sncdegen` command line: its parser, option table
+  and JSON writer;
+* `cmd_class`, `cmd_dual`, `cmd_resolve`, `cmd_verify`, `cmd_report` —
+  one module per subcommand, which `cli` imports only to run it.
 
 The namespace is lazy (PEP 562), and a submodule loads in one of two
 ways.  `from .x import y` runs `x` at once.  `from . import x` and
 `sncdegen.<name>`, for a submodule `x` or for a name that `x` exports,
 register `x` in `sys.modules` and run its body on first use.  So
-`import sncdegen` runs no submodule, and a command, which reads every
-other module the lazy way, runs only the modules it uses;
+`import sncdegen` runs no submodule, and a command, whose module reads
+every other module the lazy way, runs only the modules it uses;
 `tests/test_imports.py` pins which command runs which module.
 """
 

@@ -23,7 +23,7 @@ import functools
 from typing import NamedTuple, Sequence, Union
 
 from . import toriclat
-from ._intmat import Vec, dot
+from ._intmat import Vec
 from .checks import CheckResult, render_checks
 from .grothring import (
     GrothClass,
@@ -169,7 +169,7 @@ def _resolved_fiber(cones: tuple[toriclat.Cone, ...], direction: Vec) -> tuple[G
     cached by the cones, which every depth K > k restricts to alike."""
     fan = toriclat.Fan(cones)
     return (toriclat.fiber_class(fan, direction),
-            sum(1 for r in fan.rays() if dot(direction, r) > 0))
+            len(toriclat.fiber_rays(fan, direction)))
 
 
 def resolve_local_model(spec: LocalModelSpec) -> VerificationReport:

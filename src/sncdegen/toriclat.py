@@ -553,6 +553,17 @@ class FiberCheck(NamedTuple):
         return {"reduced": self.reduced, "smooth": self.smooth, "snc": self.snc}
 
 
+def fiber_rays(f: Fan, direction: Sequence[int]) -> tuple[Vec, ...]:
+    """The rays of `f` that pair positively with `direction`, in the fan's
+    order.  Each is one component D_rho of the fiber over zero of the
+    monomial with exponent `direction`; every count of that fiber reads
+    its rays here."""
+    d = _as_vec(direction)
+    if len(d) != f.rank:
+        raise ValueError("direction must live in the dual lattice of the fan")
+    return tuple(r for r in f.rays() if dot(d, r) > 0)
+
+
 def semistable_fiber_check(f: Fan, direction: Sequence[int]) -> FiberCheck:
     """Check that the fiber of the monomial with exponent `direction` over
     zero is reduced with simple normal crossing support:
@@ -563,10 +574,7 @@ def semistable_fiber_check(f: Fan, direction: Sequence[int]) -> FiberCheck:
     * snc      — both (smooth toric ambient + reduced invariant divisors).
     """
     d = _as_vec(direction)
-    if len(d) != f.rank:
-        raise ValueError("direction must live in the dual lattice of the fan")
-    pairings = [dot(d, r) for r in f.rays()]
-    reduced = all(p == 1 for p in pairings if p > 0)
+    reduced = all(dot(d, r) == 1 for r in fiber_rays(f, d))
     smooth = all(is_smooth(c) for c in f)
     return FiberCheck(reduced=reduced, smooth=smooth)
 
@@ -681,7 +689,7 @@ def _is_chain(ray_sets: Sequence[frozenset[Vec]]) -> bool:
 
 def _face_table(f: Fan, direction: Sequence[int]) -> list[list[int]]:
     """table[j][h] is the number of distinct faces of a smooth fan with j
-    rays, h of them fiber rays, those pairing positively with `direction`.
+    rays, h of them among `fiber_rays(f, direction)`.
 
     Smooth cones are simplicial, so the faces of a maximal cone are the
     subsets of its ray set S, w(S)[j][h] = C(p, h) * C(|S| - p, j - h) of
@@ -695,14 +703,11 @@ def _face_table(f: Fan, direction: Sequence[int]) -> list[list[int]]:
     O(p * rank) per distinct p.  Any other fan falls back to enumerating
     the distinct ray subsets, up to c * 2^rank.
     """
-    d = _as_vec(direction)
-    if len(d) != f.rank:
-        raise ValueError("direction must live in the dual lattice of the fan")
+    fiber = frozenset(fiber_rays(f, direction))
     for c in f:
         if not is_smooth(c):
             raise ValueError(f"orbit counting requires smooth cones, got {c!r}")
     ray_sets = [frozenset(c.rays) for c in f]
-    fiber = frozenset(r for r in frozenset().union(*ray_sets) if dot(d, r) > 0)
     table = [[0] * (f.rank + 1) for _ in range(f.rank + 1)]
     if _is_chain(ray_sets):
         cold: dict[int, list[int]] = {}  # p -> signed sum of C(|S| - p, i), by i

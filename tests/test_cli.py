@@ -2,6 +2,7 @@
 round-trip stability and determinism."""
 
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -16,7 +17,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import clear_caches, src_env
-from sncdegen import checks, cli, degeneration, grothring, toriclat
+from sncdegen import (
+    checks,
+    cli,
+    cmd_dual,
+    cmd_resolve,
+    cmd_verify,
+    degeneration,
+    grothring,
+    toriclat,
+)
 from sncdegen._intmat import unit
 from sncdegen.cli import EXIT_FAILED, EXIT_OK, EXIT_USAGE, main
 from sncdegen.grothring import L, MAX_ENUMERATION_SIZE, ONE, _subset_sizes
@@ -28,7 +38,7 @@ from sncdegen.toriclat import (
     sigma_subcone,
 )
 from test_mutations import (
-    in_cli,
+    in_commands,
     plus,
     redundant_facet_at_3,
     shifted_first_chart,
@@ -112,7 +122,7 @@ def test_json_writer_refuses_other_leaves(value):
     *(("resolve", "--n", str(n)) for n in (1, 2, 7, 20)),
     *(("dual", "--n", str(n)) for n in (1, 2, 9)),
     *(("report", "--n", str(n), "--d", str(d)) for n, d in ((2, 1), (3, 2), (6, 7))),
-    *(("verify", "--scope", scope, "--max-n", "3") for scope in (*cli.SUITES, "all")),
+    *(("verify", "--scope", scope, "--max-n", "3") for scope in (*cli.SCOPES, "all")),
     *(("class", "--r", str(r), "--n", str(n)) for r, n in ((1, 0), (5, 4), (18, 17))),
 ], ids=" ".join)
 def test_json_output_reserializes_byte_for_byte(capsys, argv):
@@ -484,7 +494,7 @@ REDUNDANT_FACET = (("model_cone", redundant_facet_at_3), "dual(dual(sigma)) == s
         "dual-redundant-facet"])
 def test_verify_duality_rows_name_their_witness(capsys, monkeypatch, cold_caches,
                                                  argv, row, mutant, witness):
-    in_cli(*mutant)(monkeypatch)
+    in_commands(*mutant)(monkeypatch)
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == EXIT_FAILED
     data = json.loads(out)
@@ -594,10 +604,15 @@ def test_verify_rows_stay_inside_the_covered_range(capsys, max_n):
     code, out, _ = run_cli(capsys, "verify", "--scope", "all", "--max-n", str(max_n),
                            "--format", "json")
     assert code == EXIT_OK
-    top = min(max_n, cli.TORIC_MAX_N, cli.ARRANGEMENT_MAX_N)
-    beyond = [row["name"] for row in json.loads(out)["checks"]
+    top = min(max_n, cmd_verify.TORIC_MAX_N, cmd_verify.ARRANGEMENT_MAX_N)
+    data = json.loads(out)
+    beyond = [row["name"] for row in data["checks"]
               if any(int(i) > top for i in re.findall(r"\b(?:n=|k<=)(\d+)", row["name"]))]
     assert beyond == []
+    # a suite is covered only when it ran a row: the toric suite starts at
+    # n = 1 and the degeneration suite at n = 2
+    first = {"lemma-arrangement": 0, "lemma-toric": 1, "degeneration": 2}
+    assert data["covered_max_n"] == {name: top for name, n in first.items() if n <= top}
 
 
 def test_verify_text_summary(capsys):
@@ -763,8 +778,8 @@ def test_oversized_size_fails_fast(capsys, argv, cap):
 
 def test_each_command_passes_at_its_cap(capsys):
     # the largest input each admits, `resolve` being the replay's largest
-    for argv in (("resolve", "--n", str(cli.RESOLVE_MAX_N)),
-                 ("dual", "--n", str(cli.DUAL_MAX_N)),
+    for argv in (("resolve", "--n", str(cmd_resolve.RESOLVE_MAX_N)),
+                 ("dual", "--n", str(cmd_dual.DUAL_MAX_N)),
                  ("report", "--n", str(degeneration.MAX_CERTIFIED_STRATUM),
                   "--d", str(degeneration.MAX_CERTIFIED_STRATUM + 1))):
         code, out, _ = run_cli(capsys, *argv, "--format", "json")
@@ -774,7 +789,7 @@ def test_each_command_passes_at_its_cap(capsys):
 
 
 def test_size_caps_admit_the_benchmark_sizes():
-    assert cli.RESOLVE_MAX_N >= 32 and cli.DUAL_MAX_N >= 24
+    assert cmd_resolve.RESOLVE_MAX_N >= 32 and cmd_dual.DUAL_MAX_N >= 24
     assert cli.CLASS_MAX_N >= 17 and MAX_ENUMERATION_SIZE >= 18
 
 
@@ -800,9 +815,9 @@ def test_readme_synopsis_lists_every_option():
 
 
 def test_parser_dispatches_and_names_the_suites_once():
-    for name, (run, _, _) in cli.COMMANDS.items():
-        assert callable(run), name
-    assert list(cli.COMMANDS["verify"][2]["--scope"][0]) == [*cli.SUITES, "all"]
+    for name, (module, _, _) in cli.COMMANDS.items():
+        assert callable(importlib.import_module(f"sncdegen.{module}").run), name
+    assert list(cli.COMMANDS["verify"][2]["--scope"][0]) == [*cmd_verify.SUITES, "all"]
 
 
 @pytest.mark.parametrize("argv, token", [

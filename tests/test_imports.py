@@ -1,8 +1,9 @@
 """Every module of the package references each name it imports and reads
 no private name of another, the command line runs without `dataclasses`,
 `inspect`, `argparse` or `json`, the package namespace imports a submodule
-only when one of its names is used, and a command executes only the
-modules it uses: a refusal, only the one that holds its bound."""
+only when one of its names is used, and a command executes only its own
+module and the modules it uses: a refusal, only those that hold its
+bound, and `--help` or a malformed command line no command module."""
 
 import ast
 import json
@@ -233,24 +234,33 @@ print(json.dumps([sorted(set(namespace) - {"__builtins__"}), unknown,
 TORIC = ["sncdegen._intmat", "sncdegen.checks", "sncdegen.toriclat"]
 
 
+#: Command lines, their exit codes and the package modules they execute
+#: besides `cli`: the module of the command that runs, and the modules it
+#: uses.  `--help` and a malformed command line execute no command module.
 LAZY_CASES = [
-    (["class", "--r", "18", "--n", "17"], 0, ["sncdegen.grothring"]),
+    (["class", "--r", "18", "--n", "17"], 0, ["sncdegen.cmd_class", "sncdegen.grothring"]),
     (["verify", "--scope", "lemma-arrangement", "--max-n", "3"], 0,
-     ["sncdegen.checks", "sncdegen.grothring"]),
+     ["sncdegen.checks", "sncdegen.cmd_verify", "sncdegen.grothring"]),
     (["--help"], 0, []),
+    (["report", "--help"], 0, []),
     (["class", "--r", "x", "--n", "1"], 1, []),
+    (["report", "--n", "3"], 1, []),
+    (["verify", "--scope", "nope"], 1, []),
     (["report", "--n", "3", "--d", "4"], 0,
-     [*TORIC, "sncdegen.degeneration", "sncdegen.grothring"]),
-    (["resolve", "--n", "3"], 0, TORIC),
-    (["dual", "--n", "3"], 0, TORIC),
-    (["verify", "--scope", "lemma-toric", "--max-n", "3"], 0, TORIC),
+     [*TORIC, "sncdegen.cmd_report", "sncdegen.degeneration", "sncdegen.grothring"]),
+    (["resolve", "--n", "3"], 0, [*TORIC, "sncdegen.cmd_resolve"]),
+    (["dual", "--n", "3"], 0, [*TORIC, "sncdegen.cmd_dual"]),
+    # the toric suite prints the rows of `dual` and the charts of `resolve`
+    (["verify", "--scope", "lemma-toric", "--max-n", "3"], 0,
+     [*TORIC, "sncdegen.cmd_dual", "sncdegen.cmd_resolve", "sncdegen.cmd_verify"]),
 ]
 
 
 @pytest.mark.parametrize("argv, code, executed", LAZY_CASES,
                          ids=[" ".join(argv) for argv, _, _ in LAZY_CASES])
 def test_command_executes_only_the_modules_it_uses(argv, code, executed):
-    # `cli` registers every submodule it reads, and runs only those it uses
+    # `cli` imports the module of the command that runs, if any, and that
+    # module registers every submodule it reads and runs only those it uses
     assert package_modules_executed(f"""
 import contextlib, io
 from sncdegen.cli import main
@@ -259,22 +269,26 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
 """) == sorted(["sncdegen.cli", *executed])
 
 
-#: Out-of-range values, each refused by `cli` before any work, with the
-#: refusal and the package modules it executes besides `cli`: `class`
-#: reads its cap on r from `grothring`.
+#: Out-of-range values, each refused by its command before any work, with
+#: the refusal and the package modules it executes besides `cli`: the
+#: command's own module, and for `class` `grothring`, which holds its cap on r.
 REFUSALS = [
-    (["class", "--r", "0", "--n", "0"], "need r >= 1, got r=0", ["sncdegen.grothring"]),
+    (["class", "--r", "0", "--n", "0"], "need r >= 1, got r=0",
+     ["sncdegen.cmd_class", "sncdegen.grothring"]),
     (["class", "--r", "27", "--n", "3"], "class is limited to r <= 26, got r=27",
-     ["sncdegen.grothring"]),
-    (["class", "--r", "2", "--n", "-1"], "need n >= 0, got n=-1", ["sncdegen.grothring"]),
+     ["sncdegen.cmd_class", "sncdegen.grothring"]),
+    (["class", "--r", "2", "--n", "-1"], "need n >= 0, got n=-1",
+     ["sncdegen.cmd_class", "sncdegen.grothring"]),
     (["class", "--r", "2", "--n", "10001"], "class is limited to n <= 10000, got n=10001",
-     ["sncdegen.grothring"]),
-    (["dual", "--n", "0"], "need n >= 1, got n=0", []),
-    (["dual", "--n", "193"], "dual is limited to n <= 192, got n=193", []),
-    (["resolve", "--n", "0"], "need n >= 1, got n=0", []),
-    (["resolve", "--n", "43"], "resolve is limited to n <= 42, got n=43", []),
-    (["verify", "--max-n", "-1"], "need max-n >= 0, got max-n=-1", []),
-    (["report", "--n", "10001", "--d", "3"], "report is limited to n <= 10000, got n=10001", []),
+     ["sncdegen.cmd_class", "sncdegen.grothring"]),
+    (["dual", "--n", "0"], "need n >= 1, got n=0", ["sncdegen.cmd_dual"]),
+    (["dual", "--n", "193"], "dual is limited to n <= 192, got n=193", ["sncdegen.cmd_dual"]),
+    (["resolve", "--n", "0"], "need n >= 1, got n=0", ["sncdegen.cmd_resolve"]),
+    (["resolve", "--n", "43"], "resolve is limited to n <= 42, got n=43",
+     ["sncdegen.cmd_resolve"]),
+    (["verify", "--max-n", "-1"], "need max-n >= 0, got max-n=-1", ["sncdegen.cmd_verify"]),
+    (["report", "--n", "10001", "--d", "3"], "report is limited to n <= 10000, got n=10001",
+     ["sncdegen.cmd_report"]),
 ]
 
 

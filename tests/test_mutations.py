@@ -22,7 +22,7 @@ import types
 import pytest
 
 from conftest import clear_caches
-from sncdegen import cli, degeneration, grothring, toriclat
+from sncdegen import cmd_dual, cmd_resolve, cmd_verify, degeneration, grothring, toriclat
 from sncdegen._intmat import dot, primitive, unit, vadd
 from sncdegen.cli import EXIT_FAILED, main
 from sncdegen.grothring import L, ONE
@@ -190,16 +190,17 @@ def plus(module, name, by, at=None):
         module, name, plus_at(getattr(module, name), by, at))
 
 
-def in_cli(name, value):
-    """`name` bound to `value` in the toric module as `cli` alone sees it.
-    `cli` reads the toric functions through its binding `toriclat`, so the
-    patch replaces that binding by a copy of the module with one name
-    changed: patching `toriclat` itself would reach its own callers too
-    (`blowup_chart_sequence` reads `dual_generators`)."""
+def in_commands(name, value):
+    """`name` bound to `value` in the toric module as the command modules
+    alone see it.  They read the toric functions through their binding
+    `toriclat`, so the patch replaces each binding by a copy of the module
+    with one name changed: patching `toriclat` itself would reach its own
+    callers too (`blowup_chart_sequence` reads `dual_generators`)."""
     def patch(monkeypatch):
         view = types.ModuleType(toriclat.__name__)
         vars(view).update(vars(toriclat), **{name: value})
-        monkeypatch.setattr(cli, "toriclat", view)
+        for command in (cmd_dual, cmd_resolve, cmd_verify):
+            monkeypatch.setattr(command, "toriclat", view)
     return patch
 
 
@@ -221,12 +222,12 @@ FLIPS = {
     "triple agreement": plus(grothring, "arrangement_class_inclusion_exclusion", L, (2, 3)),
     "residue 1 for r <= n+1": plus(grothring, "arrangement_class_closed", ONE, (2, 3)),
     "boundary residue r=n+2": plus(grothring, "arrangement_class_closed", ONE, (5, 3)),
-    "dual generators": in_cli("dual_generators", without_last_generator),
-    "duality involution": in_cli("model_cone", redundant_facet_at_3),
+    "dual generators": in_commands("dual_generators", without_last_generator),
+    "duality involution": in_commands("model_cone", redundant_facet_at_3),
     "cones unimodular": certified("determinant-2"),
     "partition of model cone": certified("dropped-slab"),
     "semistable fiber": certified("doubled-direction"),
-    "charts match dual cones": in_cli("blowup_chart_sequence", shifted_first_chart),
+    "charts match dual cones": in_commands("blowup_chart_sequence", shifted_first_chart),
     "central fiber class = 1 mod L": plus(degeneration, "arrangement_class_closed", ONE),
     "singular fiber class": plus(degeneration, "affine_coordinate_arrangement_class", L, (2,)),
     "resolved fiber class": plus(toriclat, "fiber_class", 1),

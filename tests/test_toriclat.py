@@ -39,6 +39,7 @@ from sncdegen.toriclat import (
     dual_cone,
     dual_generators,
     fiber_class,
+    fiber_rays,
     greedy_decompose,
     is_smooth,
     model_cone,
@@ -793,6 +794,17 @@ def test_semistable_doubled_direction():
 def test_semistable_validation():
     with pytest.raises(ValueError):
         semistable_fiber_check(resolution_fan(2), (1, 0))
+
+
+def test_fiber_rays_are_the_rays_pairing_positively():
+    # the components of the central fiber: the rays f_i = e_i + e_{n+1} of the
+    # slab fan, whatever the multiplicity the direction gives them
+    fan = resolution_fan(3)
+    assert fiber_rays(fan, E(4, 3)) == ((0, 0, 1, 1), (0, 1, 0, 1), (1, 0, 0, 1))
+    assert fiber_rays(fan, (0, 0, 0, 2)) == fiber_rays(fan, E(4, 3))
+    assert fiber_rays(fan, (0, 0, 0, 0)) == ()
+    with pytest.raises(ValueError):
+        fiber_rays(fan, (1, 0))
 
 
 def test_fiber_check_json():
