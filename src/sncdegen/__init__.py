@@ -6,9 +6,12 @@ behind degenerating a smooth hypersurface to a hyperplane arrangement:
 
 * `grothring`    — arithmetic in Z[L] and the arrangement class P(r, n)
   by three independent derivations, with reduction modulo L;
-* `toriclat`     — cones, fans, duality, unimodularity, the slab
+* `toriclat`     — cones, fans, the dual cone, unimodularity, the slab
   subdivision resolving the model singularity, semistability of the
   central fiber, orbit-cone class counting, and blow-up chart replay;
+* `duality`      — the dual side of the model: the canonical dual
+  generators and the decomposition of their lattice points, the duality
+  rows of a cone, and the chart records that the replay builds;
 * `degeneration` — local normal forms on arrangement strata and
   machine-checkable verification reports;
 * `checks`       — the pass/fail row of every report and its text table;
@@ -32,8 +35,9 @@ __version__ = "0.1.0"
 
 #: The exported names, in the order of `__all__`, each under the submodule
 #: that defines it: the package's one list of public names.  A submodule
-#: may head two groups: `CheckResult`, from `checks`, keeps its place in
-#: `__all__` among the names of `degeneration`.  The submodules keep no
+#: may head several groups, so that each name keeps its place in `__all__`:
+#: `CheckResult`, from `checks`, among the names of `degeneration`, and the
+#: names of `duality` among those of `toriclat`.  The submodules keep no
 #: lists of their own, and names that only the package itself uses, such
 #: as `checks.render_checks`, are not exported.
 _EXPORTS = (
@@ -42,14 +46,17 @@ _EXPORTS = (
         "arrangement_class_closed", "arrangement_class_recursive",
         "arrangement_class_inclusion_exclusion",
     )),
+    ("toriclat", ("Cone", "Fan")),
+    ("duality", ("Coordinate", "ChartPresentation")),
+    ("toriclat", ("FiberCheck", "unit_vector", "dual_cone")),
+    ("duality", ("greedy_decompose",)),
+    ("toriclat", ("is_smooth", "model_cone", "sigma_subcone", "resolution_fan")),
+    ("duality", ("dual_generators",)),
     ("toriclat", (
-        "Cone", "Fan", "Coordinate", "ChartPresentation",
-        "FiberCheck", "unit_vector", "dual_cone", "greedy_decompose",
-        "is_smooth", "model_cone", "sigma_subcone", "resolution_fan",
-        "dual_generators", "verify_partition", "semistable_fiber_check",
-        "toric_class", "fiber_class", "blowup_chart_sequence",
-        "singular_model_chart",
+        "verify_partition", "semistable_fiber_check", "toric_class", "fiber_class",
+        "blowup_chart_sequence",
     )),
+    ("duality", ("singular_model_chart",)),
     ("degeneration", ("LocalModelSpec", "DegenerationSpec")),
     ("checks", ("CheckResult",)),
     ("degeneration", (

@@ -35,6 +35,12 @@ from typing import Iterable, Optional, Sequence
 Vec = tuple[int, ...]
 
 
+def as_vec(v: Sequence[int]) -> Vec:
+    """`v` as a tuple of ints, each read through `operator.index`, so an
+    entry that is not an integer raises TypeError."""
+    return tuple(map(operator.index, v))
+
+
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
     if len(u) != len(v):
         raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")

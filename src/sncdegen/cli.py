@@ -9,10 +9,11 @@ both the argument parser and ``--help`` read, the refusal check of
 out-of-range values and the JSON writer.  A flag takes its value as
 ``--flag value`` or ``--flag=value``, is spelled in full and, if repeated,
 keeps its last value.  Exit codes: 0 success (``--help`` included), 1 usage
-error, 2 verification failure.  Output goes to stdout (text or JSON via
---format); a usage error is one ``sncdegen: error:`` line on stderr.  JSON
-output is a single document that re-serializes byte-for-byte under
-``json.dumps(..., indent=2)``.  The module imports neither `argparse` nor
+error or output that cannot be written, 2 verification failure.  Output goes
+to stdout (text or JSON via --format); a usage error, or a write to stdout
+that fails other than on a closed pipe, is one ``sncdegen: error:`` line on
+stderr.  JSON output is a single document that re-serializes byte-for-byte
+under ``json.dumps(..., indent=2)``.  The module imports neither `argparse` nor
 `json`, whose loading and parser set-up cost a cold run about 14 ms.
 
 A cold run compiles each module it executes, so only the module of the
@@ -211,9 +212,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"sncdegen: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except BrokenPipeError:
-        # The reader went away (``| head``).  Point stdout at devnull so
-        # the interpreter's final flush does not raise again.
+    except OSError as exc:
+        # The reader went away (``| head``), silently, or stdout cannot be
+        # written (a full device), with one error line.  Point stdout at
+        # devnull so the interpreter's final flush does not raise again.
+        if not isinstance(exc, BrokenPipeError):
+            print(f"sncdegen: error: cannot write the output: {exc.strerror or exc}",
+                  file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 

@@ -3,7 +3,7 @@ the "dual generators" and "duality involution" rows that `verify` runs."""
 
 from __future__ import annotations
 
-from . import checks, cli, toriclat
+from . import checks, cli, duality, toriclat
 
 #: Largest n of `dual`, a resource limit: `dual --n 192` takes 0.35-0.57 s
 #: cold (10 runs, 2 vCPUs).
@@ -11,10 +11,12 @@ DUAL_MAX_N = 192
 
 
 def duality_rows(n: int) -> list[checks.CheckResult]:
-    """`toriclat.certify_duality` on the model cone, with the canonical
-    generators for n >= 2: at n = 1 the dual has fewer rays than the list."""
-    return toriclat.certify_duality(toriclat.model_cone(n),
-                                    toriclat.dual_generators(n) if n >= 2 else None)
+    """`duality.certify_duality` on the model cone, with the canonical
+    generators of `duality.dual_generators` for n >= 2: at n = 1 the dual
+    has fewer rays than the list.  The toric suite of `verify` prints
+    these rows too."""
+    return duality.certify_duality(toriclat.model_cone(n),
+                                   duality.dual_generators(n) if n >= 2 else None)
 
 
 def run(n: int) -> cli.Output:

@@ -6,14 +6,14 @@ from __future__ import annotations
 
 from typing import Optional
 
-from . import checks, cli, toriclat
+from . import checks, cli, duality, toriclat
 
 #: Largest n of `resolve`, a resource limit: `resolve --n 42` takes
 #: 0.10-0.11 s cold (10 runs, 2 vCPUs).
 RESOLVE_MAX_N = 42
 
 
-def charts(n: int) -> tuple[list[toriclat.ChartPresentation], Optional[str]]:
+def charts(n: int) -> tuple[list[duality.ChartPresentation], Optional[str]]:
     """The blow-up charts of the model of dimension n >= 2 and None, or no
     charts and why one of them could not be built."""
     try:

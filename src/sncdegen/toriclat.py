@@ -12,27 +12,33 @@ the hypersurface t*y = z_1...z_n, and subdividing sigma into the slabs
 resolves it with a reduced simple normal crossing central fiber; only
 sigma_1 runs a double description, and each later slab comes from the one
 before by an exchange pivot of e_k for f_{k+1}, O(rank^2).  This module
-provides the cones, fans and chart presentations for that story, plus
-exact certification routines: cone duality by the double description
-method, unimodularity from the pairing of each ray with the one facet not
-through it (read off the stored ray-facet incidence, no Smith normal
-form), a whole-cone partition certificate (wall matching plus one generic
-point, with an opt-in bounded lattice sweep as a cross-check) that also
-proves the fan axiom, semistability of the fiber direction, and orbit-cone
-class counting in Z[L].  Everything is integer-exact and pure Python.
+provides the cones and fans for that story, plus exact certification
+routines: cone duality by the double description method, unimodularity
+from the pairing of each ray with the one facet not through it (read off
+the stored ray-facet incidence, no Smith normal form), a whole-cone
+partition certificate (wall matching plus one generic point, with an
+opt-in bounded lattice sweep as a cross-check) that also proves the fan
+axiom, semistability of the fiber direction, and orbit-cone class
+counting in Z[L].  Everything is integer-exact and pure Python.
 
 `certify_local(fan, parent, direction)` gives the rows of a strictly
-semistable model from its data alone, and `certify_duality(sigma,
-generators)` the duality rows of a cone; `slab_certificate(k)` is the
-first's cached call on the slab data, and `restrict_certificate(top, k)`
-restricts that to a face, the certificate of a lower depth.  It reads
-`grothring` and `checks` by `from . import x`, which runs `x` on first
-use, so a certificate runs no Z[L] code (`tests/test_imports.py` pins this).
+semistable model from its data alone; `slab_certificate(k)` is its cached
+call on the slab data, and `restrict_certificate(top, k)` restricts that
+to a face, the certificate of a lower depth.  It reads `grothring` and
+`checks` by `from . import x`, which runs `x` on first use, so a
+certificate runs no Z[L] code (`tests/test_imports.py` pins this).
 
-`blowup_chart_sequence(n)` replays the resolution from
-`singular_model_chart(n)` by substitution, with no reference to the fan,
-so its charts are an oracle for the slabs: the monomials of chart U_k
-generate the dual of sigma_k, whose rays are sigma_k's stored facets.
+The dual side of the model, its canonical dual generators, the duality
+rows and the chart records, is in `duality`, which `report` and the orbit
+API never run.  Two functions of that side stay here: `dual_cone`, which
+caches the dual on the cone's `_dual` slot, and `blowup_chart_sequence(n)`,
+which reads `duality` by `from . import duality`, so that module runs only
+when a chart is built.  Both are spans of the benchmark's tracer
+(`perfbench/traced.py`), which looks them up in this module.  The replay
+builds its charts from `duality.singular_model_chart(n)` by substitution,
+with no reference to the fan, so they are an oracle for the slabs: the
+monomials of chart U_k generate the dual of sigma_k, whose rays are
+sigma_k's stored facets.
 
 Orbit counting reads one table of a smooth fan: its faces by number of
 rays and by number of rays that pair positively with the fiber direction.
@@ -53,6 +59,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from ._intmat import (
     Vec,
+    as_vec,
     dot,
     extreme_rays,
     first_difference,
@@ -63,16 +70,12 @@ from ._intmat import (
     vscale,
     vsub,
 )
-from . import checks, grothring
+from . import checks, duality, grothring
 
 
 def unit_vector(rank: int, i: int) -> Vec:
     """Standard basis vector e_{i+1} (0-based index i) in Z^rank."""
     return unit(rank, i)
-
-
-def _as_vec(v: Sequence[int]) -> Vec:
-    return tuple(map(operator.index, v))
 
 
 class Cone:
@@ -99,7 +102,7 @@ class Cone:
     __slots__ = ("_rank", "_rays", "_inequalities", "_incidence", "_dual", "_smooth")
 
     def __init__(self, rays: Iterable[Sequence[int]]):
-        ray_list = [_as_vec(r) for r in rays]
+        ray_list = [as_vec(r) for r in rays]
         if not ray_list:
             raise ValueError("a cone needs at least one generator")
         rank = len(ray_list[0])
@@ -147,7 +150,7 @@ class Cone:
 
     def contains(self, v: Sequence[int]) -> bool:
         """Exact membership test for an integer vector."""
-        vec = _as_vec(v)
+        vec = as_vec(v)
         if len(vec) != self._rank:
             raise ValueError("vector length must equal the ambient rank")
         return all(dot(a, vec) >= 0 for a in self._inequalities)
@@ -172,33 +175,6 @@ def dual_cone(c: Cone) -> Cone:
     if c._dual is None:
         c._dual = Cone(c.inequalities)
     return c._dual
-
-
-def certify_duality(sigma: Cone, generators: Optional[Sequence[Vec]]
-                    ) -> list[checks.CheckResult]:
-    """The duality rows of `sigma`: "dual generators", whether the rays of
-    its dual are the list `generators` (no row when it is None), and
-    "duality involution", decided by exchange: the dual's rays must be
-    sigma's stored facets, and the dual's facets, the rays of
-    dual(dual(sigma)), sigma's rays.  So it builds no third cone, and a
-    redundant facet of sigma, which the dual drops from its rays, fails
-    the row.  Pure, so a mutant is an argument."""
-    dual = dual_cone(sigma)
-    rows = []
-    if generators is not None:
-        difference = first_difference(dual.rays, generators)
-        if difference is None:
-            detail = f"{len(generators)} canonical generators"
-        else:
-            ray, extra = difference
-            detail = (f"ray {list(ray)} of the dual cone is not a canonical generator"
-                      if extra else
-                      f"canonical generator {list(ray)} is not a ray of the dual cone")
-        rows.append(checks.CheckResult("dual generators", difference is None, detail))
-    involution = dual.rays == sigma.inequalities and dual.inequalities == sigma.rays
-    rows.append(checks.CheckResult("duality involution", involution,
-                                   "dual(dual(sigma)) == sigma"))
-    return rows
 
 
 def is_smooth(c: Cone) -> bool:
@@ -382,50 +358,6 @@ def resolution_fan(n: int) -> Fan:
     return Fan(slabs)
 
 
-def dual_generators(n: int) -> list[Vec]:
-    """The n+2 canonical generators of the dual of the model cone, in the
-    order e_1*, ..., e_n*, e_{n+1}*, e_1* + ... + e_n* - e_{n+1}*.
-    (For n >= 2 these are exactly the extreme rays of dual_cone(model_cone(n)).)
-    """
-    if n < 1:
-        raise ValueError(f"the model needs n >= 1, got {n}")
-    rank = n + 1
-    last = tuple([1] * n + [-1])
-    return [unit(rank, i) for i in range(rank)] + [last]
-
-
-def greedy_decompose(v: Sequence[int]) -> Optional[list[int]]:
-    """Express a lattice point of the dual model cone as a nonnegative
-    integer combination of the n+2 canonical dual generators, in the
-    order of `dual_generators(n)`, where n + 1 = len(v).
-
-    The decomposition follows the sign of the last coordinate a_{n+1}:
-    when a_{n+1} >= 0 the point is a combination of e_1*, ..., e_{n+1}*
-    directly; when a_{n+1} < 0, subtracting -a_{n+1} copies of
-    e_1* + ... + e_n* - e_{n+1}* lands in the positive orthant.  Returns
-    None when v lies outside the dual cone (some defining inequality
-    a_i >= 0 or a_i + a_{n+1} >= 0 fails).  The expansion is re-verified
-    exactly before returning.
-    """
-    vec = _as_vec(v)
-    n = len(vec) - 1
-    if n < 1:
-        raise ValueError("vectors must have length at least 2")
-    body, last = vec[:n], vec[n]
-    if any(a < 0 for a in body) or any(a + last < 0 for a in body):
-        return None
-    if last >= 0:
-        coeffs = list(body) + [last, 0]
-    else:
-        coeffs = [a + last for a in body] + [0, -last]
-    acc = (0,) * (n + 1)
-    for c, g in zip(coeffs, dual_generators(n)):
-        acc = vadd(acc, vscale(c, g))
-    if acc != vec or any(c < 0 for c in coeffs):
-        raise AssertionError(f"greedy expansion failed to reproduce {vec}")
-    return coeffs
-
-
 # -- certification ------------------------------------------------------
 
 
@@ -558,7 +490,7 @@ def fiber_rays(f: Fan, direction: Sequence[int]) -> tuple[Vec, ...]:
     order.  Each is one component D_rho of the fiber over zero of the
     monomial with exponent `direction`; every count of that fiber reads
     its rays here."""
-    d = _as_vec(direction)
+    d = as_vec(direction)
     if len(d) != f.rank:
         raise ValueError("direction must live in the dual lattice of the fan")
     return tuple(r for r in f.rays() if dot(d, r) > 0)
@@ -573,7 +505,7 @@ def semistable_fiber_check(f: Fan, direction: Sequence[int]) -> FiberCheck:
     * smooth   — every maximal cone is unimodular;
     * snc      — both (smooth toric ambient + reduced invariant divisors).
     """
-    d = _as_vec(direction)
+    d = as_vec(direction)
     reduced = all(dot(d, r) == 1 for r in fiber_rays(f, d))
     smooth = all(is_smooth(c) for c in f)
     return FiberCheck(reduced=reduced, smooth=smooth)
@@ -603,7 +535,7 @@ def _certificate(fan: Fan, direction: Sequence[int], failure: Optional[str],
                  covered: str) -> LocalCertificate:
     """The rows of `fan` in `direction`, its partition's witness `failure`
     (None if it holds) and the detail `covered` of a pass given."""
-    direction = _as_vec(direction)
+    direction = as_vec(direction)
     fiber = semistable_fiber_check(fan, direction)
     unimodular = f"{len(fan)} maximal cone(s) of the rank-{fan.rank} subdivision"
     if not fiber.smooth:
@@ -762,88 +694,13 @@ def fiber_class(f: Fan, direction: Sequence[int]) -> grothring.GrothClass:
     return _orbit_sum([sum(row[1:]) for row in _face_table(f, direction)])
 
 
-# -- chart presentations ------------------------------------------------
+# -- the blow-up replay -------------------------------------------------
 
 
-class Coordinate(NamedTuple("Coordinate", [("name", str), ("monomial", Vec)])):
-    """A named affine coordinate given by its monomial exponent vector."""
-
-    __slots__ = ()
-
-    def __new__(cls, name: str, monomial: Sequence[int]):
-        return super().__new__(cls, name, _as_vec(monomial))
-
-
-class ChartPresentation(NamedTuple("ChartPresentation", [
-        ("coordinates", tuple[Coordinate, ...]),
-        ("relation", tuple[tuple[int, ...], tuple[int, ...]])])):
-    """A symbolic affine chart: named coordinate monomials in the dual
-    lattice M, plus a binomial relation prod(left) = prod(right) given by
-    multisets of coordinate indices.
-
-    The relation is validated on construction as an identity of lattice
-    vectors: the sum of the left monomials equals the sum of the right
-    monomials.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, coordinates: Iterable[Coordinate],
-                relation: tuple[Sequence[int], Sequence[int]]):
-        coords = tuple(coordinates)
-        if not coords:
-            raise ValueError("a chart needs at least one coordinate")
-        rank = len(coords[0].monomial)
-        if any(len(c.monomial) != rank for c in coords):
-            raise ValueError("all monomials must share the ambient rank")
-        left, right = map(tuple, relation)
-        for idx in left + right:
-            if not 0 <= idx < len(coords):
-                raise ValueError(f"relation index {idx} out of range")
-        lsum = functools.reduce(vadd, (coords[i].monomial for i in left), (0,) * rank)
-        rsum = functools.reduce(vadd, (coords[i].monomial for i in right), (0,) * rank)
-        if lsum != rsum:
-            raise ValueError(f"relation is not a lattice identity: {lsum} != {rsum}")
-        return super().__new__(cls, coords, (left, right))
-
-    @property
-    def rank(self) -> int:
-        return len(self.coordinates[0].monomial)
-
-    def monomials(self) -> tuple[Vec, ...]:
-        return tuple(c.monomial for c in self.coordinates)
-
-    def monomial_cone(self) -> Cone:
-        """The cone generated by the coordinate monomials (canonicalized)."""
-        return Cone(self.monomials())
-
-    def render_relation(self) -> str:
-        left, right = self.relation
-        fmt = lambda idxs: "*".join(self.coordinates[i].name for i in idxs) or "1"
-        return f"{fmt(left)} = {fmt(right)}"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "coords": [{"name": c.name, "monomial": list(c.monomial)}
-                       for c in self.coordinates],
-            "relation": {"left": list(self.relation[0]), "right": list(self.relation[1])},
-        }
-
-
-def singular_model_chart(n: int) -> ChartPresentation:
-    """The starting presentation of the model: coordinates z_1, ..., z_n,
-    t, y with monomials e_1*, ..., e_n*, e_{n+1}*, e_1*+...+e_n*-e_{n+1}*
-    and the defining relation t*y = z_1*...*z_n."""
-    names = [f"z{i + 1}" for i in range(n)] + ["t", "y"]
-    return ChartPresentation(
-        coordinates=tuple(map(Coordinate, names, dual_generators(n))),
-        relation=((n, n + 1), tuple(range(n))),
-    )
-
-
-def blowup_chart_sequence(n: int) -> list[ChartPresentation]:
+def blowup_chart_sequence(n: int) -> list[duality.ChartPresentation]:
     """Replay the resolution as a sequence of n-1 blow-ups of
-    `singular_model_chart(n)`, returning the n smooth charts U_1, ..., U_n.
+    `duality.singular_model_chart(n)`, returning the n smooth charts U_1,
+    ..., U_n.
 
     Step k blows up the locus where the residual coordinate t_{k-1} (with
     t_0 = t) and z_k vanish together.  In the chart U_k the substitution
@@ -862,14 +719,14 @@ def blowup_chart_sequence(n: int) -> list[ChartPresentation]:
     """
     if n < 2:
         raise ValueError(f"the blow-up sequence needs n >= 2, got {n}")
-    *z, t, y = singular_model_chart(n).coordinates
+    *z, t, y = duality.singular_model_chart(n).coordinates
     charts = []
     for k, z_k in enumerate(z[:-1], start=1):
-        prime = Coordinate(f"z{k}'", vsub(z_k.monomial, t.monomial))
+        prime = duality.Coordinate(f"z{k}'", vsub(z_k.monomial, t.monomial))
         # y = z_k' * z_{k+1} * ... * z_n ; coordinate k holds z_k'
-        charts.append(ChartPresentation((t, *z[:k - 1], prime, *z[k:], y),
-                                        ((n + 1,), range(k, n + 1))))
-        t = Coordinate(f"t{k}", vsub(t.monomial, z_k.monomial))
+        charts.append(duality.ChartPresentation((t, *z[:k - 1], prime, *z[k:], y),
+                                                ((n + 1,), range(k, n + 1))))
+        t = duality.Coordinate(f"t{k}", vsub(t.monomial, z_k.monomial))
     # t_{n-1} * y = z_n
-    charts.append(ChartPresentation((t, *z, y), ((0, n + 1), (n,))))
+    charts.append(duality.ChartPresentation((t, *z, y), ((0, n + 1), (n,))))
     return charts

@@ -21,6 +21,7 @@ from sncdegen.degeneration import (
     full_degeneration_report,
     resolve_local_model,
 )
+from sncdegen.duality import dual_generators, greedy_decompose
 from sncdegen.grothring import (
     L,
     arrangement_class_closed,
@@ -32,8 +33,6 @@ from sncdegen.toriclat import (
     Cone,
     blowup_chart_sequence,
     dual_cone,
-    dual_generators,
-    greedy_decompose,
     is_smooth,
     model_cone,
     resolution_fan,

@@ -24,6 +24,7 @@ from sncdegen import (
     cmd_resolve,
     cmd_verify,
     degeneration,
+    duality,
     grothring,
     toriclat,
 )
@@ -518,7 +519,7 @@ def test_a_chart_that_cannot_be_built_fails_a_row(capsys, monkeypatch, cold_cach
     # relation t*y of the singular chart, which every blow-up chart is
     # replayed from, names a coordinate that is not there: a row names the
     # error, and nothing raises
-    monkeypatch.setattr(toriclat, "dual_generators", without_last_generator)
+    monkeypatch.setattr(duality, "dual_generators", without_last_generator)
     witness = ("a chart could not be built: "
                "relation index 3 out of range")
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
@@ -939,6 +940,22 @@ def test_missing_required_flag(capsys):
 def test_bad_integer(capsys):
     code, _, _ = run_cli(capsys, "class", "--r", "three", "--n", "2")
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("buffering", [[], ["-u"]], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["report", "--n", "3", "--d", "4"],
+                                  ["class", "--r", "3", "--n", "2"]], ids=" ".join)
+def test_unwritable_stdout_is_one_error_line(buffering, argv):
+    # /dev/full refuses every write with ENOSPC, whether print or the final
+    # flush meets it first
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this platform")
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, *buffering, "-m", "sncdegen", *argv],
+                              stdout=full, stderr=subprocess.PIPE, env=src_env(), timeout=60)
+    assert proc.stderr.decode() == (
+        "sncdegen: error: cannot write the output: No space left on device\n")
+    assert proc.returncode == 1
 
 
 def test_closed_pipe_ends_without_traceback():

@@ -191,6 +191,13 @@ def test_resolution_fan_does_not_load_degeneration():
     ) == ["sncdegen._intmat", "sncdegen.grothring", "sncdegen.toriclat"]
 
 
+def test_dual_generators_execute_no_toric_code():
+    # the canonical generators are closed-form: no cone, no certificate
+    assert package_modules_executed(
+        "import sncdegen; sncdegen.dual_generators(3)"
+    ) == ["sncdegen._intmat", "sncdegen.duality"]
+
+
 def test_check_result_executes_only_checks():
     assert package_modules_executed(
         "import sncdegen; sncdegen.CheckResult") == ["sncdegen.checks"]
@@ -248,11 +255,13 @@ LAZY_CASES = [
     (["verify", "--scope", "nope"], 1, []),
     (["report", "--n", "3", "--d", "4"], 0,
      [*TORIC, "sncdegen.cmd_report", "sncdegen.degeneration", "sncdegen.grothring"]),
-    (["resolve", "--n", "3"], 0, [*TORIC, "sncdegen.cmd_resolve"]),
-    (["dual", "--n", "3"], 0, [*TORIC, "sncdegen.cmd_dual"]),
+    # the charts and the duality rows run `duality`; `report` does not
+    (["resolve", "--n", "3"], 0, [*TORIC, "sncdegen.cmd_resolve", "sncdegen.duality"]),
+    (["dual", "--n", "3"], 0, [*TORIC, "sncdegen.cmd_dual", "sncdegen.duality"]),
     # the toric suite prints the rows of `dual` and the charts of `resolve`
     (["verify", "--scope", "lemma-toric", "--max-n", "3"], 0,
-     [*TORIC, "sncdegen.cmd_dual", "sncdegen.cmd_resolve", "sncdegen.cmd_verify"]),
+     [*TORIC, "sncdegen.cmd_dual", "sncdegen.cmd_resolve", "sncdegen.cmd_verify",
+      "sncdegen.duality"]),
 ]
 
 

@@ -22,17 +22,16 @@ import types
 import pytest
 
 from conftest import clear_caches
-from sncdegen import cmd_dual, cmd_resolve, cmd_verify, degeneration, grothring, toriclat
+from sncdegen import cmd_dual, cmd_resolve, cmd_verify, degeneration, duality, grothring, toriclat
 from sncdegen._intmat import dot, primitive, unit, vadd
 from sncdegen.cli import EXIT_FAILED, main
+from sncdegen.duality import certify_duality, dual_generators
 from sncdegen.grothring import L, ONE
 from sncdegen.toriclat import (
     Cone,
     Fan,
     blowup_chart_sequence,
-    certify_duality,
     certify_local,
-    dual_generators,
     model_cone,
     resolution_fan,
 )
@@ -145,9 +144,9 @@ def shifted_first_chart(n):
     y in chart U_1: its relation y = z1'*z2 still holds, so the chart is
     built, and its cone loses the ray e_2*."""
     first, *rest = blowup_chart_sequence(n)
-    coords = [toriclat.Coordinate(c.name, vadd(c.monomial, unit(n + 1, 0)))
+    coords = [duality.Coordinate(c.name, vadd(c.monomial, unit(n + 1, 0)))
               if c.name in ("z2", "y") else c for c in first.coordinates]
-    return [toriclat.ChartPresentation(coords, first.relation), *rest]
+    return [duality.ChartPresentation(coords, first.relation), *rest]
 
 
 # mutant -> (n, model cone, canonical generators, {row it flips at n: its detail})
@@ -191,16 +190,22 @@ def plus(module, name, by, at=None):
 
 
 def in_commands(name, value):
-    """`name` bound to `value` in the toric module as the command modules
-    alone see it.  They read the toric functions through their binding
-    `toriclat`, so the patch replaces each binding by a copy of the module
-    with one name changed: patching `toriclat` itself would reach its own
-    callers too (`blowup_chart_sequence` reads `dual_generators`)."""
+    """`name` bound to `value` in `toriclat` or `duality`, whichever
+    defines it, as the command modules alone see it.  They read those
+    functions through their bindings of the two modules, so the patch
+    replaces each binding by a copy of the module with one name changed:
+    patching the module itself would reach its own callers too
+    (`singular_model_chart`, which `blowup_chart_sequence` replays, reads
+    `dual_generators`)."""
+    module = toriclat if hasattr(toriclat, name) else duality
+    binding = module.__name__.rpartition(".")[2]
+
     def patch(monkeypatch):
-        view = types.ModuleType(toriclat.__name__)
-        vars(view).update(vars(toriclat), **{name: value})
+        view = types.ModuleType(module.__name__)
+        vars(view).update(vars(module), **{name: value})
         for command in (cmd_dual, cmd_resolve, cmd_verify):
-            monkeypatch.setattr(command, "toriclat", view)
+            if hasattr(command, binding):
+                monkeypatch.setattr(command, binding, view)
     return patch
 
 

@@ -10,7 +10,8 @@ from sncdegen.degeneration import (
     VerificationReport,
 )
 from sncdegen.grothring import L, ONE
-from sncdegen.toriclat import ChartPresentation, Coordinate, FiberCheck
+from sncdegen.duality import ChartPresentation, Coordinate
+from sncdegen.toriclat import FiberCheck
 
 ROW = CheckResult(name="semistable fiber", passed=True, detail="ok")
 CHART_COORDS = (Coordinate("t", (0, 1)), Coordinate("y", (1, -1)), Coordinate("z1", (1, 0)))

@@ -29,25 +29,27 @@ from oracles import _rank as oracle_rank
 from sncdegen import _intmat, checks, toriclat
 from sncdegen._intmat import dot, invariant_factors, unit, vadd, vscale
 from sncdegen.grothring import GrothClass, L, reduce_mod_L
-from sncdegen.toriclat import (
+from sncdegen.duality import (
     ChartPresentation,
-    Cone,
     Coordinate,
+    dual_generators,
+    greedy_decompose,
+    singular_model_chart,
+)
+from sncdegen.toriclat import (
+    Cone,
     Fan,
     blowup_chart_sequence,
     certify_local,
     dual_cone,
-    dual_generators,
     fiber_class,
     fiber_rays,
-    greedy_decompose,
     is_smooth,
     model_cone,
     resolution_fan,
     restrict_certificate,
     semistable_fiber_check,
     sigma_subcone,
-    singular_model_chart,
     toric_class,
     unit_vector,
     verify_partition,
