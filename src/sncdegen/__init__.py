@@ -18,7 +18,9 @@ behind degenerating a smooth hypersurface to a hyperplane arrangement:
 * `cli`          — the `sncdegen` command line: its parser, option table
   and JSON writer;
 * `cmd_class`, `cmd_dual`, `cmd_resolve`, `cmd_verify`, `cmd_report` —
-  one module per subcommand, which `cli` imports only to run it.
+  one module per subcommand, which `cli` imports only to run it;
+* `__main__`     — the program entry `run` of `python -m sncdegen` and
+  of the `sncdegen` script.
 
 The namespace is lazy (PEP 562), and a submodule loads in one of two
 ways.  `from .x import y` runs `x` at once.  `from . import x` and
@@ -85,8 +87,11 @@ def _lazy_submodule(name: str):
     """The submodule `name`, registered in `sys.modules` with an
     `importlib.util.LazyLoader` that runs its body on the first attribute
     access, or the module already there, since a name has one module
-    object.  Dunder names are never submodules here, so that `__main__`,
-    the entry point of `python -m sncdegen`, is only ever run by `runpy`."""
+    object.  Dunder names are never submodules here, so a probe such as
+    `getattr(sncdegen, "__main__", None)` raises no import.  `__main__`
+    holds the program entry, which `python -m sncdegen` runs and the
+    console script imports; importing it is harmless, since it runs a
+    command only behind its `__name__ == "__main__"` guard."""
     from importlib.util import LazyLoader, find_spec, module_from_spec
     fullname = f"{__name__}.{name}"
     if fullname in sys.modules:

@@ -204,6 +204,9 @@ def _parse(argv: Sequence[str]) -> tuple[Callable[..., int], list]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run the command line `argv`, by default `sys.argv[1:]`, and return
+    its exit code.  The program's entry, `sncdegen.__main__.run`, exits
+    with it."""
     try:
         run, args = _parse(sys.argv[1:] if argv is None else argv)
         code = run(*args)
@@ -221,7 +224,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                   file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -121,6 +121,9 @@ class GrothClass:
         return self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
+        # A constant class equals its int, so it must hash as that int.
+        if len(self._coeffs) <= 1:
+            return hash(self._coeffs[0] if self._coeffs else 0)
         return hash(("GrothClass", self._coeffs))
 
     def __bool__(self) -> bool:

@@ -32,7 +32,7 @@ def _package_caches() -> tuple:
     """Every `functools.lru_cache` function that a module of the package
     defines, gathered once, before any test patches a module."""
     modules = [importlib.import_module(f"sncdegen.{info.name}")
-               for info in pkgutil.iter_modules(sncdegen.__path__) if info.name != "__main__"]
+               for info in pkgutil.iter_modules(sncdegen.__path__)]
     return tuple(value for module in modules for value in vars(module).values()
                  if hasattr(value, "cache_info") and value.__module__ == module.__name__)
 

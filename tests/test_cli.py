@@ -2,6 +2,7 @@
 round-trip stability and determinism."""
 
 import contextlib
+import gc
 import importlib
 import io
 import json
@@ -39,6 +40,7 @@ from sncdegen.toriclat import (
     sigma_subcone,
 )
 from test_mutations import (
+    FLIPS,
     in_commands,
     plus,
     redundant_facet_at_3,
@@ -848,6 +850,60 @@ def test_usage_error_through_the_module_has_no_traceback():
                           capture_output=True, text=True, env=src_env(), timeout=60)
     assert proc.returncode == EXIT_USAGE and proc.stdout == ""
     assert proc.stderr == "sncdegen: error: argument --n: invalid int value: 'three'\n"
+
+
+# -- the program entry: `sncdegen.__main__.run` ---------------------------
+
+#: Run in a child with the command line in `sys.argv`: apply the patch of
+#: `FLIPS` that the environment names, if any, call `run`, and print whether
+#: the heap is frozen from an `atexit` handler, which runs after `run` exits.
+RUN_IN_CHILD = """
+import atexit, gc, os, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0, file=sys.stderr))
+if os.environ.get("FLIP"):
+    import pytest
+    from test_mutations import FLIPS
+    FLIPS[os.environ["FLIP"]](pytest.MonkeyPatch())
+from sncdegen.__main__ import run
+run()
+"""
+
+
+def test_main_in_process_freezes_nothing(capsys):
+    before = gc.get_freeze_count()
+    assert main(["class", "--r", "3", "--n", "2"]) == EXIT_OK
+    assert main(["class", "--r", "0", "--n", "2"]) == EXIT_USAGE
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("argv, flip, expected", [
+    (("report", "--n", "3", "--d", "4", "--format", "json"), None, EXIT_OK),
+    (("class", "--r", "0", "--n", "2"), None, EXIT_USAGE),
+    (("class", "--r", "2", "--n", "3"), "triple agreement", EXIT_FAILED),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+def test_run_exits_as_main_returns_after_freezing(capsys, monkeypatch, argv, flip, expected):
+    clear_caches()
+    with monkeypatch.context() as patched:
+        if flip:
+            FLIPS[flip](patched)
+        code, out, err = run_cli(capsys, *argv)
+    clear_caches()
+    assert code == expected
+    env = dict(src_env(), FLIP=flip or "")
+    env["PYTHONPATH"] += os.pathsep + str(Path(__file__).parent)
+    proc = subprocess.run([sys.executable, "-c", RUN_IN_CHILD, *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err + "frozen True\n")
+    if not flip:  # the module entry of the same command line
+        proc = subprocess.run([sys.executable, "-m", "sncdegen", *argv],
+                              capture_output=True, text=True, env=src_env(), timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+def test_importing_the_entry_module_runs_nothing():
+    proc = subprocess.run([sys.executable, "-c", "import sncdegen.__main__"],
+                          capture_output=True, text=True, env=src_env(), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
 
 
 #: Integer values: small sizes, spellings that are not integers, and huge

@@ -55,6 +55,14 @@ def test_immutable():
     assert hash(x) == hash(GrothClass([1, 2, 0]))
 
 
+@pytest.mark.parametrize("c", range(-3, 4))
+def test_constant_class_hashes_as_its_int(c):
+    # equal objects hash equally, so a set holds c and its class once;
+    # GrothClass([0]) is ZERO and GrothClass([1]) is ONE
+    assert GrothClass([c]) == c and hash(GrothClass([c])) == hash(c)
+    assert len({c, GrothClass([c])}) == 1
+
+
 def test_degree():
     assert ZERO.degree == -1
     assert ONE.degree == 0
