@@ -41,11 +41,11 @@ monomials of chart U_k generate the dual of sigma_k, whose rays are
 sigma_k's stored facets.
 
 Orbit counting reads one table of a smooth fan: its faces by number of
-rays and by number of rays that pair positively with the fiber direction.
-When the maximal cones form a chain, as the slabs do, it is a sum of
-binomials over the cones and their consecutive intersections, polynomial
-in n; any other fan falls back to enumerating its faces, exponential in
-the rank.
+rays and by number of rays that pair positively with the fiber direction,
+a signed sum of binomials over the ray sets of the maximal cones and their
+intersections, by one inclusion-exclusion for every fan.  When the cones
+form a chain, as the slabs do, only consecutive intersections remain and
+the count is polynomial in n.
 """
 
 from __future__ import annotations
@@ -579,7 +579,7 @@ def restrict_certificate(top: LocalCertificate, k: int) -> LocalCertificate:
     O(K^2), that the projected rays in F_k are those of `model_cone(k)`.
     A top that fails either condition restricts to no fan, and each row
     names the top row that failed."""
-    depth = top.fan.rank - 1
+    depth = len(top.direction) - 1
     if not 1 <= k < depth:
         raise ValueError(f"need 1 <= k < {depth}, got k={k}")
     proj = operator.itemgetter(*range(k), depth)
@@ -607,16 +607,18 @@ def restrict_certificate(top: LocalCertificate, k: int) -> LocalCertificate:
     return _certificate(Fan(cones), proj(top.direction), failure, source)
 
 
-def _is_chain(ray_sets: Sequence[frozenset[Vec]]) -> bool:
-    """True iff S_i ∩ S_j ⊆ S_k for all i < k < j, i.e. the sets holding
-    any one ray have consecutive indices.  O(sum |S|) lookups."""
-    last: dict[Vec, int] = {}
-    for k, rays in enumerate(ray_sets):
-        for r in rays:
-            if last.get(r, k - 1) != k - 1:
-                return False
-            last[r] = k
-    return True
+def _maximal(sets: Iterable[int]) -> list[int]:
+    """The distinct ray sets of a family, as bitmasks, that lie in no other:
+    largest first, in first-seen order among equals, each tested against the
+    larger ones kept before it."""
+    kept: list[int] = []
+    for s in sorted(dict.fromkeys(sets), key=int.bit_count, reverse=True):
+        for t in kept:
+            if s & t == s:
+                break
+        else:
+            kept.append(s)
+    return kept
 
 
 def _face_table(f: Fan, direction: Sequence[int]) -> list[list[int]]:
@@ -625,42 +627,41 @@ def _face_table(f: Fan, direction: Sequence[int]) -> list[list[int]]:
 
     Smooth cones are simplicial, so the faces of a maximal cone are the
     subsets of its ray set S, w(S)[j][h] = C(p, h) * C(|S| - p, j - h) of
-    them with j rays, h among the p fiber rays of S.  When the ray sets, in
-    the fan's order, pass `_is_chain`, the cones containing a given face
-    have consecutive indices, so inclusion-exclusion collapses to
-
-        table = sum_k w(S_k) - sum_k w(S_k ∩ S_{k+1}),
-
-    O(c * rank) additions to sum the rows C(|S| - p, .) of each p, then
-    O(p * rank) per distinct p.  Any other fan falls back to enumerating
-    the distinct ray subsets, up to c * 2^rank.
+    them with j rays, h among the p fiber rays of S.  A family S_1, ..., S_c
+    has the faces of each S_k less those it shares with the sets before it,
+    the faces of the family S_k ∩ S_1, ..., S_k ∩ S_{k-1}, counted the same
+    way with the opposite sign.  `_maximal` cuts each family to an
+    antichain, so each S_k ∩ S_i is smaller than S_k and the recursion is at
+    most rank + 1 deep.  On a chain, where the cones holding a face have
+    consecutive indices (the slabs and their restrictions), S_k ∩ S_{k-1} is
+    the one set kept, and the count is sum_k w(S_k) - sum_k w(S_k ∩ S_{k-1}),
+    polynomial in n; other families can cost exponentially in the rank.
+    Terms with equal p add into one row of C(|S| - p, .), expanded once per
+    distinct p at the end.
     """
-    fiber = frozenset(fiber_rays(f, direction))
+    bit = {r: 1 << i for i, r in enumerate(f.rays())}  # a ray set is a bitmask
+    fiber = sum(bit[r] for r in fiber_rays(f, direction))
     for c in f:
         if not is_smooth(c):
             raise ValueError(f"orbit counting requires smooth cones, got {c!r}")
-    ray_sets = [frozenset(c.rays) for c in f]
-    table = [[0] * (f.rank + 1) for _ in range(f.rank + 1)]
-    if _is_chain(ray_sets):
-        cold: dict[int, list[int]] = {}  # p -> signed sum of C(|S| - p, i), by i
-        for sign, sets in ((1, ray_sets), (-1, map(operator.and_, ray_sets, ray_sets[1:]))):
-            for rays in sets:
-                p = len(rays & fiber)
-                row = cold.setdefault(p, [0] * (f.rank + 1 - p))
-                for i in range(len(rays) - p + 1):
-                    row[i] += sign * math.comb(len(rays) - p, i)
-        for p, row in cold.items():
-            for h in range(p + 1):
-                hot = math.comb(p, h)
-                for j, c in enumerate(row, start=h):
-                    table[j][h] += hot * c
-        return table
+    cold: dict[int, list[int]] = {}  # p -> signed sum of C(|S| - p, i), by i
 
-    faces = {frozenset(sub) for rays in ray_sets
-             for size in range(len(rays) + 1)
-             for sub in itertools.combinations(rays, size)}
-    for face in faces:
-        table[len(face)][len(face & fiber)] += 1
+    def count(sets: list[int], sign: int) -> None:
+        for k, rays in enumerate(sets):
+            p, q = (rays & fiber).bit_count(), (rays & ~fiber).bit_count()
+            row = cold.setdefault(p, [0] * (f.rank + 1 - p))
+            for i in range(q + 1):
+                row[i] += sign * math.comb(q, i)
+            if k:
+                count(_maximal(rays & s for s in sets[:k]), -sign)
+
+    count(_maximal(sum(bit[r] for r in c.rays) for c in f), 1)
+    table = [[0] * (f.rank + 1) for _ in range(f.rank + 1)]
+    for p, row in cold.items():
+        for h in range(p + 1):
+            hot = math.comb(p, h)
+            for j, c in enumerate(row, start=h):
+                table[j][h] += hot * c
     return table
 
 

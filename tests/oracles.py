@@ -166,14 +166,6 @@ def slab_orbit_class_closed_form(n, fiber=False):
     return total
 
 
-def is_chain_by_triples(ray_sets):
-    """Oracle for the chain test of orbit counting: S_i ∩ S_j ⊆ S_k for
-    all i < k < j, checked triple by triple, O(c^3) set operations."""
-    return all(ray_sets[i] & ray_sets[j] <= ray_sets[k]
-               for i, j in itertools.combinations(range(len(ray_sets)), 2)
-               for k in range(i + 1, j))
-
-
 def simplicial_coordinates(rays, point):
     """The coefficients c with sum_i c_i * rays[i] == point, for linearly
     independent rays, by Gauss-Jordan elimination over Q; None when the

@@ -18,7 +18,6 @@ from oracles import (
     extreme_rays_brute,
     face_table_oracle,
     faces_via_facets,
-    is_chain_by_triples,
     orbit_class_oracle,
     partition_sweep_oracle,
     random_unimodular_cone,
@@ -866,27 +865,18 @@ def fiber_directions(n):
     return [E(n + 1, n), E(n + 1, 0), tuple([1] * n + [0])]
 
 
-def face_table_both_ways(fan, direction):
-    chain = toriclat._face_table(fan, direction)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(toriclat, "_is_chain", lambda ray_sets: False)
-        enumerated = toriclat._face_table(fan, direction)
-    return chain, enumerated
-
-
 def test_face_counts_chain_matches_enumeration():
     for n in range(1, 11):
         fan = resolution_fan(n)
-        assert toriclat._is_chain([frozenset(c.rays) for c in fan]), n
-        chain, enumerated = face_table_both_ways(fan, (0,) * (n + 1))
-        assert chain == enumerated, n
-        f_vector = [sum(row) for row in chain]
+        table = toriclat._face_table(fan, (0,) * (n + 1))
+        assert table == face_table_oracle(fan, (0,) * (n + 1)), n
+        f_vector = [sum(row) for row in table]
         assert f_vector[0] == 1 and f_vector[n + 1] == n, n
         for d in fiber_directions(n):
-            chain, enumerated = face_table_both_ways(fan, d)
-            assert chain == enumerated, (n, d)
-            assert [sum(row) for row in chain] == f_vector, (n, d)
-            assert sum(chain[0][1:]) == 0, (n, d)
+            table = toriclat._face_table(fan, d)
+            assert table == face_table_oracle(fan, d), (n, d)
+            assert [sum(row) for row in table] == f_vector, (n, d)
+            assert sum(table[0][1:]) == 0, (n, d)
 
 
 def test_face_table_against_oracle_on_slab_fans():
@@ -898,6 +888,21 @@ def test_face_table_against_oracle_on_slab_fans():
             assert toriclat._face_table(fan, d) == face_table_oracle(fan, d), (n, d)
 
 
+def consecutive_face_table(fan, direction):
+    """sum_k w(S_k) - sum_k w(S_k ∩ S_{k+1}) over the ray sets in the fan's
+    order, w(S) the subsets of S by size and by fiber rays: the face table
+    when the cones holding any one face are consecutive, and only then."""
+    rank = fan.rank
+    table = [[0] * (rank + 1) for _ in range(rank + 1)]
+    sets = [frozenset(c.rays) for c in fan]
+    for sign, family in ((1, sets), (-1, [a & b for a, b in zip(sets, sets[1:])])):
+        for rays in family:
+            p = sum(dot(direction, r) > 0 for r in rays)
+            for h, i in itertools.product(range(p + 1), range(len(rays) - p + 1)):
+                table[h + i][h] += sign * math.comb(p, h) * math.comb(len(rays) - p, i)
+    return table
+
+
 @pytest.mark.parametrize("order, chain", [
     ((5, 4, 3, 2, 1), True),        # reversed slabs
     ((1, 3, 2, 4, 5), False),       # sigma_1 ∩ sigma_2 is not in sigma_3
@@ -905,12 +910,26 @@ def test_face_table_against_oracle_on_slab_fans():
     ((1, 2, 1, 3, 4, 5), False),    # a slab twice, not adjacent
 ])
 def test_orbit_counting_cone_orders_against_oracle(order, chain):
+    # every order counts the same faces; on the chain orders the table is
+    # also the sum over consecutive intersections alone, and on no other
     fan = slab_fan(5, order)
-    assert toriclat._is_chain([frozenset(c.rays) for c in fan]) is chain
     assert toric_class(fan) == orbit_class_oracle(fan)
     for d in fiber_directions(5):
         assert fiber_class(fan, d) == orbit_class_oracle(fan, d), d
-        assert toriclat._face_table(fan, d) == face_table_oracle(fan, d), d
+        table = toriclat._face_table(fan, d)
+        assert table == face_table_oracle(fan, d), d
+        assert (consecutive_face_table(fan, d) == table) is chain, d
+
+
+def star_subdivision(fan, face):
+    """The star subdivision of a smooth fan at the cone on the rays `face`:
+    each maximal cone holding them splits into one piece per ray of the
+    face, that ray exchanged for v, their sum, in the fan's order."""
+    v, cones = functools.reduce(vadd, face), []
+    for c in fan:
+        split = set(face) <= set(c.rays)
+        cones += [Cone([v if r == out else r for r in c.rays]) for out in face] if split else [c]
+    return Fan(cones)
 
 
 def slab_star(k):
@@ -923,11 +942,7 @@ def slab_star(k):
     rays = sorted(fan.rays())
     a = next(r for r in rays if dot(d, r) == 0)
     b = [r for r in rays if dot(d, r) == 1][-1]
-    v, cones = vadd(a, b), []
-    for c in fan:
-        split = {a, b} <= set(c.rays)
-        cones += [Cone([v if r == out else r for r in c.rays]) for out in (a, b)] if split else [c]
-    return Fan(cones)
+    return star_subdivision(fan, (a, b))
 
 
 #: The fiber classes of `slab_star(k)` in the direction e_{k+1}*, k = 2..4.
@@ -938,7 +953,6 @@ STAR_FIBER_CLASSES = {2: L + 3 * L**2, 3: 2 * L**2 + 4 * L**3, 4: 3 * L**3 + 5 *
 def test_face_table_against_oracle_on_star_subdivisions(k):
     fan = slab_star(k)
     assert len(fan) == 2 * k and all(is_smooth(c) for c in fan)
-    assert not toriclat._is_chain([frozenset(c.rays) for c in fan])
     for d in [(0,) * (k + 1), *fiber_directions(k)]:
         assert toriclat._face_table(fan, d) == face_table_oracle(fan, d), d
     fiber = fiber_class(fan, E(k + 1, k))
@@ -947,32 +961,36 @@ def test_face_table_against_oracle_on_star_subdivisions(k):
         assert fiber == STAR_FIBER_CLASSES[k]
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
-    st.just(n), st.lists(st.integers(1, n), min_size=1, max_size=2 * n))))
-def test_is_chain_agrees_with_the_triple_loop_on_slab_fans(case):
-    # slabs in any order, some repeated
-    n, order = case
-    ray_sets = [frozenset(c.rays) for c in slab_fan(n, order)]
-    assert toriclat._is_chain(ray_sets) == is_chain_by_triples(ray_sets)
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(2, 5), st.data())
+def test_face_table_against_oracle_on_random_star_subdivisions(k, data):
+    # one to three star subdivisions of the slab fan, each at a face of at
+    # least two rays of some maximal cone: smooth fans that are no chains
+    fan = resolution_fan(k)
+    for _ in range(data.draw(st.integers(1, 3))):
+        rays = data.draw(st.sampled_from(fan.max_cones)).rays
+        face = data.draw(st.lists(st.sampled_from(rays), min_size=2, unique=True))
+        fan = star_subdivision(fan, face)
+    assert all(is_smooth(c) for c in fan)
+    for d in [(0,) * (k + 1), E(k + 1, k), E(k + 1, 0)]:
+        assert toriclat._face_table(fan, d) == face_table_oracle(fan, d), d
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.frozensets(st.integers(0, 5)), max_size=7))
-def test_is_chain_agrees_with_the_triple_loop_on_set_families(ray_sets):
-    assert toriclat._is_chain(ray_sets) == is_chain_by_triples(ray_sets)
-
-
-def test_chain_guard_is_load_bearing(monkeypatch, cold_caches):
-    fan = slab_fan(5, (1, 3, 2, 4, 5))
-    monkeypatch.setattr(toriclat, "_is_chain", lambda ray_sets: True)
-    assert toric_class(fan) != orbit_class_oracle(fan)
-    d = E(6, 5)
-    assert fiber_class(fan, d) != orbit_class_oracle(fan, d)
+@pytest.mark.parametrize("k", range(8, 17))
+def test_orbit_counts_of_large_star_subdivisions(k):
+    # past the oracle's reach: at L = 1 only the maximal cones count, at
+    # L = 0 the alternating sum of the f-vector of a subdivided pointed
+    # cone, which is 0
+    fan = slab_star(k)
+    d = E(k + 1, k)
+    toric = toric_class(fan)
+    assert toric.evaluate(1) == len(fan) and toric.evaluate(0) == 0
+    assert fiber_class(fan, d).evaluate(1) == sum(
+        any(dot(d, r) > 0 for r in c.rays) for c in fan)
 
 
 def test_orbit_classes_at_large_n_against_closed_form():
-    # enumeration would visit about n * 2^n faces here
+    # past the oracle's reach: it would enumerate about n * 2^n faces here
     for n in (16, 20):
         fan = resolution_fan(n)
         toric = toric_class(fan)
@@ -1095,6 +1113,15 @@ def test_a_failed_top_certificate_flips_every_row_derived_from_it(fan, failed):
         restricted = restrict_certificate(top, k)
         assert restricted.fan is None and not restricted.fiber.smooth
         assert [(row.passed, row.detail) for row in restricted.rows] == [(False, why)] * 3
+
+
+def test_a_restriction_of_a_failed_top_restricts_again():
+    # a failed top restricts to no fan; its depth is read off the direction
+    top = certify_local(Fan([model_cone(3)]), model_cone(3), unit(4, 3))
+    twice = restrict_certificate(restrict_certificate(top, 2), 1)
+    why = "no restriction from k=2: its row 'cones unimodular' fails"
+    assert twice.fan is None and twice.direction == (0, 1)
+    assert [(row.passed, row.detail) for row in twice.rows] == [(False, why)] * 3
 
 
 def test_a_top_fiber_direction_reaches_every_derived_row():
