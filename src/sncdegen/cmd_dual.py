@@ -10,19 +10,20 @@ from . import checks, cli, duality, toriclat
 DUAL_MAX_N = 192
 
 
-def duality_rows(n: int) -> list[checks.CheckResult]:
-    """`duality.certify_duality` on the model cone, with the canonical
-    generators of `duality.dual_generators` for n >= 2: at n = 1 the dual
-    has fewer rays than the list.  The toric suite of `verify` prints
-    these rows too."""
-    return duality.certify_duality(toriclat.model_cone(n),
-                                   duality.dual_generators(n) if n >= 2 else None)
+def duality_rows(n: int) -> tuple[toriclat.Cone, list[checks.CheckResult]]:
+    """The dual of the model cone, built once, and `duality.certify_duality`
+    on the two, with the canonical generators of `duality.dual_generators`
+    for n >= 2: at n = 1 the dual has fewer rays than the list.  The toric
+    suite of `verify` prints these rows too."""
+    sigma = toriclat.model_cone(n)
+    dual = toriclat.dual_cone(sigma)
+    return dual, duality.certify_duality(sigma, dual,
+                                         duality.dual_generators(n) if n >= 2 else None)
 
 
 def run(n: int) -> cli.Output:
     cli.refuse("dual", "n", n, 1, DUAL_MAX_N)
-    dual = toriclat.dual_cone(toriclat.model_cone(n))
-    rows = duality_rows(n)
+    dual, rows = duality_rows(n)
     *generators, involution = rows
     ok = all(row.passed for row in rows)
     return ok, lambda: {

@@ -49,7 +49,7 @@ def _rows_toric(max_n: int) -> tuple[int, list[checks.CheckResult]]:
     rows = []
     top = min(max_n, TORIC_MAX_N)
     for n in range(1, top + 1):
-        local = [*cmd_dual.duality_rows(n), *toriclat.slab_certificate(n).rows]
+        local = [*cmd_dual.duality_rows(n)[1], *toriclat.slab_certificate(n).rows]
         if n >= 2:
             # a cone's stored facets are primitive, sorted and irredundant:
             # exactly the rays of its dual, with no second double description

@@ -20,7 +20,7 @@ serializable to JSON and renderable as a table.
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from . import toriclat
 from ._intmat import Vec
@@ -29,7 +29,6 @@ from .grothring import (
     GrothClass,
     L,
     ONE,
-    ZERO,
     arrangement_class_closed,
     reduce_mod_L,
 )
@@ -91,26 +90,28 @@ class VerificationReport(NamedTuple("VerificationReport", [
         ("model", Union[LocalModelSpec, DegenerationSpec]),
         ("checks", tuple[CheckResult, ...]),
         ("fiber_class_before", GrothClass),
-        ("fiber_class_after", GrothClass)])):
+        ("fiber_class_after", Optional[GrothClass])])):
     """Machine-checkable outcome of a resolution or degeneration run.
 
     `fiber_class_before` and `fiber_class_after` are the central-fiber
-    classes on the two sides of the resolution; `mod_L_invariant` states
-    that their residues modulo L agree.  The report passes iff every check
-    does: for a local model that comparison is one of the checks ("mod-L
-    invariance"), and an aggregate report carries it once per stratum."""
+    classes on the two sides of the resolution, the latter None without an
+    orbit count; `mod_L_invariant` states that both exist and their residues
+    modulo L agree.  The report passes iff every check does: for a local
+    model that comparison is one of the checks ("mod-L invariance"), and an
+    aggregate report carries it once per stratum."""
 
     __slots__ = ()
 
     def __new__(cls, model: Union[LocalModelSpec, DegenerationSpec],
                 checks: Sequence[CheckResult], fiber_class_before: GrothClass,
-                fiber_class_after: GrothClass):
+                fiber_class_after: Optional[GrothClass]):
         return super().__new__(cls, model, tuple(checks), fiber_class_before,
                                fiber_class_after)
 
     @property
     def mod_L_invariant(self) -> bool:
-        return (reduce_mod_L(self.fiber_class_before)
+        return (self.fiber_class_after is not None
+                and reduce_mod_L(self.fiber_class_before)
                 == reduce_mod_L(self.fiber_class_after))
 
     @property
@@ -122,7 +123,8 @@ class VerificationReport(NamedTuple("VerificationReport", [
             "model": self.model.to_json_dict(),
             "checks": [c.to_json_dict() for c in self.checks],
             "fiber_class_before": self.fiber_class_before.to_json_dict(),
-            "fiber_class_after": self.fiber_class_after.to_json_dict(),
+            "fiber_class_after": (None if self.fiber_class_after is None
+                                  else self.fiber_class_after.to_json_dict()),
             "mod_L_invariant": self.mod_L_invariant,
         }
 
@@ -132,10 +134,11 @@ class VerificationReport(NamedTuple("VerificationReport", [
         desc = ", ".join(f"{k}={v}" for k, v in model.items() if k != "type")
         lines = [f"model: {model['type']} ({desc})", *render_checks(self.checks)]
         lines.append(f"  fiber class before: {self.fiber_class_before.render()}")
-        lines.append(f"  fiber class after:  {self.fiber_class_after.render()}")
+        after = self.fiber_class_after
+        lines.append(f"  fiber class after:  {'none' if after is None else after.render()}")
         lines.append(
             f"  mod-L residues: {reduce_mod_L(self.fiber_class_before)} -> "
-            f"{reduce_mod_L(self.fiber_class_after)} "
+            f"{'none' if after is None else reduce_mod_L(after)} "
             f"({'invariant' if self.mod_L_invariant else 'CHANGED'})")
         lines.append(f"  overall: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)
@@ -186,9 +189,9 @@ def resolve_local_model(spec: LocalModelSpec) -> VerificationReport:
     L^{n-k+1}*(L^k - (L-1)^k), (e) the resolved fiber class, the
     rank-(k+1) orbit count times L^{n-k}, is L^{n-k} times the slab fan's
     class k*L^k, (f) the two classes agree modulo L.  Without unimodular
-    cones there is no orbit count: the class after is reported as 0 and
-    (e) and (f) fail.  `full_degeneration_report` calls it for its deepest
-    stratum only.
+    cones there is no orbit count: the report has no class after (None),
+    (e) and (f) fail, and `mod_L_invariant` is false.
+    `full_degeneration_report` calls it for its deepest stratum only.
     """
     return _local_report(spec, toriclat.slab_certificate(spec.k))
 
@@ -208,44 +211,39 @@ def _depth_classes(k: int) -> tuple[GrothClass, GrothClass, GrothClass]:
 def _local_report(spec: LocalModelSpec,
                   certificate: toriclat.LocalCertificate) -> VerificationReport:
     """The six checks of `resolve_local_model` on a certificate of depth k,
-    the classes of depth k read from `_depth_classes(k)`."""
+    the classes of depth k read from `_depth_classes(k)`.  One branch on
+    unimodular cones decides the class after, (e) and (f); a failing row
+    prints both sides of the equality it tests."""
     n, k = spec.n, spec.k
-    fan = certificate.fan
-    after_core, components = (_resolved_fiber(fan.max_cones, certificate.direction)
-                              if certificate.fiber.smooth else (None, 0))
-
     power, closed_form, scissor = _depth_classes(k)
     free = L ** (n - k)  # the A^{n-k} factor
-    before = free * L * scissor
-    after = ZERO if after_core is None else free * after_core
-    expected = free * power * k
-    no_count = "no orbit count: " + (
-        "no fan was restricted" if fan is None else "the cones are not unimodular")
-    resolved = no_count
-    if after_core is not None:
+    before, expected = free * L * scissor, free * power * k
+    closed = f"L^{n - k + 1}*(L^{k} - (L-1)^{k})"
+    singular = (f"scissor oracle gives {before.render()} = {closed}" if scissor == closed_form
+                else f"scissor oracle gives {before.render()} != {closed} = "
+                     f"{(free * L * closed_form).render()}")
+    if certificate.fiber.smooth:
+        core, components = _resolved_fiber(certificate.fan.max_cones, certificate.direction)
+        after = free * core
         # on the slab fan there are k components, the class at L=1
-        resolved = (f"orbit count gives {after.render()}; "
-                    f"{components} component(s) at L=1")
+        resolved = f"orbit count gives {after.render()}; {components} component(s) at L=1"
         if after != expected:
             resolved += f"; expected {expected.render()}"
-
-    checks = (
-        *certificate.rows,
-        CheckResult(
-            "singular fiber class", scissor == closed_form,
-            f"scissor oracle gives {before.render()} = "
-            f"L^{n - k + 1}*(L^{k} - (L-1)^{k})"),
-        CheckResult(
-            "resolved fiber class", after == expected, resolved),
-        CheckResult(
-            "mod-L invariance",
-            after_core is not None and reduce_mod_L(before) == reduce_mod_L(after),
-            no_count if after_core is None
-            else f"residues {reduce_mod_L(before)} == {reduce_mod_L(after)}"),
-    )
+        a, b = reduce_mod_L(before), reduce_mod_L(after)
+        count_rows = (CheckResult("resolved fiber class", after == expected, resolved),
+                      CheckResult("mod-L invariance", a == b,
+                                  f"residues {a} {'==' if a == b else '!='} {b}"))
+    else:
+        after = None
+        no_count = "no orbit count: " + ("no fan was restricted" if certificate.fan is None
+                                         else "the cones are not unimodular")
+        count_rows = (CheckResult("resolved fiber class", False, no_count),
+                      CheckResult("mod-L invariance", False, no_count))
     return VerificationReport(
         model=spec,
-        checks=checks,
+        checks=(*certificate.rows,
+                CheckResult("singular fiber class", scissor == closed_form, singular),
+                *count_rows),
         fiber_class_before=before,
         fiber_class_after=after,
     )

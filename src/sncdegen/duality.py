@@ -68,31 +68,41 @@ def greedy_decompose(v: Sequence[int]) -> Optional[list[int]]:
     return coeffs
 
 
-def certify_duality(sigma: toriclat.Cone, generators: Optional[Sequence[Vec]]
-                    ) -> list[checks.CheckResult]:
-    """The duality rows of `sigma`: "dual generators", whether the rays of
-    its dual are the list `generators` (no row when it is None), and
-    "duality involution", decided by exchange: the dual's rays must be
-    sigma's stored facets, and the dual's facets, the rays of
-    dual(dual(sigma)), sigma's rays.  So it builds no third cone, and a
-    redundant facet of sigma, which the dual drops from its rays, fails
-    the row.  Pure, so a mutant is an argument."""
-    dual = toriclat.dual_cone(sigma)
+def certify_duality(sigma: toriclat.Cone, dual: toriclat.Cone,
+                    generators: Optional[Sequence[Vec]]) -> list[checks.CheckResult]:
+    """The duality rows of `sigma` and `dual`, the dual its caller built:
+    "dual generators", whether the rays of `dual` are the list `generators`
+    (no row when it is None), and "duality involution", decided by
+    exchange: the dual's rays must be sigma's stored facets, and the dual's
+    facets, the rays of dual(dual(sigma)), sigma's rays.  So it builds no
+    cone, and a redundant facet of sigma, which the dual drops from its
+    rays, fails the row.  A failing row names the least vector that
+    differs.  Pure, so a mutant, a wrong dual included, is an argument."""
+    rays = ("ray", " of the dual cone", dual.rays)
     rows = []
     if generators is not None:
-        difference = first_difference(dual.rays, generators)
-        if difference is None:
-            detail = f"{len(generators)} canonical generators"
-        else:
-            ray, extra = difference
-            detail = (f"ray {list(ray)} of the dual cone is not a canonical generator"
-                      if extra else
-                      f"canonical generator {list(ray)} is not a ray of the dual cone")
-        rows.append(checks.CheckResult("dual generators", difference is None, detail))
-    involution = dual.rays == sigma.inequalities and dual.inequalities == sigma.rays
-    rows.append(checks.CheckResult("duality involution", involution,
-                                   "dual(dual(sigma)) == sigma"))
+        missing = _first_missing(rays, ("canonical generator", "", generators))
+        rows.append(checks.CheckResult("dual generators", missing is None,
+                                       missing or f"{len(generators)} canonical generators"))
+    missing = (_first_missing(rays, ("facet", " of sigma", sigma.inequalities))
+               or _first_missing(("facet", " of the dual cone", dual.inequalities),
+                                 ("ray", " of sigma", sigma.rays)))
+    rows.append(checks.CheckResult("duality involution", missing is None,
+                                   missing or "dual(dual(sigma)) == sigma"))
     return rows
+
+
+def _first_missing(ours: tuple[str, str, Sequence[Vec]],
+                   theirs: tuple[str, str, Sequence[Vec]]) -> Optional[str]:
+    """None if two lists of vectors, each given as (noun, owner, vectors),
+    agree as multisets; else the least vector on which they differ, named
+    as a member of the list that holds it and not of the other."""
+    difference = first_difference(ours[2], theirs[2])
+    if difference is None:
+        return None
+    vector, extra = difference
+    (noun, owner, _), (other, other_owner, _) = (ours, theirs) if extra else (theirs, ours)
+    return f"{noun} {list(vector)}{owner} is not a {other}{other_owner}"
 
 
 # -- chart presentations ------------------------------------------------

@@ -31,14 +31,13 @@ certificate runs no Z[L] code (`tests/test_imports.py` pins this).
 The dual side of the model, its canonical dual generators, the duality
 rows and the chart records, is in `duality`, which `report` and the orbit
 API never run.  Two functions of that side stay here: `dual_cone`, which
-caches the dual on the cone's `_dual` slot, and `blowup_chart_sequence(n)`,
-which reads `duality` by `from . import duality`, so that module runs only
-when a chart is built.  Both are spans of the benchmark's tracer
-(`perfbench/traced.py`), which looks them up in this module.  The replay
-builds its charts from `duality.singular_model_chart(n)` by substitution,
-with no reference to the fan, so they are an oracle for the slabs: the
-monomials of chart U_k generate the dual of sigma_k, whose rays are
-sigma_k's stored facets.
+caches nothing, and `blowup_chart_sequence(n)`, which reads `duality` by
+`from . import duality`, so that module runs only when a chart is built.
+Both are spans of the benchmark's tracer (`perfbench/traced.py`), which
+looks them up in this module.  The replay builds its charts from
+`duality.singular_model_chart(n)` by substitution, with no reference to
+the fan, so they are an oracle for the slabs: the monomials of chart U_k
+generate the dual of sigma_k, whose rays are sigma_k's stored facets.
 
 Orbit counting reads one table of a smooth fan: its faces by number of
 rays and by number of rays that pair positively with the fiber direction,
@@ -96,10 +95,10 @@ class Cone:
     then independent, so all are extreme and the cone is pointed.
 
     Instances are value objects: equality and hashing go through the
-    canonical (rank, rays) pair, and all derived data is cached.
+    canonical (rank, rays) pair; smoothness is cached, the dual is not.
     """
 
-    __slots__ = ("_rank", "_rays", "_inequalities", "_incidence", "_dual", "_smooth")
+    __slots__ = ("_rank", "_rays", "_inequalities", "_incidence", "_smooth")
 
     def __init__(self, rays: Iterable[Sequence[int]]):
         ray_list = [as_vec(r) for r in rays]
@@ -129,7 +128,6 @@ class Cone:
         self._incidence = incidence
         self._rays = tuple(incidence)
         self._inequalities = tuple(facets)
-        self._dual = None
         self._smooth = None
         return self
 
@@ -171,10 +169,9 @@ def dual_cone(c: Cone) -> Cone:
     """The dual cone {m in M : <m, x> >= 0 for all x in c}, generated by the
     facet normals of c.  It is full-dimensional because c is strongly
     convex, and strongly convex because c is full-dimensional, so duality
-    is an involution on canonical generator sets."""
-    if c._dual is None:
-        c._dual = Cone(c.inequalities)
-    return c._dual
+    is an involution on canonical generator sets.  One double description
+    and no cache: a caller that needs the dual twice keeps it."""
+    return Cone(c.inequalities)
 
 
 def is_smooth(c: Cone) -> bool:

@@ -473,7 +473,8 @@ MISSING_GENERATOR = (("dual_generators", with_extra_generator),
                      "canonical generator [1, 1, 1] is not a ray of the dual cone")
 
 
-REDUNDANT_FACET = (("model_cone", redundant_facet_at_3), "dual(dual(sigma)) == sigma")
+REDUNDANT_FACET = (("model_cone", redundant_facet_at_3),
+                   "facet [0, 0, 1, 1] of sigma is not a ray of the dual cone")
 
 
 @pytest.mark.parametrize("argv, row, mutant, witness", [
@@ -555,7 +556,14 @@ DEGENERATION_N3 = ("verify", "--scope", "degeneration", "--max-n", "3")
       "[4 hyperplanes in P^4] = 2 + 2*L - 2*L^2 + 4*L^3, residue 2"}),
     (REPORT_N3_D4, degeneration, "affine_coordinate_arrangement_class", L, (2,),
      {"stratum k=2: singular fiber class":
-      "scissor oracle gives -L^2 + 3*L^3 = L^2*(L^2 - (L-1)^2)"}),
+      "scissor oracle gives -L^2 + 3*L^3 != L^2*(L^2 - (L-1)^2) = -L^2 + 2*L^3"}),
+    # one orbit too many: at k = n no factor L^{n-k} hides it from the residue
+    (("report", "--n", "4", "--d", "5"), toriclat, "fiber_class", 1, None,
+     {**{f"stratum k={k}: resolved fiber class":
+         f"orbit count gives {after}; {k} component(s) at L=1; expected {expected}"
+         for k, after, expected in [(1, "L^3 + L^4", "L^4"), (2, "L^2 + 2*L^4", "2*L^4"),
+                                    (3, "L + 3*L^4", "3*L^4"), (4, "1 + 4*L^4", "4*L^4")]},
+      "stratum k=4: mod-L invariance": "residues 0 != 1"}),
     (DEGENERATION_N3, degeneration, "arrangement_class_closed", ONE, None,
      {f"degeneration n={n} d={d}": "failing: central fiber class = 1 mod L"
       for n in (2, 3) for d in range(1, n + 2)}),
@@ -563,7 +571,8 @@ DEGENERATION_N3 = ("verify", "--scope", "degeneration", "--max-n", "3")
      {f"degeneration n={n} d={d}": "failing: stratum k=2: singular fiber class"
       for n, d in [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4)]}),
 ], ids=["triple-agreement", "residue", "boundary-residue", "central-fiber",
-        "singular-fiber", "degeneration-central-fiber", "degeneration-singular-fiber"])
+        "singular-fiber", "mod-L-invariance", "degeneration-central-fiber",
+        "degeneration-singular-fiber"])
 def test_class_rows_name_their_witness(capsys, monkeypatch, cold_caches,
                                        argv, module, name, by, at, failing):
     plus(module, name, by, at)(monkeypatch)

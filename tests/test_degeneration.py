@@ -5,7 +5,7 @@ import json
 import pytest
 
 from oracles import affine_union_class_oracle, affine_union_point_count
-from test_mutations import plus
+from test_mutations import MUTANTS, certified, plus
 from sncdegen import degeneration, toriclat
 from sncdegen._intmat import unit
 from sncdegen.degeneration import (
@@ -174,6 +174,23 @@ def test_resolved_fiber_class_check_can_fail(monkeypatch, cold_caches):
     report = resolve_local_model(LocalModelSpec(n=3, k=2))
     check = next(c for c in report.checks if c.name == "resolved fiber class")
     assert not check.passed and not report.passed
+
+
+def test_a_local_report_without_an_orbit_count_has_no_class_after(monkeypatch, cold_caches):
+    # the determinant-2 slab data has a cone that is not unimodular, so no
+    # orbit count gives a class after, and no class is claimed invariant
+    certified("determinant-2")(monkeypatch)
+    report = resolve_local_model(LocalModelSpec(n=3, k=3))
+    no_count = "no orbit count: the cones are not unimodular"
+    assert {c.name: c.detail for c in report.checks if not c.passed} == {
+        **MUTANTS["determinant-2"][2],
+        "resolved fiber class": no_count, "mod-L invariance": no_count}
+    assert report.fiber_class_after is None and not report.mod_L_invariant
+    data = json.loads(json.dumps(report.to_json_dict()))
+    assert data["fiber_class_after"] is None and data["mod_L_invariant"] is False
+    table = report.render_table().splitlines()
+    assert "  fiber class after:  none" in table
+    assert "  mod-L residues: 0 -> none (CHANGED)" in table
 
 
 # -- central fiber class ------------------------------------------------

@@ -5,7 +5,7 @@ to `certify_local` as data, with the rows each must flip at k = 3 and the
 witness each must name.  "semistable fiber" is reduced and smooth together,
 so a cone that is not unimodular flips it with "cones unimodular"; the
 doubled fiber direction flips it alone.  `DUALITY_MUTANTS` does the same
-for the model cone and its canonical dual generators, passed to
+for the model cone, its dual and its canonical dual generators, passed to
 `certify_duality`.
 
 `FLIPS` maps the name of every check that `report`, `verify`, `dual` and
@@ -32,8 +32,10 @@ from sncdegen.toriclat import (
     Fan,
     blowup_chart_sequence,
     certify_local,
+    dual_cone,
     model_cone,
     resolution_fan,
+    sigma_subcone,
 )
 
 K = 3
@@ -149,34 +151,55 @@ def shifted_first_chart(n):
     return [duality.ChartPresentation(coords, first.relation), *rest]
 
 
-# mutant -> (n, model cone, canonical generators, {row it flips at n: its detail})
+def true_dual(sigma):
+    """n -> the dual of the cone sigma(n)."""
+    return lambda n: dual_cone(sigma(n))
+
+
+def orthant_dual(n):
+    """The dual of the positive orthant, which is not the model's dual."""
+    return dual_cone(Cone([unit(n + 1, i) for i in range(n + 1)]))
+
+
+# mutant -> (n, model cone, its dual, canonical generators or None,
+#            {row it flips at n: its detail})
 DUALITY_MUTANTS = {
-    "without-last-generator": (2, model_cone, without_last_generator, {
+    "without-last-generator": (2, model_cone, true_dual(model_cone), without_last_generator, {
         "dual generators": "ray [1, 1, -1] of the dual cone is not a canonical generator"}),
-    "with-extra-generator": (2, model_cone, with_extra_generator, {
+    "with-extra-generator": (2, model_cone, true_dual(model_cone), with_extra_generator, {
         "dual generators": "canonical generator [1, 1, 1] is not a ray of the dual cone"}),
-    "redundant-facet": (3, redundant_facet_model_cone, dual_generators, {
-        "duality involution": "dual(dual(sigma)) == sigma"}),
+    "redundant-facet": (3, redundant_facet_model_cone, true_dual(redundant_facet_model_cone),
+                        dual_generators, {
+        "duality involution": "facet [0, 0, 1, 1] of sigma is not a ray of the dual cone"}),
+    # a wrong dual given as data: the first slab's, not the model cone's
+    "dual-of-first-slab": (2, model_cone, true_dual(lambda n: sigma_subcone(n, 1)),
+                           dual_generators, {
+        "dual generators": "ray [1, 0, -1] of the dual cone is not a canonical generator",
+        "duality involution": "ray [1, 0, -1] of the dual cone is not a facet of sigma"}),
+    # at n = 1 no generators are passed, so the involution alone can fail
+    "orthant-dual-n1": (1, model_cone, orthant_dual, lambda n: None, {
+        "duality involution": "facet [1, -1] of sigma is not a ray of the dual cone"}),
 }
 
 
 @pytest.mark.parametrize("name", DUALITY_MUTANTS)
 def test_duality_mutant_flips_exactly_its_row_and_names_its_witness(name):
-    n, sigma, generators, flipped = DUALITY_MUTANTS[name]
-    rows = certify_duality(sigma(n), generators(n))
+    n, sigma, dual, generators, flipped = DUALITY_MUTANTS[name]
+    rows = certify_duality(sigma(n), dual(n), generators(n))
     assert {row.name: row.detail for row in rows if not row.passed} == flipped
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_every_duality_row_has_a_mutant_that_flips_it(n):
-    rows = certify_duality(model_cone(n), dual_generators(n))
+    rows = certify_duality(model_cone(n), dual_cone(model_cone(n)), dual_generators(n))
     assert all(row.passed for row in rows)
     assert {row.name for row in rows} == {
-        name for _, _, _, flipped in DUALITY_MUTANTS.values() for name in flipped}
+        name for *_, flipped in DUALITY_MUTANTS.values() for name in flipped}
 
 
 def test_no_generators_no_generator_row():
-    assert [row.name for row in certify_duality(model_cone(1), None)] == ["duality involution"]
+    rows = certify_duality(model_cone(1), dual_cone(model_cone(1)), None)
+    assert [(row.name, row.passed) for row in rows] == [("duality involution", True)]
 
 
 # -- patches: each a function of `monkeypatch` that puts a mutant in place --

@@ -22,11 +22,12 @@ from oracles import (
     partition_sweep_oracle,
     random_unimodular_cone,
     random_unimodular_matrix,
+    simplicial_coordinates,
     slab_orbit_class_closed_form,
 )
 from oracles import _rank as oracle_rank
 from sncdegen import _intmat, checks, toriclat
-from sncdegen._intmat import dot, invariant_factors, unit, vadd, vscale
+from sncdegen._intmat import dot, invariant_factors, primitive, unit, vadd, vscale
 from sncdegen.grothring import GrothClass, L, reduce_mod_L
 from sncdegen.duality import (
     ChartPresentation,
@@ -278,7 +279,7 @@ def test_contains_model_generator():
 def test_dual_cone_runs_one_double_description(monkeypatch, cold_caches):
     # the dual's generators are the stored facets; only the dual's own
     # facets need a double description
-    c = Cone(model_cone(5).rays)  # a fresh cone, with no dual cached
+    c = Cone(model_cone(5).rays)  # built before the count starts
     calls = []
     extreme_rays = toriclat.extreme_rays
     monkeypatch.setattr(toriclat, "extreme_rays",
@@ -921,11 +922,12 @@ def test_orbit_counting_cone_orders_against_oracle(order, chain):
         assert (consecutive_face_table(fan, d) == table) is chain, d
 
 
-def star_subdivision(fan, face):
-    """The star subdivision of a smooth fan at the cone on the rays `face`:
-    each maximal cone holding them splits into one piece per ray of the
-    face, that ray exchanged for v, their sum, in the fan's order."""
-    v, cones = functools.reduce(vadd, face), []
+def star_subdivision(fan, face, centre=None):
+    """The star subdivision of a simplicial fan at the cone on the rays
+    `face`: each maximal cone holding them splits into one piece per ray of
+    the face, that ray exchanged for v, in the fan's order.  v is `centre`,
+    a point of the face's relative interior, or else the sum of its rays."""
+    v, cones = centre or functools.reduce(vadd, face), []
     for c in fan:
         split = set(face) <= set(c.rays)
         cones += [Cone([v if r == out else r for r in c.rays]) for out in face] if split else [c]
@@ -961,19 +963,58 @@ def test_face_table_against_oracle_on_star_subdivisions(k):
         assert fiber == STAR_FIBER_CLASSES[k]
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.integers(2, 5), st.data())
-def test_face_table_against_oracle_on_random_star_subdivisions(k, data):
-    # one to three star subdivisions of the slab fan, each at a face of at
-    # least two rays of some maximal cone: smooth fans that are no chains
+@st.composite
+def refined_slab_fans(draw, top=5, weighted=False):
+    """(k, fan): the slab fan of a depth k = 2..top after one to three star
+    subdivisions, each at a face of at least two rays of some maximal cone.
+    Unweighted, these are smooth fans that are no chains.  With `weighted`,
+    a subdivision may take the centre primitive(2a + b + ...), a the face's
+    first ray: in a unimodular cone the piece that exchanges a for it has
+    determinant 2, the other pieces 1."""
+    k = draw(st.integers(2, top))
     fan = resolution_fan(k)
-    for _ in range(data.draw(st.integers(1, 3))):
-        rays = data.draw(st.sampled_from(fan.max_cones)).rays
-        face = data.draw(st.lists(st.sampled_from(rays), min_size=2, unique=True))
-        fan = star_subdivision(fan, face)
+    for _ in range(draw(st.integers(1, 3))):
+        rays = draw(st.sampled_from(fan.max_cones)).rays
+        face = draw(st.lists(st.sampled_from(rays), min_size=2, unique=True))
+        centre = (primitive(functools.reduce(vadd, face, face[0]))
+                  if weighted and draw(st.booleans()) else None)
+        fan = star_subdivision(fan, face, centre)
+    return k, fan
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(refined_slab_fans())
+def test_face_table_against_oracle_on_random_star_subdivisions(case):
+    k, fan = case
     assert all(is_smooth(c) for c in fan)
     for d in [(0,) * (k + 1), E(k + 1, k), E(k + 1, 0)]:
         assert toriclat._face_table(fan, d) == face_table_oracle(fan, d), d
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(refined_slab_fans(top=4, weighted=True))
+def test_unimodular_row_agrees_with_the_smith_form_on_random_refinements(case):
+    k, fan = case
+    unimodular, *_ = certify_local(fan, model_cone(k), E(k + 1, k)).rows
+    assert unimodular.passed == all(smith_smooth(c) for c in fan)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(refined_slab_fans(top=4, weighted=True), st.data())
+def test_partition_row_against_the_sweep_on_random_refinements(case, data):
+    # a refinement partitions the model cone; without one of its maximal
+    # cones it does not, and that cone's ray sum, interior to it, lies in
+    # no cone that remains
+    k, fan = case
+    parent, d = model_cone(k), E(k + 1, k)
+    assert certify_local(fan, parent, d).rows[1].passed
+    assert partition_sweep_oracle(fan, parent, 2)
+    dropped = data.draw(st.sampled_from(fan.max_cones))
+    rest = [c for c in fan if c != dropped]
+    assert not certify_local(Fan(rest), parent, d).rows[1].passed
+    point = functools.reduce(vadd, dropped.rays)
+    coordinates = [simplicial_coordinates(c.rays, point) for c in rest]
+    assert not any(cs is not None and min(cs) >= 0 for cs in coordinates)
 
 
 @pytest.mark.parametrize("k", range(8, 17))
