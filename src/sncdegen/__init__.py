@@ -6,9 +6,12 @@ behind degenerating a smooth hypersurface to a hyperplane arrangement:
 
 * `grothring`    — arithmetic in Z[L] and the arrangement class P(r, n)
   by three independent derivations, with reduction modulo L;
-* `toriclat`     — cones, fans, the dual cone, unimodularity, the slab
-  subdivision resolving the model singularity, semistability of the
-  central fiber, orbit-cone class counting, and blow-up chart replay;
+* `fans`         — cones, fans, the dual cone, unimodularity, the slab
+  subdivision resolving the model singularity, and orbit-cone class
+  counting: what the orbit API and `dual` run;
+* `toriclat`     — the certificate of a resolution: the partition proof,
+  semistability of the central fiber, the three rows every command
+  prints and their restriction to a lower depth, and blow-up chart replay;
 * `duality`      — the dual side of the model: the canonical dual
   generators and the decomposition of their lattice points, the duality
   rows of a cone, and the chart records that the replay builds;
@@ -39,25 +42,25 @@ __version__ = "0.1.0"
 #: that defines it: the package's one list of public names.  A submodule
 #: may head several groups, so that each name keeps its place in `__all__`:
 #: `CheckResult`, from `checks`, among the names of `degeneration`, and the
-#: names of `duality` among those of `toriclat`.  The submodules keep no
-#: lists of their own, and names that only the package itself uses, such
-#: as `checks.render_checks`, are not exported.
+#: names of `duality` and `toriclat` among those of `fans`.  The submodules
+#: keep no lists of their own, and names that only the package itself uses,
+#: such as `checks.render_checks` or `fans.opposite_facets`, are not exported.
 _EXPORTS = (
     ("grothring", (
         "GrothClass", "L", "ONE", "ZERO", "proj_space_class", "reduce_mod_L",
         "arrangement_class_closed", "arrangement_class_recursive",
         "arrangement_class_inclusion_exclusion",
     )),
-    ("toriclat", ("Cone", "Fan")),
+    ("fans", ("Cone", "Fan")),
     ("duality", ("Coordinate", "ChartPresentation")),
-    ("toriclat", ("FiberCheck", "unit_vector", "dual_cone")),
+    ("toriclat", ("FiberCheck",)),
+    ("fans", ("unit_vector", "dual_cone")),
     ("duality", ("greedy_decompose",)),
-    ("toriclat", ("is_smooth", "model_cone", "sigma_subcone", "resolution_fan")),
+    ("fans", ("is_smooth", "model_cone", "sigma_subcone", "resolution_fan")),
     ("duality", ("dual_generators",)),
-    ("toriclat", (
-        "verify_partition", "semistable_fiber_check", "toric_class", "fiber_class",
-        "blowup_chart_sequence",
-    )),
+    ("toriclat", ("verify_partition", "semistable_fiber_check")),
+    ("fans", ("toric_class", "fiber_class")),
+    ("toriclat", ("blowup_chart_sequence",)),
     ("duality", ("singular_model_chart",)),
     ("degeneration", ("LocalModelSpec", "DegenerationSpec")),
     ("checks", ("CheckResult",)),

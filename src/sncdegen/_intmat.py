@@ -11,17 +11,17 @@ the inverse of a square matrix (the simplicial start of `extreme_rays`)
 are all read off its output.  A square system skips the greedy choice:
 all its rows are the start, and a singular one shows in the pivots of
 that inverse, so a simplicial cone costs one elimination (a slab after
-the first costs none: `toriclat._exchange` pivots it from the last).
+the first costs none: `fans._exchange` pivots it from the last).
 The Smith normal form in `invariant_factors` is a different algorithm (it
 works over Z, not Q) and keeps its own loop; no code of the package calls
-it.  `toriclat.is_smooth` decides unimodularity, and a failed check names
+it.  `fans.is_smooth` decides unimodularity, and a failed check names
 its witness, from the pairing of each ray with its opposite facet; the
 Smith form is the tests' oracle for both, and a span of the benchmark's
 tracer.
 
 `extreme_rays` returns each ray with its zero set over the input rows, a
 bitmask kept alongside the rays through the double description, so a
-caller (`toriclat.Cone`) reads the ray-row incidence without pairing
+caller (`fans.Cone`) reads the ray-row incidence without pairing
 them again.
 """
 

@@ -35,10 +35,14 @@ from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 # in sys.modules after `import sncdegen.cli` and before a command runs.
 # `from . import` registers each one there without running its body; the
 # command modules bind the same module objects.
-from . import _intmat, checks, degeneration, grothring, toriclat
+from . import _intmat, checks, degeneration, fans, grothring, toriclat
 
 #: The modules that perfbench/traced.py finds registered: see the import.
-TRACED = (_intmat, checks, degeneration, grothring, toriclat)
+#: `fans` is among them though the tracer names none of its functions: it
+#: looks them up in `toriclat`, which binds them, and replaces them in
+#: every registered module, so a call inside `fans` is traced only if
+#: `fans` is registered before the tracer runs.
+TRACED = (_intmat, checks, degeneration, fans, grothring, toriclat)
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -3,7 +3,8 @@ pass/fail table, each up to its own cap on n."""
 
 from __future__ import annotations
 
-from . import _intmat, checks, cli, cmd_dual, cmd_resolve, degeneration, grothring, toriclat
+from . import (_intmat, checks, cli, cmd_dual, cmd_resolve, degeneration, fans, grothring,
+               toriclat)
 
 #: Largest n of the toric and degeneration suites, whatever --max-n asks:
 #: `verify --scope all --max-n 16` takes 0.21-0.34 s cold (10 runs, 2 vCPUs).
@@ -55,7 +56,7 @@ def _rows_toric(max_n: int) -> tuple[int, list[checks.CheckResult]]:
             # exactly the rays of its dual, with no second double description
             charts, detail = cmd_resolve.charts(n)
             differences = ((k, _intmat.first_difference(
-                chart.monomial_cone().rays, toriclat.sigma_subcone(n, k).inequalities))
+                chart.monomial_cone().rays, fans.sigma_subcone(n, k).inequalities))
                 for k, chart in enumerate(charts, start=1))
             bad = next(((k, diff) for k, diff in differences if diff is not None), None)
             if bad is not None:

@@ -5,11 +5,12 @@ The setting is a pencil degenerating a smooth degree-d hypersurface in
 P^{n+1} to a union of d hyperplanes in general position (the Fano range
 is d <= n+1).  Near a point lying on exactly k of the hyperplanes the
 total space has local equation t*x_{n+1} = x_1*...*x_k times a free
-A^{n-k} factor; that normal form is resolved by the fan machinery of
-`toriclat`, and the class of the central fiber is tracked exactly in
-Z[L] before and after, certifying that its residue modulo L never
-changes.  Before the resolution the singular fiber {x_1*...*x_k = 0}
-gets its class from a fibration recursion, O(k) operations in Z[L],
+A^{n-k} factor; that normal form is resolved by the slab fan of `fans`
+and certified by `toriclat`, and the class of the central fiber is
+tracked exactly in Z[L] before and after, the class after by the orbit
+count of `fans`, certifying that its residue modulo L never changes.
+Before the resolution the singular fiber {x_1*...*x_k = 0} gets its
+class from a fibration recursion, O(k) operations in Z[L],
 checked against the closed form L^k - (L-1)^k.  A report certifies its
 deepest stratum, up to MAX_CERTIFIED_STRATUM, and restricts that one
 toric certificate to every lower stratum.  Reports are machine-checkable:
@@ -22,7 +23,7 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple, Optional, Sequence, Union
 
-from . import toriclat
+from . import fans, toriclat
 from ._intmat import Vec
 from .checks import CheckResult, render_checks
 from .grothring import (
@@ -166,13 +167,12 @@ def affine_coordinate_arrangement_class(k: int) -> GrothClass:
 
 
 @functools.lru_cache(maxsize=None)
-def _resolved_fiber(cones: tuple[toriclat.Cone, ...], direction: Vec) -> tuple[GrothClass, int]:
+def _resolved_fiber(cones: tuple[fans.Cone, ...], direction: Vec) -> tuple[GrothClass, int]:
     """The orbit count of the central fiber of a unimodular fan and its
     components, one D_rho per ray rho pairing positively with the direction;
     cached by the cones, which every depth K > k restricts to alike."""
-    fan = toriclat.Fan(cones)
-    return (toriclat.fiber_class(fan, direction),
-            len(toriclat.fiber_rays(fan, direction)))
+    fan = fans.Fan(cones)
+    return fans.fiber_class(fan, direction), len(fans.fiber_rays(fan, direction))
 
 
 def resolve_local_model(spec: LocalModelSpec) -> VerificationReport:

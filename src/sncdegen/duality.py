@@ -11,8 +11,9 @@ singular chart into the charts U_1, ..., U_n.
 
 Only `dual`, `resolve` and `verify --scope lemma-toric` run this module;
 `report` and the orbit API do not (`tests/test_imports.py` pins this).  It
-reads `toriclat` and `checks` by `from . import x`, which runs `x` on first
-use, so `dual_generators` and `greedy_decompose` run only `_intmat`.
+reads `fans`, for its cones, and `checks` by `from . import x`, which runs
+`x` on first use, so `dual_generators` and `greedy_decompose` run only
+`_intmat`, and `dual` runs no certificate code of `toriclat`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import functools
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from ._intmat import Vec, as_vec, first_difference, unit, vadd, vscale
-from . import checks, toriclat
+from . import checks, fans
 
 
 def dual_generators(n: int) -> list[Vec]:
@@ -68,7 +69,7 @@ def greedy_decompose(v: Sequence[int]) -> Optional[list[int]]:
     return coeffs
 
 
-def certify_duality(sigma: toriclat.Cone, dual: toriclat.Cone,
+def certify_duality(sigma: fans.Cone, dual: fans.Cone,
                     generators: Optional[Sequence[Vec]]) -> list[checks.CheckResult]:
     """The duality rows of `sigma` and `dual`, the dual its caller built:
     "dual generators", whether the rays of `dual` are the list `generators`
@@ -156,9 +157,9 @@ class ChartPresentation(NamedTuple("ChartPresentation", [
     def monomials(self) -> tuple[Vec, ...]:
         return tuple(c.monomial for c in self.coordinates)
 
-    def monomial_cone(self) -> toriclat.Cone:
+    def monomial_cone(self) -> fans.Cone:
         """The cone generated by the coordinate monomials (canonicalized)."""
-        return toriclat.Cone(self.monomials())
+        return fans.Cone(self.monomials())
 
     def render_relation(self) -> str:
         left, right = self.relation

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import sncdegen
-from sncdegen import toriclat
+from sncdegen import fans, toriclat
 from sncdegen._intmat import unit
 from sncdegen.grothring import GrothClass
 
@@ -63,9 +63,9 @@ def slab_mutant(monkeypatch, cold_caches):
     certificate, run `certify_local(fan(k), model_cone(k), direction(k))`
     uncached; each defaults to the slab data.  The caches are cleared on
     both sides of the test."""
-    def patch(fan=toriclat.resolution_fan, direction=lambda k: unit(k + 1, k)):
+    def patch(fan=fans.resolution_fan, direction=lambda k: unit(k + 1, k)):
         monkeypatch.setattr(toriclat, "slab_certificate", lambda k: toriclat.certify_local(
-            fan(k), toriclat.model_cone(k), direction(k)))
+            fan(k), fans.model_cone(k), direction(k)))
 
     return patch
 

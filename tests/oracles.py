@@ -20,7 +20,7 @@ from typing import Sequence
 
 from sncdegen._intmat import Vec, dot, primitive, vscale
 from sncdegen.grothring import L, ONE, ZERO, proj_space_class
-from sncdegen.toriclat import Cone
+from sncdegen.fans import Cone
 
 
 def extreme_rays_brute(ineqs: Sequence[Sequence[int]], rank: int) -> list[Vec]:
@@ -177,18 +177,36 @@ def simplicial_coordinates(rays, point):
     return [row[m] for row in rows[:m]]
 
 
+def scaled_inverse(rays):
+    """D * B^-1 for the square matrix B whose columns are the linearly
+    independent `rays`, D > 0 the least common denominator of B^-1, by one
+    Gauss-Jordan elimination over Q of [B | I]: row i pairs with a point
+    to D times its i-th coordinate over the rays."""
+    m = len(rays)
+    rows, pivots = _gauss_jordan(
+        [[r[i] for r in rays] + [int(i == j) for j in range(m)] for i in range(m)], m)
+    if len(pivots) < m:
+        raise ValueError("the rays are not linearly independent")
+    inverse = [row[m:] for row in rows]
+    denom = math.lcm(*(x.denominator for row in inverse for x in row))
+    return [[int(x * denom) for x in row] for row in inverse]
+
+
 def partition_sweep_oracle(fan, parent, bound):
     """Bounded lattice sweep of a fan of simplicial cones over the parent:
     every lattice point of the parent in [0, bound]^rank lies in some cone
     and in the interior of at most one.  Cone membership comes from the
-    point's coordinates over the cone's rays, not from facet normals."""
+    signs of the point's coordinates over the cone's rays, not from facet
+    normals: each cone's ray matrix is inverted once, by `scaled_inverse`,
+    and a point's scaled coordinates are integer pairings with its rows."""
+    inverses = [scaled_inverse(c.rays) for c in fan]
     for p in itertools.product(range(bound + 1), repeat=parent.rank):
-        if not all(dot(a, p) >= 0 for a in parent.inequalities):
+        if not all(sum(map(operator.mul, a, p)) >= 0 for a in parent.inequalities):
             continue
-        coords = [simplicial_coordinates(c.rays, p) for c in fan]
-        if not any(all(x >= 0 for x in cs) for cs in coords):
+        least = [min(sum(map(operator.mul, row, p)) for row in inverse) for inverse in inverses]
+        if not any(x >= 0 for x in least):
             return False
-        if sum(all(x > 0 for x in cs) for cs in coords) > 1:
+        if sum(x > 0 for x in least) > 1:
             return False
     return True
 

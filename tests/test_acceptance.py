@@ -29,18 +29,16 @@ from sncdegen.grothring import (
     arrangement_class_recursive,
     reduce_mod_L,
 )
-from sncdegen.toriclat import (
+from sncdegen.fans import (
     Cone,
-    blowup_chart_sequence,
     dual_cone,
     is_smooth,
     model_cone,
     resolution_fan,
-    semistable_fiber_check,
     sigma_subcone,
     unit_vector,
-    verify_partition,
 )
+from sncdegen.toriclat import blowup_chart_sequence, semistable_fiber_check, verify_partition
 
 
 def report(num, description, ok, detail=""):

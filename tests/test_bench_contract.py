@@ -7,7 +7,9 @@ own judge, so that an output change it would count as a failed operation
 fails here first; workloads.py is compiled from its text, so no bytecode
 is written next to it.  One `report` runs under traced.py as a child and
 must reach every layer that perfbench/selftest.py, also read as text,
-requires of it; another must certify one fan.  `class` and the
+requires of it; another must certify one fan.  The orbit API and `dual`,
+which run `fans` and not `toriclat`, run under traced.py and must count
+the calls inside `fans`.  `class` and the
 arrangement suite, which leave the toric modules unexecuted, run under
 traced.py too, and must print what they print untraced with every span
 installed."""
@@ -153,6 +155,25 @@ def test_traced_report_certifies_one_fan():
     layers = json.loads(proc.stdout.splitlines()[-1])["layers"]
     assert layers["intmat.extreme_rays.calls"] == 2
     assert layers["toriclat.verify_partition.calls"] == 1
+
+
+@pytest.mark.parametrize("argv, counts", [
+    (("perfbench/orbit.py", "fiber", "4"),
+     {"toriclat.resolution_fan.calls": 1, "toriclat.fiber_class.calls": 1,
+      "intmat.extreme_rays.calls": 1, "toriclat.is_smooth.calls": 4}),
+    (("-m", "sncdegen", "dual", "--n", "4"),
+     {"toriclat.dual_cone.calls": 1, "intmat.extreme_rays.calls": 2}),
+], ids=["orbit", "dual"])
+def test_tracer_sees_every_span_that_fans_binds(argv, counts):
+    # the orbit API and `dual` run `fans` and not `toriclat`, where the
+    # tracer looks the spans up; it replaces them only in the modules
+    # registered before it runs, so a call inside `fans` (is_smooth in the
+    # orbit count, extreme_rays in Cone) is counted only if `cli` registers
+    # `fans`.  A work count, so no timer
+    proc = subprocess.run([sys.executable, str(TRACED), *argv], cwd=PERFBENCH.parent,
+                          env=src_env(), capture_output=True, text=True, check=True)
+    layers = json.loads(proc.stdout.splitlines()[-1])["layers"]
+    assert {name: layers[name] for name in counts} == counts
 
 
 @pytest.mark.parametrize("argv", [

@@ -26,19 +26,15 @@ from sncdegen import (
     cmd_verify,
     degeneration,
     duality,
+    fans,
     grothring,
     toriclat,
 )
 from sncdegen._intmat import unit
 from sncdegen.cli import EXIT_FAILED, EXIT_OK, EXIT_USAGE, main
 from sncdegen.grothring import L, MAX_ENUMERATION_SIZE, ONE, _subset_sizes
-from sncdegen.toriclat import (
-    Cone,
-    Fan,
-    blowup_chart_sequence,
-    model_cone,
-    sigma_subcone,
-)
+from sncdegen.fans import Cone, Fan, model_cone, sigma_subcone
+from sncdegen.toriclat import blowup_chart_sequence
 from test_mutations import (
     FLIPS,
     in_commands,
@@ -225,8 +221,8 @@ def double_descriptions(capsys, monkeypatch, *argv) -> tuple[int, int]:
     """The exit code of a command run with cold cone caches, and the
     number of double descriptions it ran."""
     calls = []
-    extreme_rays = toriclat.extreme_rays
-    monkeypatch.setattr(toriclat, "extreme_rays",
+    extreme_rays = fans.extreme_rays
+    monkeypatch.setattr(fans, "extreme_rays",
                         lambda *args: calls.append(args) or extreme_rays(*args))
     clear_caches()
     try:
@@ -381,10 +377,10 @@ def test_overlapping_cone_fails_the_partition_row(capsys, slab_mutant):
     # the slab fan of n = 4 plus sigma_2 with x_1 and x_2 swapped, which
     # overlaps sigma_1 and sigma_2: a row fails, and nothing raises.  report
     # restricts k = 4 to the lower strata, so it restricts no fan to them
-    slabs = toriclat.resolution_fan(4)
+    slabs = fans.resolution_fan(4)
     swapped = Cone([(r[1], r[0], *r[2:]) for r in sigma_subcone(4, 2).rays])
     slab_mutant(fan=lambda k: (
-        Fan([*slabs, swapped]) if k == 4 else toriclat.resolution_fan(k)))
+        Fan([*slabs, swapped]) if k == 4 else fans.resolution_fan(k)))
     code, out, _ = run_cli(capsys, "resolve", "--n", "4", "--format", "json")
     report_code, report_out, _ = run_cli(capsys, "report", "--n", "4", "--d", "5",
                                          "--format", "json")
@@ -450,7 +446,7 @@ def test_non_unimodular_cones_leave_no_orbit_count(capsys, slab_mutant):
     # the model cone itself as the fan of k = 3, 6 rays in rank 4: without
     # unimodular cones there is no orbit count, so both class rows fail too,
     # and no fan is restricted to k = 1, 2
-    slab_mutant(fan=lambda k: Fan([model_cone(k)]) if k == 3 else toriclat.resolution_fan(k))
+    slab_mutant(fan=lambda k: Fan([model_cone(k)]) if k == 3 else fans.resolution_fan(k))
     code, out, _ = run_cli(capsys, "report", "--n", "3", "--d", "4", "--format", "json")
     assert code == EXIT_FAILED
     no_count = "no orbit count: the cones are not unimodular"
@@ -558,7 +554,7 @@ DEGENERATION_N3 = ("verify", "--scope", "degeneration", "--max-n", "3")
      {"stratum k=2: singular fiber class":
       "scissor oracle gives -L^2 + 3*L^3 != L^2*(L^2 - (L-1)^2) = -L^2 + 2*L^3"}),
     # one orbit too many: at k = n no factor L^{n-k} hides it from the residue
-    (("report", "--n", "4", "--d", "5"), toriclat, "fiber_class", 1, None,
+    (("report", "--n", "4", "--d", "5"), fans, "fiber_class", 1, None,
      {**{f"stratum k={k}: resolved fiber class":
          f"orbit count gives {after}; {k} component(s) at L=1; expected {expected}"
          for k, after, expected in [(1, "L^3 + L^4", "L^4"), (2, "L^2 + 2*L^4", "2*L^4"),

@@ -6,7 +6,7 @@ import pytest
 
 from oracles import affine_union_class_oracle, affine_union_point_count
 from test_mutations import MUTANTS, certified, plus
-from sncdegen import degeneration, toriclat
+from sncdegen import degeneration, fans, toriclat
 from sncdegen._intmat import unit
 from sncdegen.degeneration import (
     CheckResult,
@@ -18,7 +18,8 @@ from sncdegen.degeneration import (
     resolve_local_model,
 )
 from sncdegen.grothring import GrothClass, L, proj_space_class, reduce_mod_L
-from sncdegen.toriclat import Cone, Fan, certify_local, model_cone, sigma_subcone
+from sncdegen.fans import Cone, Fan, model_cone, sigma_subcone
+from sncdegen.toriclat import certify_local
 
 
 # -- specs --------------------------------------------------------------
@@ -132,7 +133,7 @@ def test_certify_local_reads_only_its_arguments():
     # equal arguments built apart give equal rows, whatever was certified in
     # between, and the slab data give the cached rows that every command prints
     for k in range(1, 6):
-        slabs = toriclat.resolution_fan(k)
+        slabs = fans.resolution_fan(k)
         first = certify_local(slabs, model_cone(k), unit(k + 1, k)).rows
         certify_local(Fan(slabs.max_cones[1:] or slabs.max_cones), model_cone(k), unit(k + 1, 0))
         again = certify_local(Fan(slabs.max_cones), Cone(model_cone(k).rays),
@@ -170,7 +171,7 @@ def test_semistable_check_names_its_witness():
 
 def test_resolved_fiber_class_check_can_fail(monkeypatch, cold_caches):
     # one component too many at L=1
-    plus(toriclat, "fiber_class", 1)(monkeypatch)
+    plus(fans, "fiber_class", 1)(monkeypatch)
     report = resolve_local_model(LocalModelSpec(n=3, k=2))
     check = next(c for c in report.checks if c.name == "resolved fiber class")
     assert not check.passed and not report.passed

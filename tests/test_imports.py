@@ -182,13 +182,13 @@ def test_arrangement_class_loads_only_grothring():
 
 def test_resolution_fan_does_not_load_degeneration():
     loaded = package_modules_after("import sncdegen; sncdegen.resolution_fan")
-    assert "sncdegen.toriclat" in loaded
+    assert "sncdegen.fans" in loaded
     assert "sncdegen.degeneration" not in loaded and "sncdegen.cli" not in loaded
     # the orbit API counts classes in Z[L], and certifies nothing
     assert package_modules_executed(
         "import sncdegen\n"
         "sncdegen.fiber_class(sncdegen.resolution_fan(4), sncdegen.unit_vector(5, 4))"
-    ) == ["sncdegen._intmat", "sncdegen.grothring", "sncdegen.toriclat"]
+    ) == ["sncdegen._intmat", "sncdegen.fans", "sncdegen.grothring"]
 
 
 def test_dual_generators_execute_no_toric_code():
@@ -238,7 +238,7 @@ print(json.dumps([sorted(set(namespace) - {"__builtins__"}), unknown,
 
 # -- the command line's lazy submodules ---------------------------------
 
-TORIC = ["sncdegen._intmat", "sncdegen.checks", "sncdegen.toriclat"]
+TORIC = ["sncdegen._intmat", "sncdegen.checks", "sncdegen.fans", "sncdegen.toriclat"]
 
 
 #: Command lines, their exit codes and the package modules they execute
@@ -257,7 +257,9 @@ LAZY_CASES = [
      [*TORIC, "sncdegen.cmd_report", "sncdegen.degeneration", "sncdegen.grothring"]),
     # the charts and the duality rows run `duality`; `report` does not
     (["resolve", "--n", "3"], 0, [*TORIC, "sncdegen.cmd_resolve", "sncdegen.duality"]),
-    (["dual", "--n", "3"], 0, [*TORIC, "sncdegen.cmd_dual", "sncdegen.duality"]),
+    # `dual` reads its cones from `fans` and runs no certificate
+    (["dual", "--n", "3"], 0, ["sncdegen._intmat", "sncdegen.checks", "sncdegen.cmd_dual",
+                               "sncdegen.duality", "sncdegen.fans"]),
     # the toric suite prints the rows of `dual` and the charts of `resolve`
     (["verify", "--scope", "lemma-toric", "--max-n", "3"], 0,
      [*TORIC, "sncdegen.cmd_dual", "sncdegen.cmd_resolve", "sncdegen.cmd_verify",

@@ -4,7 +4,9 @@
 to `certify_local` as data, with the rows each must flip at k = 3 and the
 witness each must name.  "semistable fiber" is reduced and smooth together,
 so a cone that is not unimodular flips it with "cones unimodular"; the
-doubled fiber direction flips it alone.  `DUALITY_MUTANTS` does the same
+doubled fiber direction flips it alone, and so do the zero direction and
+one that pairs negatively with a ray, whose monomials are no functions
+that vanish on a reduced fiber.  `DUALITY_MUTANTS` does the same
 for the model cone, its dual and its canonical dual generators, passed to
 `certify_duality`.
 
@@ -22,21 +24,14 @@ import types
 import pytest
 
 from conftest import clear_caches
-from sncdegen import cmd_dual, cmd_resolve, cmd_verify, degeneration, duality, grothring, toriclat
+from sncdegen import (cmd_dual, cmd_resolve, cmd_verify, degeneration, duality, fans, grothring,
+                      toriclat)
 from sncdegen._intmat import dot, primitive, unit, vadd
 from sncdegen.cli import EXIT_FAILED, main
 from sncdegen.duality import certify_duality, dual_generators
 from sncdegen.grothring import L, ONE
-from sncdegen.toriclat import (
-    Cone,
-    Fan,
-    blowup_chart_sequence,
-    certify_local,
-    dual_cone,
-    model_cone,
-    resolution_fan,
-    sigma_subcone,
-)
+from sncdegen.fans import Cone, Fan, dual_cone, model_cone, resolution_fan, sigma_subcone
+from sncdegen.toriclat import blowup_chart_sequence, certify_local, restrict_certificate
 
 K = 3
 
@@ -89,6 +84,13 @@ MUTANTS = {
     "doubled-direction": (resolution_fan, lambda k: (0,) * k + (2,), {
         "semistable fiber":
             "reduced=False, smooth=True; ray [0, 0, 1, 1] pairs 2 with the fiber direction"}),
+    # no fiber ray at all: "reduced" must not be read off an empty list
+    "zero-direction": (resolution_fan, lambda k: (0,) * (k + 1), {
+        "semistable fiber": "reduced=False, smooth=True; the direction is zero"}),
+    # 1/t, a unit on the torus and no function on the model
+    "negative-direction": (resolution_fan, lambda k: (0,) * k + (-1,), {
+        "semistable fiber":
+            "reduced=False, smooth=True; ray [0, 0, 1, 1] pairs -1 with the fiber direction"}),
 }
 
 
@@ -97,6 +99,21 @@ def test_mutant_flips_exactly_its_rows_and_names_its_witness(name):
     fan, direction, flipped = MUTANTS[name]
     rows = certify_local(fan(K), model_cone(K), direction(K)).rows
     assert {row.name: row.detail for row in rows if not row.passed} == flipped
+
+
+@pytest.mark.parametrize("k", range(1, K))
+def test_restriction_maps_the_fiber_direction_to_the_face(k):
+    # e_{K+1}* restricts to e_{k+1}*, and the restriction of the slab data
+    # passes; a direction that pairs negatively restricts to one that does
+    # too, and fails the same row alone
+    top = certify_local(resolution_fan(K), model_cone(K), fiber_of_t(K))
+    restricted = restrict_certificate(top, k)
+    assert restricted.direction == fiber_of_t(k)
+    assert all(row.passed for row in restricted.rows)
+    fan, direction, _ = MUTANTS["negative-direction"]
+    mutant = restrict_certificate(certify_local(fan(K), model_cone(K), direction(K)), k)
+    assert mutant.direction == direction(k)
+    assert [row.name for row in mutant.rows if not row.passed] == ["semistable fiber"]
 
 
 def test_every_certificate_row_has_a_mutant_that_flips_it():
@@ -213,14 +230,14 @@ def plus(module, name, by, at=None):
 
 
 def in_commands(name, value):
-    """`name` bound to `value` in `toriclat` or `duality`, whichever
+    """`name` bound to `value` in `fans`, `toriclat` or `duality`, whichever
     defines it, as the command modules alone see it.  They read those
-    functions through their bindings of the two modules, so the patch
+    functions through their bindings of the three modules, so the patch
     replaces each binding by a copy of the module with one name changed:
     patching the module itself would reach its own callers too
     (`singular_model_chart`, which `blowup_chart_sequence` replays, reads
     `dual_generators`)."""
-    module = toriclat if hasattr(toriclat, name) else duality
+    module = next(m for m in (fans, toriclat, duality) if hasattr(m, name))
     binding = module.__name__.rpartition(".")[2]
 
     def patch(monkeypatch):
@@ -258,8 +275,8 @@ FLIPS = {
     "charts match dual cones": in_commands("blowup_chart_sequence", shifted_first_chart),
     "central fiber class = 1 mod L": plus(degeneration, "arrangement_class_closed", ONE),
     "singular fiber class": plus(degeneration, "affine_coordinate_arrangement_class", L, (2,)),
-    "resolved fiber class": plus(toriclat, "fiber_class", 1),
-    "mod-L invariance": plus(toriclat, "fiber_class", 1),
+    "resolved fiber class": plus(fans, "fiber_class", 1),
+    "mod-L invariance": plus(fans, "fiber_class", 1),
     "degeneration": plus(degeneration, "arrangement_class_closed", ONE),
 }
 

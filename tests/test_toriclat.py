@@ -26,7 +26,7 @@ from oracles import (
     slab_orbit_class_closed_form,
 )
 from oracles import _rank as oracle_rank
-from sncdegen import _intmat, checks, toriclat
+from sncdegen import _intmat, checks, fans, toriclat
 from sncdegen._intmat import dot, invariant_factors, primitive, unit, vadd, vscale
 from sncdegen.grothring import GrothClass, L, reduce_mod_L
 from sncdegen.duality import (
@@ -36,31 +36,32 @@ from sncdegen.duality import (
     greedy_decompose,
     singular_model_chart,
 )
-from sncdegen.toriclat import (
+from sncdegen.fans import (
     Cone,
     Fan,
-    blowup_chart_sequence,
-    certify_local,
     dual_cone,
     fiber_class,
     fiber_rays,
     is_smooth,
     model_cone,
     resolution_fan,
-    restrict_certificate,
-    semistable_fiber_check,
     sigma_subcone,
     toric_class,
     unit_vector,
+)
+from sncdegen.fans import _exchange, _orbit_sum
+from sncdegen.toriclat import (
+    blowup_chart_sequence,
+    certify_local,
+    restrict_certificate,
+    semistable_fiber_check,
     verify_partition,
 )
 from sncdegen.toriclat import (
     MAX_SWEEP_POINTS,
     _common_face,
-    _exchange,
     _face_of,
     _generic_point,
-    _orbit_sum,
     _partition_failure,
     _sweep_box,
     _sweep_uncovered,
@@ -281,8 +282,8 @@ def test_dual_cone_runs_one_double_description(monkeypatch, cold_caches):
     # facets need a double description
     c = Cone(model_cone(5).rays)  # built before the count starts
     calls = []
-    extreme_rays = toriclat.extreme_rays
-    monkeypatch.setattr(toriclat, "extreme_rays",
+    extreme_rays = fans.extreme_rays
+    monkeypatch.setattr(fans, "extreme_rays",
                         lambda *args: calls.append(args) or extreme_rays(*args))
     assert sorted(dual_cone(c).rays) == sorted(dual_generators(5))
     assert len(calls) == 1
@@ -504,8 +505,9 @@ def test_fan_accepts_a_pair_with_no_shared_ray():
 def test_slab_fan_axiom_runs_no_double_description(monkeypatch, cold_caches):
     # the partition certificate proves the fan axiom, so `Fan` pairs nothing
     slabs = [sigma_subcone(12, k) for k in range(1, 13)]
-    monkeypatch.setattr(toriclat, "dot", None)  # any pairing would raise
-    monkeypatch.setattr(toriclat, "extreme_rays", None)
+    for module in (fans, toriclat):
+        monkeypatch.setattr(module, "dot", None)  # any pairing would raise
+        monkeypatch.setattr(module, "extreme_rays", None)
     assert len(Fan(slabs)) == 12
 
 
@@ -869,12 +871,12 @@ def fiber_directions(n):
 def test_face_counts_chain_matches_enumeration():
     for n in range(1, 11):
         fan = resolution_fan(n)
-        table = toriclat._face_table(fan, (0,) * (n + 1))
+        table = fans._face_table(fan, (0,) * (n + 1))
         assert table == face_table_oracle(fan, (0,) * (n + 1)), n
         f_vector = [sum(row) for row in table]
         assert f_vector[0] == 1 and f_vector[n + 1] == n, n
         for d in fiber_directions(n):
-            table = toriclat._face_table(fan, d)
+            table = fans._face_table(fan, d)
             assert table == face_table_oracle(fan, d), (n, d)
             assert [sum(row) for row in table] == f_vector, (n, d)
             assert sum(table[0][1:]) == 0, (n, d)
@@ -886,7 +888,7 @@ def test_face_table_against_oracle_on_slab_fans():
         wide = (2, *[1] * (n - 1), -3)  # pairs 2 with e_1, -1 with f_1
         assert {2, -1} <= {dot(wide, r) for r in fan.rays()}
         for d in [*fiber_directions(n), wide]:
-            assert toriclat._face_table(fan, d) == face_table_oracle(fan, d), (n, d)
+            assert fans._face_table(fan, d) == face_table_oracle(fan, d), (n, d)
 
 
 def consecutive_face_table(fan, direction):
@@ -917,7 +919,7 @@ def test_orbit_counting_cone_orders_against_oracle(order, chain):
     assert toric_class(fan) == orbit_class_oracle(fan)
     for d in fiber_directions(5):
         assert fiber_class(fan, d) == orbit_class_oracle(fan, d), d
-        table = toriclat._face_table(fan, d)
+        table = fans._face_table(fan, d)
         assert table == face_table_oracle(fan, d), d
         assert (consecutive_face_table(fan, d) == table) is chain, d
 
@@ -956,7 +958,7 @@ def test_face_table_against_oracle_on_star_subdivisions(k):
     fan = slab_star(k)
     assert len(fan) == 2 * k and all(is_smooth(c) for c in fan)
     for d in [(0,) * (k + 1), *fiber_directions(k)]:
-        assert toriclat._face_table(fan, d) == face_table_oracle(fan, d), d
+        assert fans._face_table(fan, d) == face_table_oracle(fan, d), d
     fiber = fiber_class(fan, E(k + 1, k))
     assert fiber == orbit_class_oracle(fan, E(k + 1, k))
     if k in STAR_FIBER_CLASSES:
@@ -988,7 +990,7 @@ def test_face_table_against_oracle_on_random_star_subdivisions(case):
     k, fan = case
     assert all(is_smooth(c) for c in fan)
     for d in [(0,) * (k + 1), E(k + 1, k), E(k + 1, 0)]:
-        assert toriclat._face_table(fan, d) == face_table_oracle(fan, d), d
+        assert fans._face_table(fan, d) == face_table_oracle(fan, d), d
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -999,8 +1001,8 @@ def test_unimodular_row_agrees_with_the_smith_form_on_random_refinements(case):
     assert unimodular.passed == all(smith_smooth(c) for c in fan)
 
 
-@settings(max_examples=12, deadline=None, derandomize=True)
-@given(refined_slab_fans(top=4, weighted=True), st.data())
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(refined_slab_fans(top=5, weighted=True), st.data())
 def test_partition_row_against_the_sweep_on_random_refinements(case, data):
     # a refinement partitions the model cone; without one of its maximal
     # cones it does not, and that cone's ray sum, interior to it, lies in
@@ -1108,7 +1110,8 @@ def test_restriction_names_its_face():
 def test_restriction_runs_no_double_description_and_no_partition(monkeypatch, cold_caches):
     top = certify_local(resolution_fan(7), model_cone(7), unit(8, 7))  # not cached yet
     calls = []
-    monkeypatch.setattr(toriclat, "extreme_rays", lambda *args: calls.append(args))
+    for module in (fans, toriclat):
+        monkeypatch.setattr(module, "extreme_rays", lambda *args: calls.append(args))
     monkeypatch.setattr(toriclat, "verify_partition", lambda *args: calls.append(args))
     assert all(restrict_certificate(top, k).rows[1].passed for k in range(1, 7))
     assert calls == []
