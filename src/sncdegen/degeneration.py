@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 from . import fans, toriclat
 from ._intmat import Vec
-from .checks import CheckResult, render_checks
+from .checks import CheckResult, failed_premise, render_checks
 from .grothring import (
     GrothClass,
     L,
@@ -188,9 +188,9 @@ def resolve_local_model(spec: LocalModelSpec) -> VerificationReport:
     fibration recursion of `affine_coordinate_arrangement_class`, equals
     L^{n-k+1}*(L^k - (L-1)^k), (e) the resolved fiber class, the
     rank-(k+1) orbit count times L^{n-k}, is L^{n-k} times the slab fan's
-    class k*L^k, (f) the two classes agree modulo L.  Without unimodular
-    cones there is no orbit count: the report has no class after (None),
-    (e) and (f) fail, and `mod_L_invariant` is false.
+    class k*L^k, (f) the two classes agree modulo L.  (a) is the premise of
+    the orbit count: without it the report has no class after (None), (e)
+    and (f) fail on that premise, and `mod_L_invariant` is false.
     `full_degeneration_report` calls it for its deepest stratum only.
     """
     return _local_report(spec, toriclat.slab_certificate(spec.k))
@@ -212,8 +212,8 @@ def _local_report(spec: LocalModelSpec,
                   certificate: toriclat.LocalCertificate) -> VerificationReport:
     """The six checks of `resolve_local_model` on a certificate of depth k,
     the classes of depth k read from `_depth_classes(k)`.  One branch on
-    unimodular cones decides the class after, (e) and (f); a failing row
-    prints both sides of the equality it tests."""
+    their premise, the "cones unimodular" row, decides the class after,
+    (e) and (f); a failing row prints both sides of the equality it tests."""
     n, k = spec.n, spec.k
     power, closed_form, scissor = _depth_classes(k)
     free = L ** (n - k)  # the A^{n-k} factor
@@ -222,7 +222,8 @@ def _local_report(spec: LocalModelSpec,
     singular = (f"scissor oracle gives {before.render()} = {closed}" if scissor == closed_form
                 else f"scissor oracle gives {before.render()} != {closed} = "
                      f"{(free * L * closed_form).render()}")
-    if certificate.fiber.smooth:
+    premise = failed_premise(certificate.rows[:1])
+    if premise is None:
         core, components = _resolved_fiber(certificate.fan.max_cones, certificate.direction)
         after = free * core
         # on the slab fan there are k components, the class at L=1
@@ -235,10 +236,8 @@ def _local_report(spec: LocalModelSpec,
                                   f"residues {a} {'==' if a == b else '!='} {b}"))
     else:
         after = None
-        no_count = "no orbit count: " + ("no fan was restricted" if certificate.fan is None
-                                         else "the cones are not unimodular")
-        count_rows = (CheckResult("resolved fiber class", False, no_count),
-                      CheckResult("mod-L invariance", False, no_count))
+        count_rows = (CheckResult("resolved fiber class", False, premise),
+                      CheckResult("mod-L invariance", False, premise))
     return VerificationReport(
         model=spec,
         checks=(*certificate.rows,

@@ -150,10 +150,6 @@ class ChartPresentation(NamedTuple("ChartPresentation", [
             raise ValueError(f"relation is not a lattice identity: {lsum} != {rsum}")
         return super().__new__(cls, coords, (left, right))
 
-    @property
-    def rank(self) -> int:
-        return len(self.coordinates[0].monomial)
-
     def monomials(self) -> tuple[Vec, ...]:
         return tuple(c.monomial for c in self.coordinates)
 

@@ -209,7 +209,7 @@ class Fan:
     `toriclat._common_face` checks no fan of the package: it is the tests'
     reference for that proof."""
 
-    __slots__ = ("_rank", "_max_cones")
+    __slots__ = ("_rank", "_max_cones", "_rays")
 
     def __init__(self, max_cones: Iterable[Cone]):
         cones = tuple(max_cones)
@@ -220,6 +220,7 @@ class Fan:
             raise ValueError("all cones must share the ambient rank")
         self._rank = rank
         self._max_cones = cones
+        self._rays = tuple(sorted({r for c in cones for r in c.rays}))
 
     @property
     def rank(self) -> int:
@@ -231,7 +232,7 @@ class Fan:
 
     def rays(self) -> tuple[Vec, ...]:
         """All extreme rays of the fan, deduplicated, in canonical order."""
-        return tuple(sorted({r for c in self._max_cones for r in c.rays}))
+        return self._rays
 
     def __iter__(self):
         return iter(self._max_cones)

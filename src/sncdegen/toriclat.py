@@ -213,12 +213,11 @@ def semistable_fiber_check(f: Fan, direction: Sequence[int]) -> FiberCheck:
     * reduced  — the direction is nonzero and pairs 0 or 1 with every ray:
       the monomial is a function on the fan's toric variety, not a unit,
       and its fiber has multiplicity-one components (`_unreduced`);
-    * smooth   — every maximal cone is unimodular;
+    * smooth   — every maximal cone is unimodular (`_non_unimodular`);
     * snc      — both (smooth toric ambient + reduced invariant divisors).
     """
-    reduced = _unreduced(f, as_vec(direction)) is None
-    smooth = all(is_smooth(c) for c in f)
-    return FiberCheck(reduced=reduced, smooth=smooth)
+    return FiberCheck(reduced=_unreduced(f, as_vec(direction)) is None,
+                      smooth=_non_unimodular(f) is None)
 
 
 def _unreduced(f: Fan, direction: Vec) -> Optional[str]:
@@ -233,6 +232,19 @@ def _unreduced(f: Fan, direction: Vec) -> Optional[str]:
     ray = next((r for r in f.rays() if not 0 <= dot(direction, r) <= 1), None)
     return None if ray is None else (
         f"ray {list(ray)} pairs {dot(direction, ray)} with the fiber direction")
+
+
+def _non_unimodular(f: Fan) -> Optional[str]:
+    """None when every maximal cone of f is unimodular, else the witness: the
+    first cone that is not, and its ray count or (simplicial) a ray pairing > 1."""
+    cone = next((c for c in f if not is_smooth(c)), None)
+    if cone is None:
+        return None
+    why = f"{len(cone.rays)} rays in rank {cone.rank}"
+    if len(cone.rays) == cone.rank:
+        why = next(f"ray {list(r)} pairs {dot(u, r)} with its opposite facet"
+                   for r, u in opposite_facets(cone).items() if dot(u, r) != 1)
+    return f"{cone!r} is not unimodular: {why}"
 
 
 class LocalCertificate(NamedTuple):
@@ -260,18 +272,12 @@ def _certificate(fan: Fan, direction: Sequence[int], failure: Optional[str],
     """The rows of `fan` in `direction`, its partition's witness `failure`
     (None if it holds) and the detail `covered` of a pass given."""
     direction = as_vec(direction)
-    fiber = semistable_fiber_check(fan, direction)
-    unimodular = f"{len(fan)} maximal cone(s) of the rank-{fan.rank} subdivision"
-    if not fiber.smooth:
-        cone = next(c for c in fan if not is_smooth(c))
-        why = f"{len(cone.rays)} rays in rank {cone.rank}"
-        if len(cone.rays) == cone.rank:  # simplicial: a ray pairs > 1
-            why = next(f"ray {list(r)} pairs {dot(u, r)} with its opposite facet"
-                       for r, u in opposite_facets(cone).items() if dot(u, r) != 1)
-        unimodular = f"{cone!r} is not unimodular: {why}"
+    unreduced, singular = _unreduced(fan, direction), _non_unimodular(fan)
+    fiber = FiberCheck(reduced=unreduced is None, smooth=singular is None)
+    unimodular = singular or f"{len(fan)} maximal cone(s) of the rank-{fan.rank} subdivision"
     semistable = f"reduced={fiber.reduced}, smooth={fiber.smooth}"
-    if not fiber.reduced:
-        semistable += f"; {_unreduced(fan, direction)}"
+    if unreduced is not None:
+        semistable += f"; {unreduced}"
     rows = (checks.CheckResult("cones unimodular", fiber.smooth, unimodular),
             checks.CheckResult("partition of model cone", failure is None, failure or covered),
             checks.CheckResult("semistable fiber", fiber.snc, semistable))
@@ -300,17 +306,17 @@ def restrict_certificate(top: LocalCertificate, k: int) -> LocalCertificate:
     sublattice, with the projected opposite facets as its facets; (3)
     e_{K+1}* restricts to e_{k+1}*.  The partition row also checks, in
     O(K^2), that the projected rays in F_k are those of `model_cone(k)`.
-    A top that fails either condition restricts to no fan, and each row
-    names the top row that failed."""
+    Both rows of top, named with depth K, are the premises of every row
+    (`checks.failed_premise`): if one failed, the restriction has no fan."""
     depth = len(top.direction) - 1
     if not 1 <= k < depth:
         raise ValueError(f"need 1 <= k < {depth}, got k={k}")
     proj = operator.itemgetter(*range(k), depth)
-    broken = next((row.name for row in top.rows[:2] if not row.passed), None)
-    if broken is not None:
-        why = f"no restriction from k={depth}: its row {broken!r} fails"
+    premise = checks.failed_premise(
+        row._replace(name=f"{row.name} at k={depth}") for row in top.rows[:2])
+    if premise is not None:
         return LocalCertificate(None, proj(top.direction), FiberCheck(False, False), tuple(
-            row._replace(passed=False, detail=why) for row in top.rows))
+            row._replace(passed=False, detail=premise) for row in top.rows))
     cones, got = [], set()
     for c in top.fan:
         inside = [r for r in c.rays if not any(r[k:depth])]

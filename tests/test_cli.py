@@ -365,9 +365,11 @@ def test_verify_partition_row_names_its_witness(capsys, slab_mutant):
 
 def unrestricted_rows(depth, broken, strata):
     """The failing rows of the lower strata of a report whose certificate
-    of depth `depth` failed its row `broken`: no fan is restricted to them."""
-    why = f"no restriction from k={depth}: its row {broken!r} fails"
-    no_count = "no orbit count: no fan was restricted"
+    of depth `depth` failed its row `broken`: no fan is restricted to them,
+    so each row fails on that premise, and each class row on its own,
+    the stratum's "cones unimodular"."""
+    why = f"premise '{broken} at k={depth}' fails"
+    no_count = "premise 'cones unimodular' fails"
     return {f"stratum k={k}: {name}": detail for k in strata for name, detail in [
         ("cones unimodular", why), ("partition of model cone", why), ("semistable fiber", why),
         ("resolved fiber class", no_count), ("mod-L invariance", no_count)]}
@@ -449,7 +451,7 @@ def test_non_unimodular_cones_leave_no_orbit_count(capsys, slab_mutant):
     slab_mutant(fan=lambda k: Fan([model_cone(k)]) if k == 3 else fans.resolution_fan(k))
     code, out, _ = run_cli(capsys, "report", "--n", "3", "--d", "4", "--format", "json")
     assert code == EXIT_FAILED
-    no_count = "no orbit count: the cones are not unimodular"
+    no_count = "premise 'cones unimodular' fails"
     assert {r["name"]: r["detail"] for r in json.loads(out)["checks"] if not r["pass"]} == {
         "stratum k=3: cones unimodular": f"{model_cone(3)!r} is not unimodular: 6 rays in rank 4",
         "stratum k=3: semistable fiber": "reduced=True, smooth=False",

@@ -3,9 +3,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
 
 from oracles import affine_union_class_oracle, affine_union_point_count
 from test_mutations import MUTANTS, certified, plus
+from test_toriclat import refined_slab_fans
 from sncdegen import degeneration, fans, toriclat
 from sncdegen._intmat import unit
 from sncdegen.degeneration import (
@@ -182,7 +184,7 @@ def test_a_local_report_without_an_orbit_count_has_no_class_after(monkeypatch, c
     # orbit count gives a class after, and no class is claimed invariant
     certified("determinant-2")(monkeypatch)
     report = resolve_local_model(LocalModelSpec(n=3, k=3))
-    no_count = "no orbit count: the cones are not unimodular"
+    no_count = "premise 'cones unimodular' fails"
     assert {c.name: c.detail for c in report.checks if not c.passed} == {
         **MUTANTS["determinant-2"][2],
         "resolved fiber class": no_count, "mod-L invariance": no_count}
@@ -192,6 +194,22 @@ def test_a_local_report_without_an_orbit_count_has_no_class_after(monkeypatch, c
     table = report.render_table().splitlines()
     assert "  fiber class after:  none" in table
     assert "  mod-L residues: 0 -> none (CHANGED)" in table
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(refined_slab_fans(top=4, weighted=True))
+def test_class_rows_fail_on_their_premise_iff_it_fails_on_random_refinements(case):
+    # the orbit count needs unimodular cones: without them both class rows
+    # fail on that premise and compute nothing, and with them neither
+    # names it, whether or not its class is the slab fan's
+    k, fan = case
+    certificate = certify_local(fan, model_cone(k), unit(k + 1, k))
+    rows = {c.name: c for c in degeneration._local_report(
+        LocalModelSpec(n=k, k=k), certificate).checks}
+    failed = not rows["cones unimodular"].passed
+    for name in ("resolved fiber class", "mod-L invariance"):
+        assert ((rows[name].passed, rows[name].detail)
+                == (False, "premise 'cones unimodular' fails")) is failed, name
 
 
 # -- central fiber class ------------------------------------------------

@@ -116,6 +116,17 @@ def test_restriction_maps_the_fiber_direction_to_the_face(k):
     assert [row.name for row in mutant.rows if not row.passed] == ["semistable fiber"]
 
 
+@pytest.mark.parametrize("name, witness", [
+    ("zero-direction", "_unreduced"), ("determinant-2", "_non_unimodular")])
+def test_a_failed_row_computes_its_witness_once(monkeypatch, name, witness):
+    # the row and the FiberCheck read one call of the witness function
+    fan, direction, _ = MUTANTS[name]
+    calls, original = [], getattr(toriclat, witness)
+    monkeypatch.setattr(toriclat, witness, lambda *args: calls.append(args) or original(*args))
+    certify_local(fan(K), model_cone(K), direction(K))
+    assert len(calls) == 1
+
+
 def test_every_certificate_row_has_a_mutant_that_flips_it():
     rows = certify_local(resolution_fan(K), model_cone(K), fiber_of_t(K)).rows
     assert all(row.passed for row in rows)

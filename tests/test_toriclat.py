@@ -993,6 +993,14 @@ def test_face_table_against_oracle_on_random_star_subdivisions(case):
         assert fans._face_table(fan, d) == face_table_oracle(fan, d), d
 
 
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(refined_slab_fans(top=4))
+def test_fiber_class_against_oracle_on_random_star_subdivisions(case):
+    k, fan = case
+    for d in [E(k + 1, k), E(k + 1, 0)]:
+        assert fiber_class(fan, d) == orbit_class_oracle(fan, d), d
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(refined_slab_fans(top=4, weighted=True))
 def test_unimodular_row_agrees_with_the_smith_form_on_random_refinements(case):
@@ -1148,11 +1156,12 @@ def star_with_determinant_2(K):
 ], ids=["dropped-slab", "model-cone", "determinant-2"])
 def test_a_failed_top_certificate_flips_every_row_derived_from_it(fan, failed):
     # a top whose cones are not unimodular or do not partition the model cone
-    # restricts to no stratum: each derived row fails and names the top's row
+    # restricts to no stratum: each derived row fails on the premise, the
+    # top's row named with its depth
     K = 4
     top = certify_local(fan(K), model_cone(K), unit(K + 1, K))
     assert [row.name for row in top.rows if not row.passed][:1] == [failed]
-    why = f"no restriction from k={K}: its row {failed!r} fails"
+    why = f"premise '{failed} at k={K}' fails"
     for k in range(1, K):
         restricted = restrict_certificate(top, k)
         assert restricted.fan is None and not restricted.fiber.smooth
@@ -1163,7 +1172,7 @@ def test_a_restriction_of_a_failed_top_restricts_again():
     # a failed top restricts to no fan; its depth is read off the direction
     top = certify_local(Fan([model_cone(3)]), model_cone(3), unit(4, 3))
     twice = restrict_certificate(restrict_certificate(top, 2), 1)
-    why = "no restriction from k=2: its row 'cones unimodular' fails"
+    why = "premise 'cones unimodular at k=2' fails"
     assert twice.fan is None and twice.direction == (0, 1)
     assert [(row.passed, row.detail) for row in twice.rows] == [(False, why)] * 3
 
